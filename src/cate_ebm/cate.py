@@ -144,12 +144,13 @@ def fit_base(x, y, spec: BaseSpec):
     y = np.asarray(y, dtype=float)
     if x.shape[0] < 1:
         raise TooFewSamplesError("empty training set")
-    g0 = median_gamma(x) if spec.gamma is None else spec.gamma
+    # ridge has no kernel width, so it skips the n-by-n median heuristic
+    g0 = median_gamma(x) if spec.gamma is None and spec.kind == "kernel" else spec.gamma
     if not spec.cv or x.shape[0] < 2 * spec.cv_folds:
         return _make_regressor(spec, spec.lam, g0).fit(x, y)
 
-    grid = [(lam, g0 * gm) for lam in spec.lam_grid
-            for gm in (spec.gamma_mults if spec.kind == "kernel" else (1.0,))]
+    gammas = [g0 * gm for gm in spec.gamma_mults] if spec.kind == "kernel" else [g0]
+    grid = [(lam, gamma) for lam in spec.lam_grid for gamma in gammas]
     n = x.shape[0]
     folds = np.arange(n) % spec.cv_folds
     folds = folds[make_rng(spec.cv_seed).permutation(n)]
@@ -291,12 +292,8 @@ def dr_learner(ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
     prop = propensity_fit(ds.x[d2], ds.a[d2])
 
     x3 = ds.x[d3]
-    a3 = ds.a[d3].astype(float)
-    y3 = ds.y[d3]
-    m1 = mu1.predict(x3)
-    m0 = mu0.predict(x3)
-    p3 = prop.predict_proba(x3)
-    phi = a3 / p3 * (y3 - m1) + m1 - (1.0 - a3) / (1.0 - p3) * (y3 - m0) - m0
+    phi = dr_pseudo_outcome(Dataset(x=x3, a=ds.a[d3], y=ds.y[d3]), mu0.predict(x3),
+                            mu1.predict(x3), prop.predict_proba(x3))
     final = fit_base(x3, phi, spec)
     return CateModel("dr", final.predict, ds.d)
 

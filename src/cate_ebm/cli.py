@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import itertools
 import os
 import sys
 
@@ -38,51 +38,73 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _train_config(cfg: ExperimentConfig, init_seed=None) -> TrainConfig:
-    return TrainConfig(
-        k=cfg.k, b=cfg.b, rho=cfg.rho, hidden=cfg.hidden, epochs=cfg.epochs,
-        batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed,
-        init_seed=init_seed, patience=cfg.patience,
-    )
-
-
-def _fixed_b(cfg: ExperimentConfig):
-    # B is frozen by its own seed so every run of an experiment shares it
-    return random_orthogonal(cfg.k, make_rng(cfg.b_seed))
-
-
-def _base_spec(cfg: ExperimentConfig) -> BaseSpec:
-    return BaseSpec(kind=cfg.base_kind, lam=cfg.base_lam, cv=cfg.base_cv)
-
-
 def _exp_dir(cfg: ExperimentConfig) -> str:
     path = os.path.join(cfg.out_dir, f"exp-{cfg.fingerprint()}")
     os.makedirs(path, exist_ok=True)
     return path
 
 
-def _write_repr(path, z) -> None:
+def _read_repr(path) -> np.ndarray:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(reader)
+    if not header or not header[0].startswith("z"):
+        raise CsvFormatError(f"{path}: not a representation file (header {header[:3]})")
+    z = np.empty((len(rows), len(header)))
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}"
+            )
+        for c, cell in enumerate(row):
+            try:
+                z[r, c] = float(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: non-numeric cell {cell!r} at row {r + 2}, column {header[c]!r}"
+                ) from None
+    return z
+
+
+def _fit_ebm(cfg: ExperimentConfig, x, out_dir: str, init_seed, tag: str):
+    """Train on x; write model{tag}.preb and train_log{tag}.csv."""
+    train_cfg = TrainConfig(
+        k=cfg.k, b=cfg.b, rho=cfg.rho, hidden=cfg.hidden, epochs=cfg.epochs,
+        batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed,
+        init_seed=init_seed, patience=cfg.patience,
+    )
+    # B is frozen by its own seed so every run of an experiment shares it
+    b_matrix = random_orthogonal(cfg.k, make_rng(cfg.b_seed))
+    model = train_ebm(x, train_cfg, b_matrix=b_matrix)
+    save_model(model, os.path.join(out_dir, f"model{tag}.preb"))
+    with open(os.path.join(out_dir, f"train_log{tag}.csv"), "w", newline="") as fh:
+        fh.write("epoch,train_loss,val_loss\n")
+        for epoch, tr, va in model.history:
+            fh.write(f"{epoch},{_FLOAT_FMT % tr},{_FLOAT_FMT % va}\n")
+    return model
+
+
+def _transform(model, x, path: str) -> np.ndarray:
+    """Write the standardized representation of x to path and return it."""
+    z = model.represent(x)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f"z{i}" for i in range(z.shape[1])) + "\n")
         for row in z:
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
+    return z
 
 
-def _read_repr(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if not header or not header[0].startswith("z"):
-        raise CsvFormatError(f"{path}: not a representation file (header {header[:3]})")
-    return np.array([[float(c) for c in row] for row in rows])
+def _fit_predict(cfg: ExperimentConfig, kind: str, feats, ds: Dataset, x_eval) -> np.ndarray:
+    """Fit one learner on feats with ds's treatment and outcome; predict at x_eval."""
+    spec = BaseSpec(kind=cfg.base_kind, lam=cfg.base_lam, cv=cfg.base_cv)
+    return fit_learner(kind, Dataset(x=feats, a=ds.a, y=ds.y), spec,
+                       split_seed=cfg.seed).predict(x_eval)
 
 
-def _write_history(path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, tr, va in history:
-            fh.write(f"{epoch},{_FLOAT_FMT % tr},{_FLOAT_FMT % va}\n")
+def _mcc_pairs(reps) -> list:
+    return [(i, j, evalx.mcc(reps[i], reps[j]))
+            for i, j in itertools.combinations(range(len(reps)), 2)]
 
 
 def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -95,16 +117,10 @@ def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_fit_ebm(cfg: ExperimentConfig, train_path: str, out_dir: str,
-                init_seed=None, tag: str = "") -> int:
-    ds = load_csv(train_path)
-    model = train_ebm(ds.x, _train_config(cfg, init_seed=init_seed),
-                      b_matrix=_fixed_b(cfg))
-    name = f"model{tag}.preb"
-    save_model(model, os.path.join(out_dir, name))
-    _write_history(os.path.join(out_dir, f"train_log{tag}.csv"), model.history)
+def cmd_fit_ebm(cfg: ExperimentConfig, train_path: str, out_dir: str, init_seed=None) -> int:
+    model = _fit_ebm(cfg, load_csv(train_path).x, out_dir, init_seed, "")
     print(f"final validation loss: {model.best_val_loss:.6f} "
-          f"(best epoch {model.best_epoch}); wrote {name}")
+          f"(best epoch {model.best_epoch}); wrote model.preb")
     return EXIT_OK
 
 
@@ -113,7 +129,7 @@ def cmd_transform(model_path: str, data_path: str, out_path: str) -> int:
     ds = load_csv(data_path)
     if ds.d != model.d:
         raise ConfigError(f"model expects d={model.d}, data has d={ds.d}")
-    _write_repr(out_path, model.represent(ds.x))
+    _transform(model, ds.x, out_path)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -126,11 +142,8 @@ def cmd_fit_cate(cfg: ExperimentConfig, data_path: str, out_dir: str,
         raise ConfigError(
             f"feature rows ({feats.shape[0]}) != dataset rows ({ds.n})"
         )
-    fit_ds = Dataset(x=feats, a=ds.a, y=ds.y)
-    spec = _base_spec(cfg)
     for kind in cfg.learners:
-        model = fit_learner(kind, fit_ds, spec, split_seed=cfg.seed)
-        tau_hat = model.predict(feats)
+        tau_hat = _fit_predict(cfg, kind, feats, ds, feats)
         path = os.path.join(out_dir, f"predictions_{kind}.csv")
         with open(path, "w", newline="") as fh:
             fh.write("row,tau_hat\n")
@@ -152,11 +165,7 @@ def cmd_mcc(model_paths, data_path: str, out_dir=None) -> int:
                 "correlations across different B are not comparable"
             )
     ds = load_csv(data_path)
-    reps = [m.represent(ds.x) for m in models]
-    pairs = []
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            pairs.append((i, j, evalx.mcc(reps[i], reps[j])))
+    pairs = _mcc_pairs([m.represent(ds.x) for m in models])
     vals = np.array([v for _, _, v in pairs])
     for i, j, v in pairs:
         print(f"mcc(model{i}, model{j}) = {v:.6f}")
@@ -176,34 +185,20 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
         test = load_csv(os.path.join(out_dir, "test.csv"))
 
         stage = "fit-ebm"
-        models = []
-        b_matrix = _fixed_b(cfg)
-        for r in range(cfg.runs):
-            model = train_ebm(train.x, _train_config(cfg, init_seed=cfg.seed + 101 * (r + 1)),
-                              b_matrix=b_matrix)
-            save_model(model, os.path.join(out_dir, f"model_run{r}.preb"))
-            _write_history(os.path.join(out_dir, f"train_log_run{r}.csv"), model.history)
-            models.append(model)
+        models = [_fit_ebm(cfg, train.x, out_dir, cfg.seed + 101 * (r + 1), f"_run{r}")
+                  for r in range(cfg.runs)]
 
         stage = "transform"
-        reps_train = [m.represent(train.x) for m in models]
-        reps_test = [m.represent(test.x) for m in models]
-        for r, (zt, zs) in enumerate(zip(reps_train, reps_test)):
-            _write_repr(os.path.join(out_dir, f"repr_train_run{r}.csv"), zt)
-            _write_repr(os.path.join(out_dir, f"repr_test_run{r}.csv"), zs)
+        reps = [(_transform(m, train.x, os.path.join(out_dir, f"repr_train_run{r}.csv")),
+                 _transform(m, test.x, os.path.join(out_dir, f"repr_test_run{r}.csv")))
+                for r, m in enumerate(models)]
 
         stage = "fit-cate"
-        spec = _base_spec(cfg)
         rows = []
         for kind in cfg.learners:
-            raw_model = fit_learner(kind, train, spec, split_seed=cfg.seed)
-            raw_pehe = evalx.pehe(raw_model.predict(test.x), test.tau)
-            ebm_vals = []
-            for zt, zs in zip(reps_train, reps_test):
-                rep_ds = Dataset(x=zt, a=train.a, y=train.y)
-                rep_model = fit_learner(kind, rep_ds, spec, split_seed=cfg.seed)
-                ebm_vals.append(evalx.pehe(rep_model.predict(zs), test.tau))
-            ebm_vals = np.array(ebm_vals)
+            raw_pehe = evalx.pehe(_fit_predict(cfg, kind, train.x, train, test.x), test.tau)
+            ebm_vals = np.array([evalx.pehe(_fit_predict(cfg, kind, zt, train, zs), test.tau)
+                                 for zt, zs in reps])
             rows.append([kind, "raw", float(raw_pehe), 0.0, float(np.sqrt(raw_pehe))])
             rows.append([kind, "ebm", float(ebm_vals.mean()), float(ebm_vals.std()),
                          float(np.mean(np.sqrt(ebm_vals)))])
@@ -219,10 +214,7 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
             print(f"  {row[0]:>3} {row[1]:>4}  pehe_sq={row[2]:.4f} +- {row[3]:.4f}")
 
         if with_mcc:
-            pairs = []
-            for i in range(len(reps_test)):
-                for j in range(i + 1, len(reps_test)):
-                    pairs.append((i, j, evalx.mcc(reps_test[i], reps_test[j])))
+            pairs = _mcc_pairs([zs for _, zs in reps])
             evalx.write_table(os.path.join(out_dir, "mcc.csv"),
                               ["run_i", "run_j", "mcc"], pairs)
             vals = np.array([v for _, _, v in pairs])
@@ -286,20 +278,16 @@ def main(argv=None) -> int:
         cfg = load_config(path=args.config, preset=args.preset,
                           seed_override=args.seed,
                           out_override=getattr(args, "out", None))
-        if args.command == "gen-data":
-            out = args.out or _exp_dir(cfg)
-            os.makedirs(out, exist_ok=True)
-            return cmd_gen_data(cfg, out)
-        if args.command == "fit-ebm":
-            out = args.out or _exp_dir(cfg)
-            os.makedirs(out, exist_ok=True)
-            return cmd_fit_ebm(cfg, args.train, out, init_seed=args.init_seed)
-        if args.command == "fit-cate":
-            out = args.out or _exp_dir(cfg)
-            os.makedirs(out, exist_ok=True)
-            return cmd_fit_cate(cfg, args.data, out, features_path=args.features)
         if args.command == "pipeline":
             return cmd_pipeline(cfg, with_mcc=args.mcc)
+        out = args.out or _exp_dir(cfg)
+        os.makedirs(out, exist_ok=True)
+        if args.command == "gen-data":
+            return cmd_gen_data(cfg, out)
+        if args.command == "fit-ebm":
+            return cmd_fit_ebm(cfg, args.train, out, init_seed=args.init_seed)
+        if args.command == "fit-cate":
+            return cmd_fit_cate(cfg, args.data, out, features_path=args.features)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, CsvFormatError, ModelFileError, TooFewSamplesError,
             FileNotFoundError, PermissionError) as exc:

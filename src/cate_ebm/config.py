@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import configparser
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -19,6 +19,17 @@ PRESETS = {
     "synth_d200_n1000": dict(d=200, n=1000, b=3, k=15, hidden=(20, 20, 20, 20), rho=0.50),
     "synth_d250_n1500": dict(d=250, n=1500, b=3, k=20, hidden=(20, 20, 20), rho=0.50),
     "desk": dict(d=20, n=500, b=5, k=3, hidden=(20, 20), rho=0.50),
+}
+
+# INI section -> {key: ExperimentConfig attribute}; the only list of file keys
+SECTIONS = {
+    "dgp": {"d": "d", "n": "n", "seed": "seed", "test_size": "test_size"},
+    "ebm": {"k": "k", "b": "b", "rho": "rho", "hidden": "hidden", "epochs": "epochs",
+            "lr": "lr", "batch": "batch_size", "b_seed": "b_seed", "patience": "patience"},
+    "learners": {"kinds": "learners", "base": "base_kind", "lam": "base_lam",
+                 "cv": "base_cv"},
+    "eval": {"runs": "runs"},
+    "io": {"out_dir": "out_dir"},
 }
 
 
@@ -71,31 +82,19 @@ class ExperimentConfig:
         return self
 
     def canonical(self) -> str:
-        items = [
-            f"d={self.d}", f"n={self.n}", f"seed={self.seed}",
-            f"test_size={self.test_size}", f"k={self.k}", f"b={self.b}",
-            f"rho={self.rho!r}", f"hidden={','.join(map(str, self.hidden))}",
-            f"epochs={self.epochs}", f"lr={self.lr!r}",
-            f"batch_size={self.batch_size}", f"b_seed={self.b_seed}",
-            f"patience={self.patience}",
-            f"learners={','.join(self.learners)}",
-            f"base_kind={self.base_kind}", f"base_lam={self.base_lam!r}",
-            f"base_cv={self.base_cv}", f"runs={self.runs}",
-        ]
+        """Every field but out_dir: where results go does not change them."""
+        items = []
+        for f in fields(self):
+            if f.name == "out_dir":
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            items.append(f"{f.name}={value}")
         return ";".join(items)
 
     def fingerprint(self) -> str:
         return format(zlib.crc32(self.canonical().encode()), "08x")
-
-
-def _get(parser, section, key, conv, current):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return conv(raw)
-        except (ValueError, TypeError):
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-    return current
 
 
 def _parse_hidden(raw) -> tuple:
@@ -111,49 +110,61 @@ def _parse_bool(raw) -> bool:
     raise ValueError(raw)
 
 
+# a field is parsed by the type of its default, except for the two tuples
+_TYPE_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
+_PARSERS = {
+    **{f.name: _TYPE_PARSERS.get(type(f.default)) for f in fields(ExperimentConfig)},
+    "hidden": _parse_hidden,
+    "learners": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
+}
+
+
+def _apply_preset(cfg: ExperimentConfig, name) -> None:
+    if name not in PRESETS:
+        raise ConfigError(
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
+        )
+    for key, value in PRESETS[name].items():
+        setattr(cfg, key, value)
+
+
+def _unknown_keys(parser) -> list:
+    # configparser copies each [DEFAULT] key into every section; only preset may be there
+    inherited = set(parser.defaults())
+    unknown = [f"[DEFAULT] {key}" for key in sorted(inherited - {"preset"})]
+    for section in parser.sections():
+        if section not in SECTIONS:
+            unknown.append(f"[{section}]")
+            continue
+        accepted = set(SECTIONS[section]) | inherited | ({"preset"} if section == "ebm" else set())
+        unknown += [f"[{section}] {key}" for key in parser.options(section) if key not in accepted]
+    return unknown
+
+
 def load_config(path=None, preset=None, seed_override=None,
                 out_override=None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
-            )
-        for key, value in PRESETS[preset].items():
-            setattr(cfg, key, value)
+        _apply_preset(cfg, preset)
     if path is not None:
         parser = configparser.ConfigParser()
         read = parser.read(str(path))
         if not read:
             raise ConfigError(f"config file not found: {path}")
-        if parser.has_option("DEFAULT", "preset") or parser.has_option("ebm", "preset"):
-            name = (parser.get("ebm", "preset", fallback=None)
-                    or parser.get("DEFAULT", "preset"))
-            if name not in PRESETS:
-                raise ConfigError(f"unknown preset {name!r}")
-            for key, value in PRESETS[name].items():
-                setattr(cfg, key, value)
-        cfg.d = _get(parser, "dgp", "d", int, cfg.d)
-        cfg.n = _get(parser, "dgp", "n", int, cfg.n)
-        cfg.seed = _get(parser, "dgp", "seed", int, cfg.seed)
-        cfg.test_size = _get(parser, "dgp", "test_size", int, cfg.test_size)
-        cfg.k = _get(parser, "ebm", "k", int, cfg.k)
-        cfg.b = _get(parser, "ebm", "b", int, cfg.b)
-        cfg.rho = _get(parser, "ebm", "rho", float, cfg.rho)
-        cfg.hidden = _get(parser, "ebm", "hidden", _parse_hidden, cfg.hidden)
-        cfg.epochs = _get(parser, "ebm", "epochs", int, cfg.epochs)
-        cfg.lr = _get(parser, "ebm", "lr", float, cfg.lr)
-        cfg.batch_size = _get(parser, "ebm", "batch", int, cfg.batch_size)
-        cfg.b_seed = _get(parser, "ebm", "b_seed", int, cfg.b_seed)
-        cfg.patience = _get(parser, "ebm", "patience", int, cfg.patience)
-        cfg.learners = _get(parser, "learners", "kinds",
-                            lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-                            cfg.learners)
-        cfg.base_kind = _get(parser, "learners", "base", str, cfg.base_kind)
-        cfg.base_lam = _get(parser, "learners", "lam", float, cfg.base_lam)
-        cfg.base_cv = _get(parser, "learners", "cv", _parse_bool, cfg.base_cv)
-        cfg.runs = _get(parser, "eval", "runs", int, cfg.runs)
-        cfg.out_dir = _get(parser, "io", "out_dir", str, cfg.out_dir)
+        unknown = _unknown_keys(parser)
+        if unknown:
+            raise ConfigError(f"{path}: unknown section or key: {', '.join(unknown)}")
+        name = parser.get("ebm", "preset", fallback=parser.defaults().get("preset"))
+        if name is not None:
+            _apply_preset(cfg, name)
+        for section, keys in SECTIONS.items():
+            for key, attr in keys.items():
+                if parser.has_option(section, key):
+                    raw = parser.get(section, key)
+                    try:
+                        setattr(cfg, attr, _PARSERS[attr](raw))
+                    except (ValueError, TypeError):
+                        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
     if seed_override is not None:
         cfg.seed = int(seed_override)
     if out_override is not None:

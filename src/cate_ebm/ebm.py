@@ -35,11 +35,11 @@ class ModelFingerprint:
     d: int
     k: int
     corruption_hash: int
-    seed: int
+    b_crc: int  # CRC32 of the frozen B matrix
 
     def compatible_with(self, other: "ModelFingerprint") -> bool:
-        """Same data shape and same fixed B (seed covers the B draw)."""
-        return self.d == other.d and self.k == other.k and self.seed == other.seed
+        """Same data shape and same fixed B."""
+        return self.d == other.d and self.k == other.k and self.b_crc == other.b_crc
 
 
 class EbmModel:
@@ -144,7 +144,7 @@ def save_model(model: EbmModel, path) -> None:
     sections.append(stats)
 
     fp = model.fingerprint or ModelFingerprint(model.d, model.k, 0, 0)
-    sections.append(struct.pack("<IIIQ", fp.d, fp.k, fp.corruption_hash, fp.seed))
+    sections.append(struct.pack("<IIIQ", fp.d, fp.k, fp.corruption_hash, fp.b_crc))
 
     body = _MAGIC + struct.pack("<H", _VERSION)
     for sec in sections:
@@ -194,8 +194,8 @@ def load_model(path) -> EbmModel:
         mean = stats_rd.array()
         std = stats_rd.array()
 
-    d, k, chash, seed = struct.unpack("<IIIQ", secs[4].take(20))
-    fp = ModelFingerprint(d=d, k=k, corruption_hash=chash, seed=seed)
+    d, k, chash, b_crc = struct.unpack("<IIIQ", secs[4].take(20))
+    fp = ModelFingerprint(d=d, k=k, corruption_hash=chash, b_crc=b_crc)
 
     return EbmModel(net=net, b_matrix=b_matrix, partition=partition,
                     repr_mean=mean, repr_std=std, fingerprint=fp)

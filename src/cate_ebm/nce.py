@@ -18,7 +18,7 @@ makes; it is exact for symmetric kernels.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -295,10 +295,9 @@ def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
     net.params = best_params
     raw = net.forward(x)
     _, mean, std = standardize_columns(raw)
-    # seed field identifies the fixed B draw, so models sharing B compare equal
-    b_tag = zlib.crc32(np.ascontiguousarray(b_matrix, dtype="<f8").tobytes())
-    fp = ModelFingerprint(d=d, k=k, corruption_hash=spec.fingerprint_hash(),
-                          seed=b_tag)
+    # b_crc identifies the fixed B, so models sharing B compare equal
+    b_crc = zlib.crc32(np.ascontiguousarray(b_matrix, dtype="<f8").tobytes())
+    fp = ModelFingerprint(d=d, k=k, corruption_hash=spec.fingerprint_hash(), b_crc=b_crc)
     final = EbmModel(net=net, b_matrix=b_matrix, partition=partition,
                      repr_mean=mean, repr_std=std, fingerprint=fp)
     final.history = history

@@ -205,6 +205,19 @@ class TestCvSelection:
         assert m1.lam == m2.lam and m1.gamma == m2.gamma
         assert np.array_equal(m1.alpha, m2.alpha)
 
+    @pytest.mark.parametrize("cv", [True, False])
+    def test_ridge_skips_median_gamma(self, monkeypatch, cv):
+        from cate_ebm import cate
+
+        def forbidden(x):
+            raise AssertionError("median_gamma called for a ridge base")
+
+        monkeypatch.setattr(cate, "median_gamma", forbidden)
+        rng = make_rng(10)
+        x = rng.standard_normal((60, 2))
+        model = cate.fit_base(x, x @ np.array([1.0, 2.0]), BaseSpec(kind="ridge", cv=cv))
+        assert isinstance(model, Ridge)
+
 
 class TestReductionBaselines:
     def test_pca_recovers_dominant_axis(self):

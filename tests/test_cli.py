@@ -87,6 +87,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path="/nonexistent/exp.ini")
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\npreset = synth_d100_n250\n[dgp]\nseed = 3\n[ebm]\nk = 2\n",
+        "[ebm]\npreset = synth_d100_n250\nk = 2\n[dgp]\nseed = 3\n",
+    ])
+    def test_preset_key_in_file(self, tmp_path, text):
+        path = tmp_path / "p.ini"
+        path.write_text(text)
+        cfg = load_config(path=str(path))
+        assert (cfg.d, cfg.n, cfg.b) == (100, 250, 10)
+        assert (cfg.k, cfg.seed) == (2, 3)  # file keys override the preset
+
     def test_fingerprint_tracks_content(self):
         a = ExperimentConfig()
         b = ExperimentConfig(seed=1)
@@ -156,6 +167,24 @@ class TestCommands:
         after = {p.name: p.read_bytes() for p in exp_dir.iterdir()}
         assert before == after
 
+    def test_pipeline_matches_subcommands(self, tmp_path):
+        cfg_path = _write_cfg(tmp_path)
+        assert main(["pipeline", "--config", cfg_path]) == 0
+        exp_dir = next((tmp_path / "results").iterdir())
+        out = tmp_path / "steps"
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        # run r of the pipeline trains with init seed seed + 101 * (r + 1)
+        init_seed = load_config(path=cfg_path).seed + 101
+        assert main(["fit-ebm", "--config", cfg_path, "--out", str(out),
+                     "--train", str(out / "train.csv"), "--init-seed", str(init_seed)]) == 0
+        assert main(["transform", "--model", str(out / "model.preb"),
+                     "--data", str(out / "test.csv"), "--out", str(out / "repr.csv")]) == 0
+        for step_file, pipeline_file in (("train.csv", "train.csv"), ("test.csv", "test.csv"),
+                                         ("model.preb", "model_run0.preb"),
+                                         ("train_log.csv", "train_log_run0.csv"),
+                                         ("repr.csv", "repr_test_run0.csv")):
+            assert (out / step_file).read_bytes() == (exp_dir / pipeline_file).read_bytes()
+
 
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path):
@@ -171,12 +200,40 @@ class TestExitCodes:
     def test_unknown_preset(self):
         assert main(["gen-data", "--preset", "nope"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "[ebm]\nbatch_size = 7\n",
+        "[ebm]\nepoch = 2\n",
+        "[dgp]\nk = 2\n",
+        "[model]\nk = 2\n",
+        "[DEFAULT]\nseed = 3\n",
+        "[dgp]\npreset = desk\n",
+    ])
+    def test_unknown_config_key(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "unknown section or key" in capsys.readouterr().err
+        assert not (tmp_path / "train.csv").exists()
+
     def test_malformed_csv(self, tmp_path):
         cfg_path = _write_cfg(tmp_path)
         bad = tmp_path / "bad.csv"
         bad.write_text("x0,a,y\n1.0,7,2.0\n")
         assert main(["fit-ebm", "--config", cfg_path, "--out",
                      str(tmp_path), "--train", str(bad)]) == 2
+
+    @pytest.mark.parametrize("body", ["z0,z1\n0.5,oops\n", "z0,z1\n0.5,1.0\n0.5\n", ""])
+    def test_malformed_representation_csv(self, tmp_path, capsys, body):
+        cfg_path = _write_cfg(tmp_path)
+        data = tmp_path / "d.csv"
+        data.write_text("x0,a,y\n1.0,0,2.0\n")
+        feats = tmp_path / "z.csv"
+        feats.write_text(body)
+        assert main(["fit-cate", "--config", cfg_path, "--out", str(tmp_path),
+                     "--data", str(data), "--features", str(feats)]) == 2
+        if "oops" in body:
+            err = capsys.readouterr().err
+            assert "row 2" in err and "'z1'" in err
 
     def test_corrupt_model_file(self, tmp_path):
         bad = tmp_path / "bad.preb"

@@ -144,8 +144,8 @@ class TestSerialization:
 
 
 def test_fingerprint_compatibility():
-    a = ModelFingerprint(d=10, k=3, corruption_hash=1, seed=7)
-    b = ModelFingerprint(d=10, k=3, corruption_hash=2, seed=7)
-    c = ModelFingerprint(d=10, k=3, corruption_hash=1, seed=8)
+    a = ModelFingerprint(d=10, k=3, corruption_hash=1, b_crc=7)
+    b = ModelFingerprint(d=10, k=3, corruption_hash=2, b_crc=7)
+    c = ModelFingerprint(d=10, k=3, corruption_hash=1, b_crc=8)
     assert a.compatible_with(b)
     assert not a.compatible_with(c)
