@@ -167,6 +167,8 @@ def fit_base(x, y, spec: BaseSpec):
         if mse < best_mse:
             best_mse = mse
             best = (lam, gamma)
+    if best is None:
+        raise IllConditionedError("no cross-validation grid point gave a finite score")
     return _make_regressor(spec, *best).fit(x, y)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import evalx
 from .cate import BaseSpec, fit_learner
 from .config import ExperimentConfig, load_config
-from .dgp import Dataset, gen_dgp, load_csv, sample, save_csv
+from .dgp import Dataset, gen_dgp, load_csv, parse_cell, sample, save_csv
 from .ebm import load_model, save_model
 from .errors import (
     CateEbmError,
@@ -58,12 +58,7 @@ def _read_repr(path) -> np.ndarray:
                 f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}"
             )
         for c, cell in enumerate(row):
-            try:
-                z[r, c] = float(cell)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: non-numeric cell {cell!r} at row {r + 2}, column {header[c]!r}"
-                ) from None
+            z[r, c] = parse_cell(path, cell, r + 2, header[c])
     return z
 
 

@@ -141,30 +141,39 @@ def _unknown_keys(parser) -> list:
     return unknown
 
 
+def _apply_file(cfg: ExperimentConfig, path) -> None:
+    parser = configparser.ConfigParser()
+    read = parser.read(str(path))
+    if not read:
+        raise ConfigError(f"config file not found: {path}")
+    unknown = _unknown_keys(parser)
+    if unknown:
+        raise ConfigError(f"{path}: unknown section or key: {', '.join(unknown)}")
+    name = parser.get("ebm", "preset", fallback=parser.defaults().get("preset"))
+    if name is not None:
+        _apply_preset(cfg, name)
+    for section, keys in SECTIONS.items():
+        for key, attr in keys.items():
+            if parser.has_option(section, key):
+                raw = parser.get(section, key)
+                try:
+                    setattr(cfg, attr, _PARSERS[attr](raw))
+                except (ValueError, TypeError):
+                    raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+
+
 def load_config(path=None, preset=None, seed_override=None,
                 out_override=None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if preset is not None:
         _apply_preset(cfg, preset)
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(str(path))
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
-        unknown = _unknown_keys(parser)
-        if unknown:
-            raise ConfigError(f"{path}: unknown section or key: {', '.join(unknown)}")
-        name = parser.get("ebm", "preset", fallback=parser.defaults().get("preset"))
-        if name is not None:
-            _apply_preset(cfg, name)
-        for section, keys in SECTIONS.items():
-            for key, attr in keys.items():
-                if parser.has_option(section, key):
-                    raw = parser.get(section, key)
-                    try:
-                        setattr(cfg, attr, _PARSERS[attr](raw))
-                    except (ValueError, TypeError):
-                        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+        try:
+            _apply_file(cfg, path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # a missing header, a repeated key, a stray '%' (interpolation), or
+            # bytes that are not text
+            raise ConfigError(f"{path}: {exc}") from None
     if seed_override is not None:
         cfg.seed = int(seed_override)
     if out_override is not None:

@@ -11,6 +11,7 @@ score against it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +168,29 @@ def save_csv(ds: Dataset, path) -> None:
             w.writerow(row)
 
 
+def parse_cell(path, cell: str, row: int, column: str) -> float:
+    """A finite float from one CSV cell; row is the line number in the file.
+
+    Raises CsvFormatError naming the row and column for a non-numeric cell
+    and for nan or inf, which no fit downstream can use.
+    """
+    try:
+        value = float(cell)
+    except ValueError:
+        raise CsvFormatError(
+            f"{path}: non-numeric cell {cell!r} at row {row}, column {column!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise CsvFormatError(f"{path}: non-finite cell {cell!r} at row {row}, column {column!r}")
+    return value
+
+
 def load_csv(path) -> Dataset:
     """Strictly typed read of the package CSV schema.
 
-    Covariates are columns x0..x{d-1}; 'a' must be 0/1; oracle columns are
-    optional but tau/mu0/mu1/pi must appear together.
+    Covariates are columns x0..x{d-1}; 'a' must be 0/1; every other cell
+    must be a finite number; oracle columns are optional but tau/mu0/mu1/pi
+    must appear together.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -201,13 +220,7 @@ def load_csv(path) -> Dataset:
     n_latent = sum(1 for name in header if name.startswith("u") and name[1:].isdigit())
 
     def parse(row_idx, row, name):
-        cell = row[col[name]]
-        try:
-            return float(cell)
-        except ValueError:
-            raise CsvFormatError(
-                f"{path}: non-numeric cell {cell!r} at row {row_idx + 2}, column {name!r}"
-            ) from None
+        return parse_cell(path, row[col[name]], row_idx + 2, name)
 
     n = len(rows)
     x = np.empty((n, d))

@@ -30,7 +30,7 @@ class UntrainedModelError(CateEbmError, RuntimeError):
 
 
 class IllConditionedError(CateEbmError, RuntimeError):
-    """A linear system stayed non-SPD after jitter."""
+    """A linear system stayed non-SPD after jitter, or no fit had a finite error."""
 
 
 class ModelFileError(CateEbmError, RuntimeError):

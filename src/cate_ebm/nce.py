@@ -7,6 +7,12 @@ each candidate being the clean one; training maximizes the log posterior
 of the true position, averaged within each partition subset and then over
 subsets.
 
+Candidate sets are struct-of-arrays batches: a CandidateSet holds m sets as
+values (m, b + 1, d), true_index (m,) and subset (m,). Each epoch draws the
+candidates of all training rows in one call, minibatches are row slices of
+it, and the loss of a minibatch is one forward and one backward pass with a
+per-row weight that reproduces the per-subset averaging.
+
 The corruption kernel (additive standard Gaussian on continuous features,
 uniform resampling on categorical ones, each feature flipped independently
 with probability rho) is symmetric, so the noise-density terms in the
@@ -65,9 +71,17 @@ class CorruptionSpec:
 
 @dataclass
 class CandidateSet:
-    values: np.ndarray  # (b + 1, d), rows are candidates
-    true_index: int
-    subset: int
+    """A batch of m candidate sets, one row of each array per set."""
+
+    values: np.ndarray  # (m, b + 1, d): row i holds set i's candidates
+    true_index: np.ndarray  # (m,): slot of the clean sample in each set
+    subset: np.ndarray  # (m,): partition subset of each clean sample
+
+    def __len__(self) -> int:
+        return len(self.true_index)
+
+    def __getitem__(self, rows) -> "CandidateSet":
+        return CandidateSet(self.values[rows], self.true_index[rows], self.subset[rows])
 
 
 @dataclass
@@ -93,126 +107,105 @@ class TrainConfig:
 
 
 def corrupt(x, spec: CorruptionSpec, rng) -> np.ndarray:
-    """One corrupted copy of x under the spec's kernel."""
+    """One corrupted copy of every row of x, an array of shape (..., d).
+
+    Every feature of every row is selected independently with probability
+    rho; a selected continuous feature gets standard Gaussian noise added, a
+    selected categorical one is replaced by a uniform draw from its values.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != spec.d:
-        raise DimensionError(f"vector length {x.shape[0]} != spec dimension {spec.d}")
-    selected = rng.random(spec.d) < spec.rho
-    noise = rng.standard_normal(spec.d)
-    out = x.copy()
+    if x.shape[-1] != spec.d:
+        raise DimensionError(f"vector length {x.shape[-1]} != spec dimension {spec.d}")
+    selected = rng.random(x.shape) < spec.rho
+    out = x + selected * rng.standard_normal(x.shape)
     for f, kind in enumerate(spec.kinds):
         if kind is not None:
-            draw = kind[rng.integers(len(kind))]
-            if selected[f]:
-                out[f] = draw
-        elif selected[f]:
-            out[f] = x[f] + noise[f]
+            draw = np.asarray(kind, dtype=float)[rng.integers(len(kind), size=x.shape[:-1])]
+            out[..., f] = np.where(selected[..., f], draw, x[..., f])
     return out
 
 
-def _corrupt_block(x_rows, spec: CorruptionSpec, rng) -> np.ndarray:
-    """Vectorized corruption of a stack of rows (all-continuous fast path)."""
-    m, d = x_rows.shape
-    if any(kind is not None for kind in spec.kinds):
-        return np.stack([corrupt(row, spec, rng) for row in x_rows])
-    selected = rng.random((m, d)) < spec.rho
-    noise = rng.standard_normal((m, d))
-    return x_rows + selected * noise
+def build_candidates(rows, labels, spec: CorruptionSpec, rng) -> CandidateSet:
+    """For each row, the clean sample plus b corrupted copies in a uniformly
+    random order; labels gives each row's partition subset."""
+    rows = np.asarray(rows, dtype=float)
+    m, d = rows.shape
+    corrupted = corrupt(np.broadcast_to(rows[:, None, :], (m, spec.b, d)), spec, rng)
+    stacked = np.concatenate([rows[:, None, :], corrupted], axis=1)
+    # argsort of i.i.d. uniform keys is a uniform permutation of each set
+    perm = np.argsort(rng.random((m, spec.b + 1)), axis=1)
+    values = np.take_along_axis(stacked, perm[:, :, None], axis=1)
+    true_index = np.argmin(perm, axis=1)  # the slot that received stacked[:, 0]
+    return CandidateSet(values=values, true_index=true_index,
+                        subset=np.asarray(labels, dtype=int))
 
 
-def build_candidates(x, j, spec: CorruptionSpec, rng) -> CandidateSet:
-    """Clean sample plus b corrupted copies in a uniformly random order."""
-    x = np.asarray(x, dtype=float)
-    corrupted = _corrupt_block(np.tile(x, (spec.b, 1)), spec, rng)
-    stacked = np.vstack([x[None, :], corrupted])
-    perm = rng.permutation(spec.b + 1)
-    values = stacked[perm]
-    true_index = int(np.nonzero(perm == 0)[0][0])
-    return CandidateSet(values=values, true_index=true_index, subset=int(j))
+def _scores(model: EbmModel, out: np.ndarray, subset: np.ndarray) -> np.ndarray:
+    """(m, b + 1) scores of a batch from the net output of its flattened values."""
+    m = len(subset)
+    return np.einsum("mck,km->mc", out.reshape(m, -1, model.k), model.b_matrix[:, subset])
 
 
-def _scores(model: EbmModel, values: np.ndarray, j: int) -> np.ndarray:
-    return model.net.forward(values) @ model.b_matrix[:, j]
-
-
-def posterior(model: EbmModel, cs: CandidateSet) -> np.ndarray:
-    """Softmax over candidate scores, max-subtracted for overflow safety."""
-    s = _scores(model, cs.values, cs.subset)
+def posterior(model: EbmModel, batch: CandidateSet) -> np.ndarray:
+    """Softmax over each set's candidate scores, max-subtracted for overflow
+    safety; one row of probabilities per set."""
+    s = _scores(model, model.net.forward(batch.values.reshape(-1, model.d)), batch.subset)
     if not np.all(np.isfinite(s)):
         raise TrainingDivergedError("non-finite network output in posterior")
-    s = s - s.max()
-    e = np.exp(s)
-    return e / e.sum()
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def nce_loss(model: EbmModel, batch, with_grads: bool = True):
+def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
     """Negative ranking objective over a batch of candidate sets.
 
     Log posterior probabilities of the true candidates are averaged within
     each subset present in the batch, then averaged over those subsets; the
     returned scalar is the negation, so minimizing it maximizes the ranking
-    objective. Returns (loss, grads) or just the loss.
+    objective. The whole batch takes one forward and one backward pass, with
+    set i weighted by 1 / (m_j * n_present), m_j the size of its subset.
+    Returns (loss, grads) or just the loss.
     """
-    if not batch:
+    m = len(batch)
+    if m == 0:
         raise ValueError("batch must be non-empty")
-    by_subset = {}
-    for cs in batch:
-        by_subset.setdefault(cs.subset, []).append(cs)
-    subsets = sorted(by_subset)
-    n_present = len(subsets)
-    total = 0.0
-    grads = model.net.zero_like_params() if with_grads else None
-    for j in subsets:
-        sets = by_subset[j]
-        m = len(sets)
-        b1 = sets[0].values.shape[0]
-        stacked = np.concatenate([cs.values for cs in sets], axis=0)
-        out, cache = model.net.forward_cache(stacked)
-        scores = (out @ model.b_matrix[:, j]).reshape(m, b1)
-        if not np.all(np.isfinite(scores)):
-            raise TrainingDivergedError("non-finite scores in nce_loss")
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        exps = np.exp(shifted)
-        probs = exps / exps.sum(axis=1, keepdims=True)
-        true_idx = np.array([cs.true_index for cs in sets])
-        logp = shifted[np.arange(m), true_idx] - np.log(exps.sum(axis=1))
-        total += -logp.mean() / n_present
-        if with_grads:
-            dscores = probs.copy()
-            dscores[np.arange(m), true_idx] -= 1.0
-            dscores /= m * n_present
-            upstream = dscores.reshape(m * b1, 1) * model.b_matrix[:, j][None, :]
-            g, _ = model.net.backward(cache, upstream)
-            for acc, gi in zip(grads, g):
-                acc += gi
-    return (total, grads) if with_grads else total
+    _, where, counts = np.unique(batch.subset, return_inverse=True, return_counts=True)
+    weight = 1.0 / (counts[where] * len(counts))
+    _, cache = model.net.forward_cache(batch.values.reshape(-1, model.d))
+    # the output bias adds one constant to all candidates of a set and cancels
+    # from its softmax; scoring from the last hidden layer leaves it out, so the
+    # loss does not move with the bias even by round-off
+    scores = _scores(model, cache[-2] @ model.net.params[-2], batch.subset)
+    if not np.all(np.isfinite(scores)):
+        raise TrainingDivergedError("non-finite scores in nce_loss")
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=1)
+    rows = np.arange(m)
+    logp = shifted[rows, batch.true_index] - np.log(sums)
+    total = -float(weight @ logp)
+    if not with_grads:
+        return total
+    dscores = exps / sums[:, None]
+    dscores[rows, batch.true_index] -= 1.0
+    dscores *= weight[:, None]
+    upstream = dscores[:, :, None] * model.b_matrix[:, batch.subset].T[:, None, :]
+    grads, _ = model.net.backward(cache, upstream.reshape(-1, model.k))
+    return total, grads
 
 
-def _epoch_candidates(x, labels, indices, spec, rng):
-    """Fresh candidate sets for the given rows, in ascending row order."""
-    sets = []
-    for i in indices:
-        sets.append(build_candidates(x[i], labels[i], spec, rng))
-    return sets
-
-
-def _stratified_batches(labels, indices, batch_size, rng):
-    """Batches drawn proportionally from each subset, shuffled within subsets."""
-    by_subset = {}
-    for i in indices:
-        by_subset.setdefault(int(labels[i]), []).append(i)
-    n = len(indices)
-    n_batches = max(1, -(-n // batch_size))
-    shuffled = {}
-    for j, members in sorted(by_subset.items()):
-        members = np.array(members)
-        shuffled[j] = members[rng.permutation(len(members))]
+def _stratified_batches(labels, batch_size, rng):
+    """Batches of positions into labels, drawn proportionally from each
+    subset and shuffled within subsets; each batch in ascending order."""
+    n_batches = max(1, -(-len(labels) // batch_size))
     batches = [[] for _ in range(n_batches)]
-    for j, members in sorted(shuffled.items()):
+    for j in np.unique(labels):
+        members = np.flatnonzero(labels == j)
+        members = members[rng.permutation(len(members))]
         per = -(-len(members) // n_batches)
         for t in range(n_batches):
-            batches[t].extend(members[t * per : (t + 1) * per].tolist())
-    return [b for b in batches if b]
+            batches[t].extend(members[t * per : (t + 1) * per])
+    return [np.sort(b) for b in batches if b]
 
 
 def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
@@ -264,12 +257,10 @@ def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
     history = []
     for epoch in range(config.epochs):
         rng_e = make_rng(corrupt_base + epoch)
-        train_sets = _epoch_candidates(x, labels, train_idx, spec, rng_e)
-        by_row = dict(zip(train_idx.tolist(), train_sets))
-        batch_ids = _stratified_batches(labels, train_idx, config.batch_size, rng_e)
+        train_sets = build_candidates(x[train_idx], labels[train_idx], spec, rng_e)
         epoch_loss = 0.0
-        for ids in batch_ids:
-            batch = [by_row[i] for i in sorted(ids)]
+        for ids in _stratified_batches(train_sets.subset, config.batch_size, rng_e):
+            batch = train_sets[ids]
             loss, grads = nce_loss(model, batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -279,7 +270,7 @@ def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
             epoch_loss += loss * len(batch)
         epoch_loss /= len(train_idx)
 
-        val_sets = _epoch_candidates(x, labels, val_idx, spec, rng_e)
+        val_sets = build_candidates(x[val_idx], labels[val_idx], spec, rng_e)
         val_loss = nce_loss(model, val_sets, with_grads=False)
         history.append((epoch, epoch_loss, val_loss))
         if val_loss < best_val:

@@ -65,7 +65,7 @@ def test_criterion_02_nce_gradient():
     spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=2)
     labels = part.assign(x)
     rng = make_rng(13)
-    batch = [build_candidates(x[i], labels[i], spec, rng) for i in range(32)]
+    batch = build_candidates(x, labels, spec, rng)
 
     def loss_fn(params):
         model.net.params = params
@@ -86,7 +86,7 @@ def test_criterion_03_chance_level():
         spec = CorruptionSpec(rho=0.5, kinds=[None] * 3, b=b)
         labels = part.assign(x)
         rng = make_rng(b)
-        batch = [build_candidates(x[i], labels[i], spec, rng) for i in range(40)]
+        batch = build_candidates(x, labels, spec, rng)
         loss = nce_loss(model, batch, with_grads=False)
         worst = max(worst, abs(loss - math.log(b + 1)))
     _report(3, f"zero-parameter loss equals ln(b+1) (worst dev {worst:.1e})",

@@ -18,7 +18,7 @@ from cate_ebm import (
     t_learner,
     x_learner,
 )
-from cate_ebm.errors import DimensionError, TooFewSamplesError
+from cate_ebm.errors import DimensionError, IllConditionedError, TooFewSamplesError
 
 
 def _linear_effect_data(n=400, d=3, seed=0, noise=0.0):
@@ -217,6 +217,15 @@ class TestCvSelection:
         x = rng.standard_normal((60, 2))
         model = cate.fit_base(x, x @ np.array([1.0, 2.0]), BaseSpec(kind="ridge", cv=cv))
         assert isinstance(model, Ridge)
+
+    @pytest.mark.parametrize("kind", ["ridge", "kernel"])
+    def test_no_finite_cv_score_is_ill_conditioned(self, kind):
+        from cate_ebm.cate import fit_base
+        x = make_rng(11).standard_normal((60, 2))
+        y = x @ np.array([1.0, 2.0])
+        y[7] = np.nan
+        with pytest.raises(IllConditionedError):
+            fit_base(x, y, BaseSpec(kind=kind, cv=True))
 
 
 class TestReductionBaselines:

@@ -222,7 +222,8 @@ class TestExitCodes:
         assert main(["fit-ebm", "--config", cfg_path, "--out",
                      str(tmp_path), "--train", str(bad)]) == 2
 
-    @pytest.mark.parametrize("body", ["z0,z1\n0.5,oops\n", "z0,z1\n0.5,1.0\n0.5\n", ""])
+    @pytest.mark.parametrize("body", ["z0,z1\n0.5,oops\n", "z0,z1\n0.5,nan\n",
+                                      "z0,z1\n0.5,1.0\n0.5\n", ""])
     def test_malformed_representation_csv(self, tmp_path, capsys, body):
         cfg_path = _write_cfg(tmp_path)
         data = tmp_path / "d.csv"
@@ -231,9 +232,35 @@ class TestExitCodes:
         feats.write_text(body)
         assert main(["fit-cate", "--config", cfg_path, "--out", str(tmp_path),
                      "--data", str(data), "--features", str(feats)]) == 2
-        if "oops" in body:
+        if "oops" in body or "nan" in body:
             err = capsys.readouterr().err
             assert "row 2" in err and "'z1'" in err
+
+    @pytest.mark.parametrize("body", [
+        b"k = 2\n[ebm]\nb = 3\n",
+        b"[ebm]\nk = 2\nk = 3\n",
+        b"[io]\nout_dir = a%b\n",
+        b"\xff\xfe[ebm]\nk = 2\n",
+    ])
+    def test_malformed_ini(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(body)
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, column, value", [
+        ("fit-cate", "y", "nan"), ("fit-ebm", "x0", "nan"), ("fit-cate", "y", "-inf")])
+    def test_non_finite_data_cell(self, tmp_path, capsys, command, column, value):
+        cfg_path = _write_cfg(tmp_path)
+        rows = [[f"{0.1 * i:.1f}", str(i % 2), f"{0.2 * i:.1f}"] for i in range(60)]
+        rows[4][2 if column == "y" else 0] = value
+        data = tmp_path / "d.csv"
+        data.write_text("x0,a,y\n" + "".join(",".join(r) + "\n" for r in rows))
+        path_flag = "--data" if command == "fit-cate" else "--train"
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path),
+                     path_flag, str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "row 6" in err and f"'{column}'" in err
 
     def test_corrupt_model_file(self, tmp_path):
         bad = tmp_path / "bad.preb"

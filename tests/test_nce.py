@@ -19,7 +19,7 @@ from cate_ebm import (
 )
 from cate_ebm.dgp import gen_dgp, sample
 from cate_ebm.ebm import ModelFingerprint
-from cate_ebm.errors import TooFewSamplesError
+from cate_ebm.errors import DimensionError, TooFewSamplesError
 from cate_ebm.nce import CandidateSet
 
 
@@ -37,21 +37,43 @@ class TestCorrupt:
         x = np.array([1.0, 2.0, 3.0])
         out = corrupt(x, spec, make_rng(0))
         assert np.array_equal(out, x)
+        rows = np.arange(12.0).reshape(2, 2, 3)
+        assert np.array_equal(corrupt(rows, spec, make_rng(0)), rows)
 
     def test_categorical_uniform_frequency(self):
         spec = CorruptionSpec(rho=1.0, kinds=[np.array([0.0, 1.0])], b=1)
-        rng = make_rng(1)
-        draws = np.array([corrupt(np.array([0.0]), spec, rng)[0] for _ in range(10_000)])
+        draws = corrupt(np.zeros((10_000, 1)), spec, make_rng(1))[:, 0]
         assert set(np.unique(draws)) <= {0.0, 1.0}
         assert abs(draws.mean() - 0.5) < 0.02
 
     def test_continuous_standard_normal_moments(self):
         spec = CorruptionSpec(rho=1.0, kinds=[None], b=1)
-        rng = make_rng(2)
-        x = np.array([5.0])
-        deltas = np.array([corrupt(x, spec, rng)[0] - 5.0 for _ in range(100_000)])
+        deltas = corrupt(np.full((100_000, 1), 5.0), spec, make_rng(2))[:, 0] - 5.0
         assert abs(deltas.mean()) < 0.02
         assert abs(deltas.var() - 1.0) < 0.02
+
+    def test_mixed_kinds_over_leading_axes(self):
+        levels = np.array([-1.0, 0.0, 2.0])
+        spec = CorruptionSpec(rho=0.3, kinds=[None, levels, None, np.array([5.0, 7.0])], b=1)
+        x = np.zeros((4_000, 5, 4))  # column 1 starts at its level 0.0
+        x[..., 3] = 5.0
+        out = corrupt(x, spec, make_rng(3))
+        assert out.shape == x.shape
+        assert set(np.unique(out[..., 1])) <= set(levels)
+        assert set(np.unique(out[..., 3])) <= {5.0, 7.0}
+        changed = (out != x).reshape(-1, 4).mean(axis=0)
+        # a selected categorical cell keeps its value when the draw repeats it
+        assert np.abs(changed - 0.3 * np.array([1.0, 2.0 / 3.0, 1.0, 0.5])).max() < 0.01
+        # with every cell selected, each categorical value is equally likely
+        full = corrupt(x, CorruptionSpec(rho=1.0, kinds=spec.kinds, b=1), make_rng(4))
+        shares = [(full[..., 1] == v).mean() for v in levels]
+        assert np.abs(np.array(shares) - 1.0 / 3.0).max() < 0.01
+        assert abs((full[..., 3] == 7.0).mean() - 0.5) < 0.01
+
+    def test_width_mismatch_rejected(self):
+        spec = CorruptionSpec(rho=0.5, kinds=[None] * 3, b=1)
+        with pytest.raises(DimensionError):
+            corrupt(np.zeros((4, 2)), spec, make_rng(0))
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -62,24 +84,40 @@ class TestCorrupt:
             CorruptionSpec(rho=0.5, kinds=[np.array([])], b=1)
 
 
+def _rows(x, spec, seed, labels=None):
+    labels = np.zeros(len(x), dtype=int) if labels is None else labels
+    return build_candidates(x, labels, spec, make_rng(seed))
+
+
 class TestBuildCandidates:
     def test_true_index_uniform_b1(self):
         spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=1)
-        rng = make_rng(3)
-        x = np.zeros(2)
-        firsts = [build_candidates(x, 0, spec, rng).true_index for _ in range(10_000)]
+        firsts = _rows(np.zeros((10_000, 2)), spec, 3).true_index
         assert abs(np.mean(firsts) - 0.5) < 0.02
+        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=3)
+        slots = np.bincount(_rows(np.zeros((20_000, 2)), spec, 4).true_index, minlength=4)
+        assert np.abs(slots / 20_000 - 0.25).max() < 0.015
 
     def test_no_corruption_gives_identical_candidates(self):
         spec = CorruptionSpec(rho=1e-15, kinds=[None] * 2, b=3)
-        cs = build_candidates(np.array([1.0, -1.0]), 0, spec, make_rng(4))
-        assert np.abs(cs.values - cs.values[0]).max() == 0.0
+        cs = _rows(np.array([[1.0, -1.0], [2.0, 0.5]]), spec, 4)
+        assert np.abs(cs.values - cs.values[:, :1]).max() == 0.0
 
     def test_candidate_count(self):
         spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=3)
-        cs = build_candidates(np.zeros(2), 1, spec, make_rng(5))
-        assert cs.values.shape == (4, 2)
-        assert cs.subset == 1
+        cs = _rows(np.zeros((3, 2)), spec, 5, labels=np.array([1, 0, 1]))
+        assert cs.values.shape == (3, 4, 2)
+        assert cs.subset.tolist() == [1, 0, 1]
+        assert len(cs) == 3 and len(cs[1:]) == 2 and cs[1:].subset.tolist() == [0, 1]
+
+    def test_clean_row_at_true_index(self):
+        spec = CorruptionSpec(rho=1.0, kinds=[None] * 3, b=4)
+        x = make_rng(6).standard_normal((50, 3))
+        cs = _rows(x, spec, 7)
+        assert np.array_equal(cs.values[np.arange(50), cs.true_index], x)
+        decoys = np.ones((50, 5), dtype=bool)
+        decoys[np.arange(50), cs.true_index] = False
+        assert not np.any(np.all(cs.values == x[:, None, :], axis=2) & decoys)
 
 
 class TestPosterior:
@@ -87,8 +125,8 @@ class TestPosterior:
         model, x = _toy_model()
         model.net = Mlp(model.net.widths)
         spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=3)
-        cs = build_candidates(x[0], 0, spec, make_rng(6))
-        p = posterior(model, cs)
+        p = posterior(model, _rows(x, spec, 6))
+        assert p.shape == (x.shape[0], 4)
         assert np.abs(p - 0.25).max() < 1e-15
 
     def test_two_class_softmax_identity(self):
@@ -99,40 +137,40 @@ class TestPosterior:
         net.params[0] = np.array([[1.0]])
         model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
         s = 0.7
-        cs = CandidateSet(values=np.array([[s], [s + math.log(3.0)]]),
-                          true_index=0, subset=0)
+        cs = CandidateSet(values=np.array([[[s], [s + math.log(3.0)]]]),
+                          true_index=np.array([0]), subset=np.array([0]))
         p = posterior(model, cs)
-        assert np.abs(p - np.array([0.25, 0.75])).max() < 1e-12
+        assert np.abs(p[0] - np.array([0.25, 0.75])).max() < 1e-12
 
     def test_matches_high_precision_oracle(self):
         model, x = _toy_model(net_seed=11)
         spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=2)
-        cs = build_candidates(x[0], 0, spec, make_rng(11))
+        cs = _rows(x[:8], spec, 11, labels=model.partition.assign(x[:8]))
         p = posterior(model, cs)
-        scores = np.array([model.energy(v, cs.subset) for v in cs.values],
-                          dtype=np.longdouble)
-        exps = np.exp(scores - scores.max())
-        oracle = (exps / exps.sum()).astype(float)
-        assert np.abs(p - oracle).max() < 1e-12
+        for i in range(8):
+            scores = np.array([model.energy(v, cs.subset[i]) for v in cs.values[i]],
+                              dtype=np.longdouble)
+            exps = np.exp(scores - scores.max())
+            oracle = (exps / exps.sum()).astype(float)
+            assert np.abs(p[i] - oracle).max() < 1e-12
 
     def test_sums_to_one_and_permutation_equivariant(self):
         model, x = _toy_model(net_seed=13)
         spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=4)
-        for seed in range(10):
-            cs = build_candidates(x[seed], 0, spec, make_rng(seed))
-            p = posterior(model, cs)
-            assert abs(p.sum() - 1.0) <= 1e-12
-            perm = make_rng(seed + 50).permutation(5)
-            cs2 = CandidateSet(values=cs.values[perm],
-                               true_index=int(np.nonzero(perm == cs.true_index)[0][0]),
-                               subset=cs.subset)
-            assert np.abs(posterior(model, cs2) - p[perm]).max() < 1e-14
+        cs = _rows(x[:10], spec, 0)
+        p = posterior(model, cs)
+        assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
+        perm = np.stack([make_rng(seed + 50).permutation(5) for seed in range(10)])
+        cs2 = CandidateSet(values=np.take_along_axis(cs.values, perm[:, :, None], axis=1),
+                           true_index=np.argmax(perm == cs.true_index[:, None], axis=1),
+                           subset=cs.subset)
+        assert np.array_equal(cs2.values[np.arange(10), cs2.true_index],
+                              cs.values[np.arange(10), cs.true_index])
+        assert np.abs(posterior(model, cs2) - np.take_along_axis(p, perm, axis=1)).max() < 1e-14
 
 
 def _batch(model, x, spec, seed=13):
-    labels = model.partition.assign(x)
-    rng = make_rng(seed)
-    return [build_candidates(x[i], labels[i], spec, rng) for i in range(x.shape[0])]
+    return build_candidates(x, model.partition.assign(x), spec, make_rng(seed))
 
 
 class TestNceLoss:
@@ -150,8 +188,9 @@ class TestNceLoss:
         net.params[0] = np.array([[1.0]])
         model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
         # true candidate leads every decoy by a score gap of 50
-        cs = CandidateSet(values=np.array([[50.0], [0.0], [0.0]]), true_index=0, subset=0)
-        loss = nce_loss(model, [cs], with_grads=False)
+        cs = CandidateSet(values=np.array([[[50.0], [0.0], [0.0]]]),
+                          true_index=np.array([0]), subset=np.array([0]))
+        loss = nce_loss(model, cs, with_grads=False)
         assert loss < 1e-20
 
     def test_gradient_matches_finite_differences(self):
@@ -173,16 +212,46 @@ class TestNceLoss:
         loss = nce_loss(model, batch, with_grads=False)
         # independent recomputation straight from per-set posteriors
         per_subset = {}
-        for cs in batch:
-            p = posterior(model, cs)
-            per_subset.setdefault(cs.subset, []).append(math.log(p[cs.true_index]))
+        for i in range(len(batch)):
+            p = posterior(model, batch[i : i + 1])[0]
+            per_subset.setdefault(batch.subset[i], []).append(math.log(p[batch.true_index[i]]))
         expected = -np.mean([np.mean(v) for _, v in sorted(per_subset.items())])
         assert abs(loss - expected) < 1e-10
 
+    def test_batched_matches_per_row_reference(self):
+        """One forward/backward over a mixed-subset batch equals the sum of
+        per-set terms, each with its own forward, backward and weight."""
+        x = make_rng(41).standard_normal((90, 4))
+        part = kmeans_fit(x, 3, make_rng(42))
+        model = EbmModel(net=Mlp([4, 7, 5, 3], rng=make_rng(43)),
+                         b_matrix=random_orthogonal(3, make_rng(44)), partition=part)
+        spec = CorruptionSpec(rho=0.5, kinds=[None, np.array([-1.0, 1.0]), None, None], b=3)
+        labels = np.repeat([2, 0, 1], [5, 12, 23])  # unequal subset sizes
+        batch = build_candidates(x[:40], labels, spec, make_rng(45))
+        loss, grads = nce_loss(model, batch)
+
+        sizes = {j: int(np.sum(labels == j)) for j in range(3)}
+        ref_loss = 0.0
+        ref_grads = model.net.zero_like_params()
+        for i in range(len(batch)):
+            j, t = int(batch.subset[i]), int(batch.true_index[i])
+            weight = 1.0 / (sizes[j] * len(sizes))
+            p = posterior(model, batch[i : i + 1])[0]
+            ref_loss -= weight * math.log(p[t])
+            dscores = p.copy()
+            dscores[t] -= 1.0
+            _, cache = model.net.forward_cache(batch.values[i])
+            g, _ = model.net.backward(cache, weight * np.outer(dscores, model.b_matrix[:, j]))
+            for acc, gi in zip(ref_grads, g):
+                acc += gi
+        assert abs(loss - ref_loss) < 1e-12
+        assert max(np.abs(g - r).max() for g, r in zip(grads, ref_grads)) < 1e-12
+
     def test_empty_batch_rejected(self):
-        model, _ = _toy_model()
+        model, x = _toy_model()
+        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=1)
         with pytest.raises(ValueError):
-            nce_loss(model, [])
+            nce_loss(model, _batch(model, x, spec)[:0])
 
 
 class TestTrainEbm:
