@@ -67,11 +67,21 @@ class Ridge:
         return _augment(np.asarray(x, dtype=float)) @ self.w
 
 
+def _sq_dists(xa, xb):
+    """Squared distances aa_i + bb_j - 2 xa_i . xb_j, rounded as written,
+    built in two len(xa)-by-len(xb) buffers."""
+    d2 = xa @ xb.T
+    d2 *= -2.0
+    d2 += np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
+    return d2
+
+
 def _rbf_kernel(xa, xb, gamma):
-    aa = np.sum(xa * xa, axis=1)[:, None]
-    bb = np.sum(xb * xb, axis=1)[None, :]
-    d2 = np.maximum(aa + bb - 2.0 * (xa @ xb.T), 0.0)
-    return np.exp(-gamma * d2)
+    k = _sq_dists(xa, xb)
+    np.maximum(k, 0.0, out=k)
+    k *= -gamma
+    np.exp(k, out=k)
+    return k
 
 
 def median_gamma(x, cap=2000):
@@ -80,10 +90,9 @@ def median_gamma(x, cap=2000):
     if x.shape[0] > cap:
         idx = make_rng(0).choice(x.shape[0], size=cap, replace=False)
         x = x[np.sort(idx)]
-    aa = np.sum(x * x, axis=1)
-    d2 = aa[:, None] + aa[None, :] - 2.0 * (x @ x.T)
-    med = np.median(d2[np.triu_indices(x.shape[0], k=1)])
-    return 1.0 / max(med, 1e-12)
+    d2 = _sq_dists(x, x)
+    upper = d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]
+    return 1.0 / max(np.median(upper, overwrite_input=True), 1e-12)
 
 
 class KernelRidge:
@@ -132,44 +141,91 @@ class BaseSpec:
             raise ValueError(f"unknown base regressor kind {self.kind!r}")
 
 
-def _make_regressor(spec: BaseSpec, lam, gamma):
-    if spec.kind == "ridge":
-        return Ridge(lam)
-    return KernelRidge(lam, gamma)
+def _cv_folds(n: int, spec: BaseSpec) -> np.ndarray:
+    """Fold index of each row: balanced fold sizes, rows permuted by cv_seed."""
+    folds = np.arange(n) % spec.cv_folds
+    return folds[make_rng(spec.cv_seed).permutation(n)]
+
+
+def _ridge_cv_sse(x, y, lam, folds, n_folds) -> float:
+    sse = 0.0
+    for f in range(n_folds):
+        tr = folds != f
+        resid = Ridge(lam).fit(x[tr], y[tr]).predict(x[~tr]) - y[~tr]
+        sse += float(resid @ resid)
+    return sse
+
+
+def _kernel_cv(x, y, lams, gammas, folds, n_folds):
+    """Held-out SSE of every (lam, gamma) and the full-data dual coefficients.
+
+    One eigendecomposition K = V diag(s) V^T per gamma serves every lam and
+    fold. With H = (K + lam I)^-1 = V diag(1/(s + lam)) V^T and alpha = H y,
+    fold f's held-out residual is exactly H_ff^-1 alpha_f, the residual of a
+    refit on the other folds (An, Liu & Venkatesh 2007, Pattern Recognition
+    40(8)). Returns sse of shape (len(lams), len(gammas)), NaN where a fold
+    block was singular, and alphas keyed by (lam index, gamma index).
+    """
+    sse = np.full((len(lams), len(gammas)), np.nan)
+    alphas = {}
+    members = [np.flatnonzero(folds == f) for f in range(n_folds)]
+    for j, gamma in enumerate(gammas):
+        s, v = np.linalg.eigh(_rbf_kernel(x, x, gamma))
+        np.maximum(s, 0.0, out=s)  # K is PSD; the clip drops round-off negatives
+        vty = v.T @ y
+        for i, lam in enumerate(lams):
+            w = 1.0 / (s + lam)
+            alpha = alphas[i, j] = v @ (vty * w)
+            root_w = np.sqrt(w)
+            total = 0.0
+            try:
+                for idx in members:
+                    u = v[idx]
+                    u *= root_w  # H_ff = u u^T
+                    resid = np.linalg.solve(u @ u.T, alpha[idx])
+                    total += float(resid @ resid)
+            except np.linalg.LinAlgError:
+                continue
+            sse[i, j] = total
+        del v  # free this gamma's eigenvectors before the next kernel is built
+    return sse, alphas
 
 
 def fit_base(x, y, spec: BaseSpec):
-    """Fit one base regressor, cross-validating hyperparameters if asked."""
+    """Fit one base regressor, cross-validating hyperparameters if asked.
+
+    Kernel CV reads every fold's held-out error off one eigendecomposition
+    per gamma (see _kernel_cv) and returns the winner's full-data fit; ridge
+    CV refits per fold. Non-finite inputs raise IllConditionedError.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[0] < 1:
         raise TooFewSamplesError("empty training set")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise IllConditionedError("non-finite value in the regression inputs")
     # ridge has no kernel width, so it skips the n-by-n median heuristic
     g0 = median_gamma(x) if spec.gamma is None and spec.kind == "kernel" else spec.gamma
     if not spec.cv or x.shape[0] < 2 * spec.cv_folds:
-        return _make_regressor(spec, spec.lam, g0).fit(x, y)
+        model = Ridge(spec.lam) if spec.kind == "ridge" else KernelRidge(spec.lam, g0)
+        return model.fit(x, y)
 
-    gammas = [g0 * gm for gm in spec.gamma_mults] if spec.kind == "kernel" else [g0]
-    grid = [(lam, gamma) for lam in spec.lam_grid for gamma in gammas]
-    n = x.shape[0]
-    folds = np.arange(n) % spec.cv_folds
-    folds = folds[make_rng(spec.cv_seed).permutation(n)]
-    best = None
-    best_mse = np.inf
-    for lam, gamma in grid:
-        mse = 0.0
-        for f in range(spec.cv_folds):
-            tr = folds != f
-            te = ~tr
-            model = _make_regressor(spec, lam, gamma).fit(x[tr], y[tr])
-            resid = model.predict(x[te]) - y[te]
-            mse += float(resid @ resid)
-        if mse < best_mse:
-            best_mse = mse
-            best = (lam, gamma)
-    if best is None:
+    folds = _cv_folds(x.shape[0], spec)
+    if spec.kind == "ridge":
+        sse = np.array([[_ridge_cv_sse(x, y, lam, folds, spec.cv_folds)]
+                        for lam in spec.lam_grid])
+    else:
+        gammas = [g0 * gm for gm in spec.gamma_mults]
+        sse, alphas = _kernel_cv(x, y, spec.lam_grid, gammas, folds, spec.cv_folds)
+    if not np.isfinite(sse).any():
         raise IllConditionedError("no cross-validation grid point gave a finite score")
-    return _make_regressor(spec, *best).fit(x, y)
+    # the first minimum in lam-major, gamma-minor order; NaN scores never win
+    i, j = np.unravel_index(np.nanargmin(sse), sse.shape)
+    if spec.kind == "ridge":
+        return Ridge(spec.lam_grid[i]).fit(x, y)
+    model = KernelRidge(spec.lam_grid[i], gammas[j])
+    model.x_train, model.alpha = x, alphas[i, j]
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +381,9 @@ def r_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
         return CateModel("r", lambda x: _augment(np.asarray(x, dtype=float)) @ w, ds.d)
 
     gamma = getattr(m_hat, "gamma", None) or median_gamma(ds.x)
-    k = _rbf_kernel(ds.x, ds.x, gamma)
-    lhs = (a_res * a_res)[:, None] * k + lam * np.eye(ds.n)
+    lhs = _rbf_kernel(ds.x, ds.x, gamma)
+    lhs *= (a_res * a_res)[:, None]
+    lhs.flat[:: ds.n + 1] += lam
     alpha = np.linalg.solve(lhs, a_res * y_res)
     x_train = ds.x.copy()
 

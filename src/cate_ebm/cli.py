@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 input/config error, 3 numeric/training failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import os
 import sys
@@ -17,7 +16,7 @@ import numpy as np
 from . import evalx
 from .cate import BaseSpec, fit_learner
 from .config import ExperimentConfig, load_config
-from .dgp import Dataset, gen_dgp, load_csv, parse_cell, sample, save_csv
+from .dgp import Dataset, gen_dgp, load_csv, parse_cell, read_csv_rows, sample, save_csv
 from .ebm import load_model, save_model
 from .errors import (
     CateEbmError,
@@ -45,10 +44,7 @@ def _exp_dir(cfg: ExperimentConfig) -> str:
 
 
 def _read_repr(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(reader)
+    header, *rows = read_csv_rows(path) or [[]]
     if not header or not header[0].startswith("z"):
         raise CsvFormatError(f"{path}: not a representation file (header {header[:3]})")
     z = np.empty((len(rows), len(header)))

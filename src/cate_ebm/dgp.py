@@ -185,6 +185,15 @@ def parse_cell(path, cell: str, row: int, column: str) -> float:
     return value
 
 
+def read_csv_rows(path) -> list:
+    """Every row of a UTF-8 CSV file, header included, as lists of cells."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path) -> Dataset:
     """Strictly typed read of the package CSV schema.
 
@@ -192,13 +201,10 @@ def load_csv(path) -> Dataset:
     must be a finite number; oracle columns are optional but tau/mu0/mu1/pi
     must appear together.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        rows = list(reader)
+    rows = read_csv_rows(path)
+    if not rows:
+        raise CsvFormatError(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
 

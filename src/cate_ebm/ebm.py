@@ -9,6 +9,7 @@ output; the normalizer of the implied density is never materialized.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .errors import (
     BadMagicError,
     ChecksumError,
     DimensionError,
+    MalformedModelError,
     TruncatedFileError,
     UntrainedModelError,
     VersionMismatchError,
@@ -118,9 +120,20 @@ class _Reader:
     def array(self) -> np.ndarray:
         ndim = self.u32()
         shape = tuple(self.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         raw = self.take(8 * count)
         return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+    def end(self, what: str) -> None:
+        if self.pos != len(self.buf):
+            raise MalformedModelError(
+                f"{len(self.buf) - self.pos} bytes after the last field of {what}")
+
+
+def _expect_shape(a: np.ndarray, shape, what: str) -> None:
+    if a.shape != tuple(shape):
+        raise MalformedModelError(f"{what} has shape {a.shape}, the layer widths imply "
+                                  f"{tuple(shape)}")
 
 
 def save_model(model: EbmModel, path) -> None:
@@ -169,23 +182,30 @@ def load_model(path) -> EbmModel:
         raise ChecksumError("CRC32 mismatch")
 
     rd = _Reader(raw[6:-4])
-    secs = []
-    for _ in range(5):
-        length = rd.u32()
-        secs.append(_Reader(rd.take(length)))
+    secs = [_Reader(rd.take(rd.u32())) for _ in range(5)]
+    rd.end("the file")
+
+    net_rd = secs[2]
+    widths = [net_rd.u32() for _ in range(net_rd.u32())]
+    if len(widths) < 2:
+        raise MalformedModelError(f"{len(widths)} layer widths stored, need at least 2")
+    params = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        for shape in ((fan_in, fan_out), (fan_out,)):
+            params.append(net_rd.array())
+            _expect_shape(params[-1], shape, f"network parameter {len(params) - 1}")
+    net_rd.end("the network section")
+    d, k = widths[0], widths[-1]
 
     part_rd = secs[0]
     inertia = struct.unpack("<d", part_rd.take(8))[0]
     centroids = part_rd.array()
-    partition = PartitionModel(centroids=centroids, inertia=inertia)
+    _expect_shape(centroids, (k, d), "the centroid matrix")
+    part_rd.end("the partition section")
 
     b_matrix = secs[1].array()
-
-    net_rd = secs[2]
-    n_widths = net_rd.u32()
-    widths = [net_rd.u32() for _ in range(n_widths)]
-    net = Mlp(widths)
-    net.params = [net_rd.array() for _ in range(2 * (n_widths - 1))]
+    _expect_shape(b_matrix, (k, k), "B")
+    secs[1].end("the B section")
 
     stats_rd = secs[3]
     has_stats = struct.unpack("<B", stats_rd.take(1))[0]
@@ -193,9 +213,18 @@ def load_model(path) -> EbmModel:
     if has_stats:
         mean = stats_rd.array()
         std = stats_rd.array()
+        _expect_shape(mean, (k,), "the representation mean")
+        _expect_shape(std, (k,), "the representation std")
+    stats_rd.end("the statistics section")
 
-    d, k, chash, b_crc = struct.unpack("<IIIQ", secs[4].take(20))
-    fp = ModelFingerprint(d=d, k=k, corruption_hash=chash, b_crc=b_crc)
+    fp = ModelFingerprint(*struct.unpack("<IIIQ", secs[4].take(20)))
+    secs[4].end("the fingerprint section")
 
-    return EbmModel(net=net, b_matrix=b_matrix, partition=partition,
-                    repr_mean=mean, repr_std=std, fingerprint=fp)
+    net = Mlp(widths)
+    net.params = params
+    try:
+        return EbmModel(net=net, b_matrix=b_matrix,
+                        partition=PartitionModel(centroids=centroids, inertia=inertia),
+                        repr_mean=mean, repr_std=std, fingerprint=fp)
+    except ValueError as exc:  # e.g. a B that is not orthogonal
+        raise MalformedModelError(f"inconsistent model file: {exc}") from exc

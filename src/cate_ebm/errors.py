@@ -30,7 +30,8 @@ class UntrainedModelError(CateEbmError, RuntimeError):
 
 
 class IllConditionedError(CateEbmError, RuntimeError):
-    """A linear system stayed non-SPD after jitter, or no fit had a finite error."""
+    """A linear system stayed non-SPD after jitter, a regression input was not
+    finite, or no fit had a finite error."""
 
 
 class ModelFileError(CateEbmError, RuntimeError):
@@ -51,6 +52,11 @@ class ChecksumError(ModelFileError):
 
 class TruncatedFileError(ModelFileError):
     """File ended before all sections could be read."""
+
+
+class MalformedModelError(ModelFileError):
+    """File passed its checksum but its arrays disagree with the stored layer
+    widths, or bytes follow the last field of a section or of the file."""
 
 
 class CsvFormatError(CateEbmError, ValueError):

@@ -196,9 +196,7 @@ class TestCvSelection:
 
     def test_cv_deterministic(self):
         from cate_ebm.cate import fit_base
-        rng = make_rng(9)
-        x = rng.standard_normal((80, 2))
-        y = np.sin(x[:, 0]) + 0.3 * rng.standard_normal(80)
+        x, y = _sine_data()
         spec = BaseSpec(kind="kernel", cv=True)
         m1 = fit_base(x, y, spec)
         m2 = fit_base(x, y, spec)
@@ -226,6 +224,81 @@ class TestCvSelection:
         y[7] = np.nan
         with pytest.raises(IllConditionedError):
             fit_base(x, y, BaseSpec(kind=kind, cv=True))
+
+    @pytest.mark.parametrize("kind", ["ridge", "kernel"])
+    @pytest.mark.parametrize("cv, n", [(False, 60), (True, 6)])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_non_finite_input_without_cv_is_ill_conditioned(self, kind, cv, n, where):
+        # CV off, or too few rows for CV: the fit runs once and used to
+        # return all-NaN predictions without an error
+        from cate_ebm.cate import fit_base
+        x = make_rng(11).standard_normal((n, 2))
+        y = x @ np.array([1.0, 2.0])
+        if where == "x":
+            x[3, 0] = np.nan
+        else:
+            y[3] = np.nan
+        with pytest.raises(IllConditionedError):
+            fit_base(x, y, BaseSpec(kind=kind, cv=cv))
+
+
+def _sine_data(n=80, seed=9):
+    rng = make_rng(seed)
+    x = rng.standard_normal((n, 2))
+    return x, np.sin(x[:, 0]) + 0.3 * rng.standard_normal(n)
+
+
+def _cv_problems():
+    ds, _ = _linear_effect_data(n=200, seed=0, noise=0.1)
+    treated = ds.a == 1
+    wide = make_rng(15).standard_normal((150, 6))
+    return {
+        "linear_all_rows": (ds.x, ds.y),
+        "linear_treated_arm": (ds.x[treated], ds.y[treated]),
+        "sine": _sine_data(),
+        "wide": (wide, np.tanh(wide[:, 0] * wide[:, 1]) + 0.1 * wide[:, 2]),
+    }
+
+
+class TestClosedFormKernelCv:
+    @pytest.mark.parametrize("name", sorted(_cv_problems()))
+    def test_matches_per_fold_refits(self, name):
+        from cate_ebm import cate
+        x, y = _cv_problems()[name]
+        spec = BaseSpec(kind="kernel", cv=True)
+        g0 = median_gamma(x)
+        gammas = [g0 * m for m in spec.gamma_mults]
+        folds = cate._cv_folds(x.shape[0], spec)
+        sse, _ = cate._kernel_cv(x, y, spec.lam_grid, gammas, folds, spec.cv_folds)
+
+        refit = np.zeros_like(sse)
+        for i, lam in enumerate(spec.lam_grid):
+            for j, gamma in enumerate(gammas):
+                for f in range(spec.cv_folds):
+                    tr = folds != f
+                    resid = KernelRidge(lam, gamma).fit(x[tr], y[tr]).predict(x[~tr]) - y[~tr]
+                    refit[i, j] += resid @ resid
+        assert np.all(np.abs(sse - refit) <= 1e-8 * refit)
+
+        i, j = np.unravel_index(np.argmin(refit), refit.shape)
+        model = cate.fit_base(x, y, spec)
+        assert (model.lam, model.gamma) == (spec.lam_grid[i], gammas[j])
+        direct = KernelRidge(model.lam, model.gamma).fit(x, y).predict(x)
+        assert np.abs(model.predict(x) - direct).max() <= 1e-8 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-15])
+    def test_singular_kernel_stays_finite(self, lam):
+        # a duplicated row with different targets makes K singular; its
+        # computed eigenvalues reach -3e-15, below -lam at lam=1e-15
+        from cate_ebm import cate
+        x, y = _sine_data(n=40, seed=16)
+        x[1] = x[0]
+        spec = BaseSpec(kind="kernel", cv=True, lam_grid=(lam,))
+        gammas = [median_gamma(x) * m for m in spec.gamma_mults]
+        folds = cate._cv_folds(x.shape[0], spec)
+        sse, _ = cate._kernel_cv(x, y, spec.lam_grid, gammas, folds, spec.cv_folds)
+        assert np.isfinite(sse).all()
+        assert np.isfinite(cate.fit_base(x, y, spec).predict(x)).all()
 
 
 class TestReductionBaselines:

@@ -262,6 +262,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite" in err and "row 6" in err and f"'{column}'" in err
 
+    @pytest.mark.parametrize("reader", ["data", "features"])
+    def test_non_utf8_csv(self, tmp_path, capsys, reader):
+        cfg_path = _write_cfg(tmp_path)
+        good = {"data": b"x0,a,y\n1.0,0,2.0\n", "features": b"z0,z1\n0.5,1.0\n"}
+        good[reader] = good[reader][:-1] + b"\xff\n"
+        paths = {}
+        for name, body in good.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_bytes(body)
+        assert main(["fit-cate", "--config", cfg_path, "--out", str(tmp_path),
+                     "--data", str(paths["data"]), "--features", str(paths["features"])]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_corrupt_model_file(self, tmp_path):
         bad = tmp_path / "bad.preb"
         bad.write_bytes(b"not a model file at all")

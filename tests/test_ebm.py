@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from cate_ebm import (
 from cate_ebm.ebm import ModelFingerprint
 from cate_ebm.errors import (
     ChecksumError,
+    MalformedModelError,
     TruncatedFileError,
     UntrainedModelError,
     VersionMismatchError,
@@ -141,6 +145,53 @@ class TestSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             load_model(path)
+
+
+def _rewrite(raw: bytes, edit) -> bytes:
+    """Split a model file into its sections, let edit(sections) change them
+    and return any bytes to append, then reassemble with a fresh CRC."""
+    body, pos, secs = raw[6:-4], 0, []
+    while pos < len(body):
+        (length,) = struct.unpack_from("<I", body, pos)
+        secs.append(bytearray(body[pos + 4 : pos + 4 + length]))
+        pos += 4 + length
+    tail = edit(secs)
+    out = raw[:6] + b"".join(struct.pack("<I", len(s)) + bytes(s) for s in secs) + tail
+    return out + struct.pack("<I", zlib.crc32(out))
+
+
+def _swap_u32(sec: bytearray, at: int) -> None:
+    sec[at : at + 8] = sec[at + 4 : at + 8] + sec[at : at + 4]
+
+
+def _swap_first_weight_dims(secs):
+    n_widths = struct.unpack_from("<I", secs[2])[0]
+    _swap_u32(secs[2], 4 + 4 * n_widths + 4)  # after the widths and ndim of W0
+    return b""
+
+
+def _swap_centroid_dims(secs):
+    _swap_u32(secs[0], 8 + 4)  # after the inertia double and ndim
+    return b""
+
+
+def _grow_section(secs):
+    secs[4] += b"\x00"
+    return b""
+
+
+@pytest.mark.parametrize("edit", [_swap_first_weight_dims, _swap_centroid_dims,
+                                  _grow_section, lambda secs: b"\x00"],
+                         ids=["weight_shape", "centroid_shape", "section_tail", "file_tail"])
+def test_malformed_layout_detected(tmp_path, edit):
+    model, _ = _trained_model()
+    path = tmp_path / "m.preb"
+    save_model(model, path)
+    raw = path.read_bytes()
+    assert _rewrite(raw, lambda secs: b"") == raw
+    path.write_bytes(_rewrite(raw, edit))
+    with pytest.raises(MalformedModelError):
+        load_model(path)
 
 
 def test_fingerprint_compatibility():
