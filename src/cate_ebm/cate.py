@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +23,33 @@ from .numerics import Adam, Mlp, make_rng, standardize_columns
 # ---------------------------------------------------------------------------
 # base regressors
 
+# rows per substitution block; a system with at most this many unknowns (ridge
+# and propensity at d < 64) is one block, i.e. a single np.linalg.solve
+_SOLVE_BLOCK = 64
+
+
+def _tri_solve(t, b, lower: bool):
+    """Solve t z = b for triangular t by blocked substitution.
+
+    Each diagonal block is solved with np.linalg.solve, after subtracting one
+    matmul with the blocks already solved: O(n^2) per right-hand side, where
+    one general solve on all of t costs an O(n^3) LU.
+    """
+    n = t.shape[0]
+    z = np.empty(np.shape(b))
+    blocks = [(s, min(s + _SOLVE_BLOCK, n)) for s in range(0, n, _SOLVE_BLOCK)]
+    for s, e in blocks if lower else reversed(blocks):
+        done = slice(0, s) if lower else slice(e, n)
+        z[s:e] = np.linalg.solve(t[s:e, s:e], b[s:e] - t[s:e, done] @ z[done])
+    return z
+
+
 def _chol_solve(a, b):
     jitter = 0.0
     for _ in range(6):
         try:
             c = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
-            y = np.linalg.solve(c, b)
-            return np.linalg.solve(c.T, y)
+            return _tri_solve(c.T, _tri_solve(c, b, lower=True), lower=False)
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 100.0
     raise IllConditionedError("system stayed non-SPD after jitter")
@@ -156,74 +177,137 @@ def _ridge_cv_sse(x, y, lam, folds, n_folds) -> float:
     return sse
 
 
-def _kernel_cv(x, y, lams, gammas, folds, n_folds):
-    """Held-out SSE of every (lam, gamma) and the full-data dual coefficients.
+def _kernel_basis(x, gamma):
+    """Eigendecomposition K = V diag(s) V^T of the RBF kernel on x's rows."""
+    s, v = np.linalg.eigh(_rbf_kernel(x, x, gamma))
+    np.maximum(s, 0.0, out=s)  # K is PSD; the clip drops round-off negatives
+    return s, v
 
-    One eigendecomposition K = V diag(s) V^T per gamma serves every lam and
-    fold. With H = (K + lam I)^-1 = V diag(1/(s + lam)) V^T and alpha = H y,
-    fold f's held-out residual is exactly H_ff^-1 alpha_f, the residual of a
-    refit on the other folds (An, Liu & Venkatesh 2007, Pattern Recognition
-    40(8)). Returns sse of shape (len(lams), len(gammas)), NaN where a fold
-    block was singular, and alphas keyed by (lam index, gamma index).
+
+def _score_basis(s, v, y, lams, members):
+    """Held-out SSE of every lam on one gamma's basis, and the full-data fits.
+
+    With H = (K + lam I)^-1 = V diag(1/(s + lam)) V^T and alpha = H y, fold
+    f's held-out residual is exactly H_ff^-1 alpha_f, the residual of a refit
+    on the other folds (An, Liu & Venkatesh 2007, Pattern Recognition 40(8)).
+    Returns sse of shape (len(lams),), NaN where a fold block was singular,
+    and each lam's dual coefficients alpha.
     """
-    sse = np.full((len(lams), len(gammas)), np.nan)
-    alphas = {}
-    members = [np.flatnonzero(folds == f) for f in range(n_folds)]
-    for j, gamma in enumerate(gammas):
-        s, v = np.linalg.eigh(_rbf_kernel(x, x, gamma))
-        np.maximum(s, 0.0, out=s)  # K is PSD; the clip drops round-off negatives
-        vty = v.T @ y
-        for i, lam in enumerate(lams):
-            w = 1.0 / (s + lam)
-            alpha = alphas[i, j] = v @ (vty * w)
-            root_w = np.sqrt(w)
-            total = 0.0
-            try:
-                for idx in members:
-                    u = v[idx]
-                    u *= root_w  # H_ff = u u^T
-                    resid = np.linalg.solve(u @ u.T, alpha[idx])
-                    total += float(resid @ resid)
-            except np.linalg.LinAlgError:
-                continue
-            sse[i, j] = total
-        del v  # free this gamma's eigenvectors before the next kernel is built
+    sse = np.full(len(lams), np.nan)
+    alphas = []
+    vty = v.T @ y
+    for i, lam in enumerate(lams):
+        w = 1.0 / (s + lam)
+        alphas.append(v @ (vty * w))
+        root_w = np.sqrt(w)
+        total = 0.0
+        try:
+            for idx in members:
+                u = v[idx]
+                u *= root_w  # H_ff = u u^T
+                resid = np.linalg.solve(u @ u.T, alphas[i][idx])
+                total += float(resid @ resid)
+        except np.linalg.LinAlgError:
+            continue
+        sse[i] = total
     return sse, alphas
 
 
-def fit_base(x, y, spec: BaseSpec):
+class KernelRows:
+    """Kernel-CV state of one set of training rows.
+
+    Holds what fit_base derives from the rows alone: the median-heuristic
+    width, the gamma grid, the fold members and, with keep_bases, each
+    gamma's eigendecomposition once built. A caller that fits several targets
+    on the same rows creates one and passes it to every fit_base call on
+    them, so the later targets cost no median_gamma and no eigh. Without
+    keep_bases each gamma's eigenvectors are freed once scored, before the
+    next kernel is built. Everything is computed on first use, so a ridge
+    base never pays for the kernel width.
+    """
+
+    def __init__(self, x, spec: BaseSpec, keep_bases: bool = True):
+        self.x = np.asarray(x, dtype=float)
+        self.spec = spec
+        self._bases = {} if keep_bases else None
+
+    @cached_property
+    def g0(self) -> float:
+        """spec.gamma, or the median heuristic on the rows when it is None."""
+        return median_gamma(self.x) if self.spec.gamma is None else self.spec.gamma
+
+    @cached_property
+    def gammas(self) -> list:
+        return [self.g0 * gm for gm in self.spec.gamma_mults]
+
+    @cached_property
+    def members(self) -> list:
+        folds = _cv_folds(self.x.shape[0], self.spec)
+        return [np.flatnonzero(folds == f) for f in range(self.spec.cv_folds)]
+
+    def basis(self, j: int):
+        """(s, V) of the kernel at gammas[j]."""
+        if self._bases is None:
+            return _kernel_basis(self.x, self.gammas[j])
+        if j not in self._bases:
+            self._bases[j] = _kernel_basis(self.x, self.gammas[j])
+        return self._bases[j]
+
+
+def _kernel_cv(rows: KernelRows, y):
+    """Held-out SSE of every (lam, gamma) and the full-data dual coefficients.
+
+    One eigendecomposition per gamma serves every lam and fold (see
+    _score_basis). Returns sse of shape (len(lam_grid), len(gammas)) and
+    alphas keyed by (lam index, gamma index).
+    """
+    lams = rows.spec.lam_grid
+    sse = np.full((len(lams), len(rows.gammas)), np.nan)
+    alphas = {}
+    for j in range(len(rows.gammas)):
+        s, v = rows.basis(j)
+        sse[:, j], fits = _score_basis(s, v, y, lams, rows.members)
+        alphas.update(((i, j), alpha) for i, alpha in enumerate(fits))
+        del s, v  # unless rows keeps it, this gamma's basis is freed here
+    return sse, alphas
+
+
+def fit_base(x, y, spec: BaseSpec, rows: KernelRows | None = None):
     """Fit one base regressor, cross-validating hyperparameters if asked.
 
     Kernel CV reads every fold's held-out error off one eigendecomposition
     per gamma (see _kernel_cv) and returns the winner's full-data fit; ridge
-    CV refits per fold. Non-finite inputs raise IllConditionedError.
+    CV refits per fold. rows, when given, must have been built from this x
+    and spec; its kernel width and eigendecompositions are reused. Non-finite
+    inputs raise IllConditionedError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if rows is None:
+        rows = KernelRows(x, spec, keep_bases=False)
+    elif rows.x is not x or rows.spec != spec:
+        raise ValueError("rows were built from another x or spec")
     if x.shape[0] < 1:
         raise TooFewSamplesError("empty training set")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise IllConditionedError("non-finite value in the regression inputs")
-    # ridge has no kernel width, so it skips the n-by-n median heuristic
-    g0 = median_gamma(x) if spec.gamma is None and spec.kind == "kernel" else spec.gamma
     if not spec.cv or x.shape[0] < 2 * spec.cv_folds:
-        model = Ridge(spec.lam) if spec.kind == "ridge" else KernelRidge(spec.lam, g0)
+        model = Ridge(spec.lam) if spec.kind == "ridge" else KernelRidge(spec.lam, rows.g0)
         return model.fit(x, y)
 
-    folds = _cv_folds(x.shape[0], spec)
     if spec.kind == "ridge":
+        folds = _cv_folds(x.shape[0], spec)
         sse = np.array([[_ridge_cv_sse(x, y, lam, folds, spec.cv_folds)]
                         for lam in spec.lam_grid])
     else:
-        gammas = [g0 * gm for gm in spec.gamma_mults]
-        sse, alphas = _kernel_cv(x, y, spec.lam_grid, gammas, folds, spec.cv_folds)
+        sse, alphas = _kernel_cv(rows, y)
     if not np.isfinite(sse).any():
         raise IllConditionedError("no cross-validation grid point gave a finite score")
     # the first minimum in lam-major, gamma-minor order; NaN scores never win
     i, j = np.unravel_index(np.nanargmin(sse), sse.shape)
     if spec.kind == "ridge":
         return Ridge(spec.lam_grid[i]).fit(x, y)
-    model = KernelRidge(spec.lam_grid[i], gammas[j])
+    model = KernelRidge(spec.lam_grid[i], rows.gammas[j])
     model.x_train, model.alpha = x, alphas[i, j]
     return model
 
@@ -312,12 +396,14 @@ def x_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
     """Imputed-effect regressions per arm, combined with propensity weights."""
     _check_arms(ds)
     t = ds.a == 1
-    mu1 = fit_base(ds.x[t], ds.y[t], spec)
-    mu0 = fit_base(ds.x[~t], ds.y[~t], spec)
-    d1 = ds.y[t] - mu0.predict(ds.x[t])
-    d0 = mu1.predict(ds.x[~t]) - ds.y[~t]
-    tau1 = fit_base(ds.x[t], d1, spec)
-    tau0 = fit_base(ds.x[~t], d0, spec)
+    # each arm's outcome and effect targets share one set of kernel bases
+    rows1, rows0 = KernelRows(ds.x[t], spec), KernelRows(ds.x[~t], spec)
+    mu1 = fit_base(rows1.x, ds.y[t], spec, rows1)
+    mu0 = fit_base(rows0.x, ds.y[~t], spec, rows0)
+    d1 = ds.y[t] - mu0.predict(rows1.x)
+    d0 = mu1.predict(rows0.x) - ds.y[~t]
+    tau1 = fit_base(rows1.x, d1, spec, rows1)
+    tau0 = fit_base(rows0.x, d0, spec, rows0)
     prop = propensity_fit(ds.x, ds.a)
 
     def predict(x):

@@ -119,6 +119,9 @@ class _Reader:
 
     def array(self) -> np.ndarray:
         ndim = self.u32()
+        if ndim > 2:
+            raise MalformedModelError(f"an array with {ndim} dimensions; the format "
+                                      "stores at most 2")
         shape = tuple(self.u32() for _ in range(ndim))
         count = math.prod(shape)
         raw = self.take(8 * count)
@@ -219,6 +222,9 @@ def load_model(path) -> EbmModel:
 
     fp = ModelFingerprint(*struct.unpack("<IIIQ", secs[4].take(20)))
     secs[4].end("the fingerprint section")
+    if (fp.d, fp.k) != (d, k):
+        raise MalformedModelError(f"the fingerprint says d={fp.d}, k={fp.k}; the layer "
+                                  f"widths say d={d}, k={k}")
 
     net = Mlp(widths)
     net.params = params

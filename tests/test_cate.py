@@ -78,6 +78,19 @@ class TestKernelRidge:
         assert np.abs(model.alpha - alpha_ref).max() < 1e-8
 
 
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+def test_chol_solve_matches_general_solve(blocks, extra):
+    # sizes on both sides of a substitution block boundary, and several blocks
+    from cate_ebm import cate
+    n = blocks * cate._SOLVE_BLOCK + extra
+    rng = make_rng(19)
+    m = rng.standard_normal((n, n))
+    a = m @ m.T + n * np.eye(n)
+    b = rng.standard_normal(n)
+    ref = np.linalg.solve(a, b)
+    assert np.linalg.norm(cate._chol_solve(a, b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_median_gamma_hand_computed():
     x = np.array([[0.0], [1.0], [3.0]])
     # pairwise squared distances: 1, 9, 4 -> median 4
@@ -269,7 +282,7 @@ class TestClosedFormKernelCv:
         g0 = median_gamma(x)
         gammas = [g0 * m for m in spec.gamma_mults]
         folds = cate._cv_folds(x.shape[0], spec)
-        sse, _ = cate._kernel_cv(x, y, spec.lam_grid, gammas, folds, spec.cv_folds)
+        sse, _ = cate._kernel_cv(cate.KernelRows(x, spec), y)
 
         refit = np.zeros_like(sse)
         for i, lam in enumerate(spec.lam_grid):
@@ -294,11 +307,63 @@ class TestClosedFormKernelCv:
         x, y = _sine_data(n=40, seed=16)
         x[1] = x[0]
         spec = BaseSpec(kind="kernel", cv=True, lam_grid=(lam,))
-        gammas = [median_gamma(x) * m for m in spec.gamma_mults]
-        folds = cate._cv_folds(x.shape[0], spec)
-        sse, _ = cate._kernel_cv(x, y, spec.lam_grid, gammas, folds, spec.cv_folds)
+        sse, _ = cate._kernel_cv(cate.KernelRows(x, spec), y)
         assert np.isfinite(sse).all()
         assert np.isfinite(cate.fit_base(x, y, spec).predict(x)).all()
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestSharedKernelRows:
+    def test_x_learner_factors_each_arm_once(self, monkeypatch):
+        from cate_ebm import cate
+        ds, _ = _linear_effect_data(n=160, seed=17, noise=0.1)
+        spec = BaseSpec(kind="kernel", cv=True)
+        fit_base = cate.fit_base
+        fits = []
+
+        def recorded(x, y, spec_, rows=None):
+            fits.append((x, y, fit_base(x, y, spec_, rows)))
+            return fits[-1][2]
+
+        monkeypatch.setattr(cate, "fit_base", recorded)
+        eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+        gammas = _count_calls(monkeypatch, cate, "median_gamma")
+        x_learner(ds, spec)
+        assert (len(eighs), len(gammas), len(fits)) == (6, 2, 4)
+
+        # mu1, mu0, tau1, tau0 equal independent fits on the same inputs
+        for x, y, model in fits:
+            alone = fit_base(x, y, spec)
+            assert (model.lam, model.gamma) == (alone.lam, alone.gamma)
+            assert np.array_equal(model.alpha, alone.alpha)
+
+    def test_r_learner_still_streams(self, monkeypatch):
+        from cate_ebm import cate
+        ds, _ = _linear_effect_data(n=120, seed=18, noise=0.1)
+        eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+        r_learner(ds, BaseSpec(kind="kernel", cv=True))
+        assert len(eighs) == 3
+
+    def test_rows_from_other_inputs_rejected(self):
+        from cate_ebm import cate
+        x, y = _sine_data()
+        spec = BaseSpec(kind="kernel", cv=True)
+        rows = cate.KernelRows(x, spec)
+        with pytest.raises(ValueError):
+            cate.fit_base(x.copy(), y, spec, rows)
+        with pytest.raises(ValueError):
+            cate.fit_base(x, y, BaseSpec(kind="kernel", cv=True, cv_seed=1), rows)
 
 
 class TestReductionBaselines:

@@ -1,9 +1,21 @@
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from cate_ebm import load_csv, load_model
+from cate_ebm import (
+    Dataset,
+    TrainConfig,
+    cli,
+    load_csv,
+    load_model,
+    make_rng,
+    save_csv,
+    save_model,
+    train_ebm,
+)
 from cate_ebm.cli import main
 from cate_ebm.config import PRESETS, ExperimentConfig, load_config
 from cate_ebm.errors import ConfigError
@@ -304,3 +316,79 @@ class TestExitCodes:
 def _read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def _corrupt_models(raw: bytes):
+    """Every truncation of a model file, then one flipped bit per byte (bit
+    i % 8 of byte i). Outside the stored CRC the CRC is recomputed, so the
+    parser, not the checksum, meets the damage."""
+    for i in range(len(raw)):
+        yield raw[:i]
+    for i in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[i] ^= 1 << (i % 8)
+        if i < len(raw) - 4:
+            body = bytes(flipped[:-4])
+            flipped = body + struct.pack("<I", zlib.crc32(body))
+        yield bytes(flipped)
+
+
+class TestFuzz:
+    """Corrupt inputs to the file-reading subcommands end in exit 0, 2 or 3,
+    never in an uncaught exception."""
+
+    @pytest.fixture(autouse=True)
+    def one_parser(self, monkeypatch):
+        # building the parser is most of the cost of a call that fails early
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+    @staticmethod
+    def _exit_code(capsys, argv) -> int:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err
+        return code
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN weights load and run
+    def test_corrupt_model_files(self, tmp_path, capsys):
+        x = make_rng(0).standard_normal((12, 3))
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=np.arange(12) % 2, y=x[:, 0]), data)
+        good = tmp_path / "good.preb"
+        save_model(train_ebm(x, TrainConfig(k=2, b=2, hidden=(4, 4), epochs=2)), good)
+        bad = tmp_path / "bad.preb"
+        codes = set()
+        for blob in _corrupt_models(good.read_bytes()):
+            bad.write_bytes(blob)
+            codes.add(self._exit_code(capsys, ["transform", "--model", str(bad), "--data",
+                                               str(data), "--out", os.devnull]))
+            codes.add(self._exit_code(capsys, ["mcc", "--models", str(bad), str(good),
+                                               "--data", str(data)]))
+        assert codes == {0, 2}  # flipped weights still load; broken layouts do not
+
+    def test_corrupt_csv_files(self, tmp_path, capsys):
+        cfg_path = _write_cfg(tmp_path)
+        rows = [[f"{0.1 * i:.1f}", f"{0.7 * i % 1:.1f}", str(i % 2), f"{0.2 * i:.1f}"]
+                for i in range(30)]
+
+        def table(row=None, col=None, value=None):
+            body = [list(r) for r in rows]
+            if row is not None:
+                body[row][col:col + 1] = value
+            return "x0,x1,a,y\n" + "".join(",".join(r) + "\n" for r in body)
+
+        corpus = {
+            "nan_x": table(3, 0, ["nan"]), "inf_y": table(4, 3, ["inf"]),
+            "ninf_x": table(5, 1, ["-inf"]), "short_row": table(6, 1, []),
+            "long_row": table(7, 3, ["1.0", "2.0"]), "a_2": table(8, 2, ["2"]),
+            "empty": "", "header_only": "x0,x1,a,y\n",
+        }
+        path = tmp_path / "d.csv"
+        for name, text in {"good": table(), **corpus}.items():
+            path.write_text(text)
+            for command, flag in (("fit-cate", "--data"), ("fit-ebm", "--train")):
+                code = self._exit_code(capsys, [command, "--config", cfg_path, "--out",
+                                                str(tmp_path / "out"), flag, str(path)])
+                assert code == (0 if name == "good" else 2), (name, command)

@@ -180,9 +180,21 @@ def _grow_section(secs):
     return b""
 
 
+def _fingerprint_d99(secs):
+    struct.pack_into("<I", secs[4], 0, 99)  # d is the fingerprint's first field
+    return b""
+
+
+def _many_dims(secs):
+    secs[1][:] = struct.pack("<I", 65) + bytes(4 * 65)  # B as an empty 65-d array
+    return b""
+
+
 @pytest.mark.parametrize("edit", [_swap_first_weight_dims, _swap_centroid_dims,
-                                  _grow_section, lambda secs: b"\x00"],
-                         ids=["weight_shape", "centroid_shape", "section_tail", "file_tail"])
+                                  _grow_section, lambda secs: b"\x00", _fingerprint_d99,
+                                  _many_dims],
+                         ids=["weight_shape", "centroid_shape", "section_tail", "file_tail",
+                              "fingerprint_d", "many_dims"])
 def test_malformed_layout_detected(tmp_path, edit):
     model, _ = _trained_model()
     path = tmp_path / "m.preb"
