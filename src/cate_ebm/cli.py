@@ -16,7 +16,7 @@ import numpy as np
 from . import evalx
 from .cate import BaseSpec, fit_learner
 from .config import ExperimentConfig, load_config
-from .dgp import Dataset, gen_dgp, load_csv, parse_cell, read_csv_rows, sample, save_csv
+from .dgp import Dataset, gen_dgp, load_csv, read_csv, sample, save_csv, write_csv
 from .ebm import load_model, save_model
 from .errors import (
     CateEbmError,
@@ -30,8 +30,6 @@ from .errors import (
 from .nce import TrainConfig, train_ebm
 from .numerics import make_rng, random_orthogonal
 
-_FLOAT_FMT = "%.17g"
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
@@ -44,18 +42,12 @@ def _exp_dir(cfg: ExperimentConfig) -> str:
 
 
 def _read_repr(path) -> np.ndarray:
-    header, *rows = read_csv_rows(path) or [[]]
-    if not header or not header[0].startswith("z"):
-        raise CsvFormatError(f"{path}: not a representation file (header {header[:3]})")
-    z = np.empty((len(rows), len(header)))
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}"
-            )
-        for c, cell in enumerate(row):
-            z[r, c] = parse_cell(path, cell, r + 2, header[c])
-    return z
+    def z_columns(header):
+        if not header or not header[0].startswith("z"):
+            raise CsvFormatError(f"{path}: not a representation file (header {header[:3]})")
+        return header
+
+    return read_csv(path, z_columns)[2]
 
 
 def _fit_ebm(cfg: ExperimentConfig, x, out_dir: str, init_seed, tag: str):
@@ -69,20 +61,15 @@ def _fit_ebm(cfg: ExperimentConfig, x, out_dir: str, init_seed, tag: str):
     b_matrix = random_orthogonal(cfg.k, make_rng(cfg.b_seed))
     model = train_ebm(x, train_cfg, b_matrix=b_matrix)
     save_model(model, os.path.join(out_dir, f"model{tag}.preb"))
-    with open(os.path.join(out_dir, f"train_log{tag}.csv"), "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, tr, va in model.history:
-            fh.write(f"{epoch},{_FLOAT_FMT % tr},{_FLOAT_FMT % va}\n")
+    write_csv(os.path.join(out_dir, f"train_log{tag}.csv"),
+              ["epoch", "train_loss", "val_loss"], [np.array(model.history)])
     return model
 
 
 def _transform(model, x, path: str) -> np.ndarray:
     """Write the standardized representation of x to path and return it."""
     z = model.represent(x)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"z{i}" for i in range(z.shape[1])) + "\n")
-        for row in z:
-            fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
+    write_csv(path, [f"z{i}" for i in range(z.shape[1])], [z])
     return z
 
 
@@ -136,10 +123,7 @@ def cmd_fit_cate(cfg: ExperimentConfig, data_path: str, out_dir: str,
     for kind in cfg.learners:
         tau_hat = _fit_predict(cfg, kind, feats, ds, feats)
         path = os.path.join(out_dir, f"predictions_{kind}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("row,tau_hat\n")
-            for i, v in enumerate(tau_hat):
-                fh.write(f"{i},{_FLOAT_FMT % v}\n")
+        write_csv(path, ["row", "tau_hat"], [np.arange(len(tau_hat)), tau_hat])
         print(f"{kind}-learner: wrote {path} (mean tau_hat {tau_hat.mean():.4f})")
     return EXIT_OK
 
@@ -280,8 +264,7 @@ def main(argv=None) -> int:
         if args.command == "fit-cate":
             return cmd_fit_cate(cfg, args.data, out, features_path=args.features)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, CsvFormatError, ModelFileError, TooFewSamplesError,
-            FileNotFoundError, PermissionError) as exc:
+    except (ConfigError, CsvFormatError, ModelFileError, TooFewSamplesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TrainingDivergedError, IllConditionedError) as exc:

@@ -9,6 +9,7 @@ import configparser
 import zlib
 from dataclasses import dataclass, fields
 
+from .cate import LEARNERS
 from .errors import ConfigError
 
 # defaults per synthetic setup: (b, k, hidden widths, rho)
@@ -76,9 +77,9 @@ class ExperimentConfig:
             raise ConfigError("rho must be in (0, 1]")
         if self.base_kind not in ("ridge", "kernel"):
             raise ConfigError(f"unknown base regressor {self.base_kind!r}")
-        bad = [l for l in self.learners if l not in ("t", "x", "dr", "r")]
+        bad = [l for l in self.learners if l not in LEARNERS]
         if bad:
-            raise ConfigError(f"unknown learners {bad}; valid kinds: t, x, dr, r")
+            raise ConfigError(f"unknown learners {bad}; valid kinds: {', '.join(LEARNERS)}")
         return self
 
     def canonical(self) -> str:

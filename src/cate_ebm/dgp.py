@@ -20,6 +20,7 @@ from .errors import CsvFormatError, DimensionError
 from .numerics import Mlp, make_rng
 
 _FLOAT_FMT = "%.17g"
+_ORACLE = ("tau", "mu0", "mu1", "pi")
 
 
 @dataclass
@@ -143,29 +144,14 @@ def sample(dgp: DgpSpec, n: int, seed: int, return_noise: bool = False):
     raise RuntimeError("degenerate draw: one treatment arm empty after 5 attempts")
 
 
-def _header(ds: Dataset) -> list:
-    cols = [f"x{i}" for i in range(ds.d)] + ["a", "y"]
-    if ds.tau is not None:
-        cols += ["tau", "mu0", "mu1", "pi"]
-        if ds.u is not None:
-            cols += [f"u{i}" for i in range(ds.u.shape[1])]
-    return cols
-
-
-def save_csv(ds: Dataset, path) -> None:
-    cols = _header(ds)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for i in range(ds.n):
-            row = [(_FLOAT_FMT % v) for v in ds.x[i]]
-            row += [str(int(ds.a[i])), _FLOAT_FMT % ds.y[i]]
-            if ds.tau is not None:
-                row += [_FLOAT_FMT % ds.tau[i], _FLOAT_FMT % ds.mu0[i],
-                        _FLOAT_FMT % ds.mu1[i], _FLOAT_FMT % ds.pi[i]]
-                if ds.u is not None:
-                    row += [(_FLOAT_FMT % v) for v in ds.u[i]]
-            w.writerow(row)
+def write_csv(path, header, columns) -> None:
+    """A header line, then one LF-ended line per row of the columns (1-D arrays or
+    2-D blocks side by side), every cell %.17g: it round-trips each double
+    exactly and prints an integer as str(int) does."""
+    row_fmt = ",".join([_FLOAT_FMT] * len(header)) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row_fmt % tuple(row) for row in np.column_stack(columns).tolist())
 
 
 def parse_cell(path, cell: str, row: int, column: str) -> float:
@@ -185,74 +171,96 @@ def parse_cell(path, cell: str, row: int, column: str) -> float:
     return value
 
 
-def read_csv_rows(path) -> list:
-    """Every row of a UTF-8 CSV file, header included, as lists of cells."""
+def read_csv(path, names):
+    """(header, cells, block) of a UTF-8 CSV file with LF or CRLF line ends.
+
+    names(header) lists the columns to parse into block, or raises
+    CsvFormatError; cells holds every data cell as text. An empty file, a
+    ragged row and the first named cell (row-major) that parse_cell rejects
+    raise CsvFormatError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
+            rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise CsvFormatError(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
+    wanted = names(header)
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise CsvFormatError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
+    cells = np.array(rows, dtype=object).reshape(len(rows), len(header))
+    col = {name: i for i, name in enumerate(header)}
+    named = cells[:, [col[name] for name in wanted]]
+    try:
+        block = named.astype(float, order="C")  # float() on each cell, as parse_cell
+    except ValueError:
+        block = None
+    if block is None or not np.isfinite(block).all():
+        block = np.array([[parse_cell(path, cell, r + 2, name) for name, cell in zip(wanted, row)]
+                          for r, row in enumerate(named)])
+    return header, cells, block
+
+
+def _indexed(header, prefix: str) -> int:
+    return sum(1 for name in header if name.startswith(prefix) and name[1:].isdigit())
+
+
+def save_csv(ds: Dataset, path) -> None:
+    """Columns x0.., a, y, then tau, mu0, mu1, pi and u0.. if the oracle is known."""
+    header = [f"x{i}" for i in range(ds.d)] + ["a", "y"]
+    columns = [ds.x, ds.a, ds.y]
+    if ds.tau is not None:
+        header += _ORACLE
+        columns += [ds.tau, ds.mu0, ds.mu1, ds.pi]
+        if ds.u is not None:
+            header += [f"u{i}" for i in range(ds.u.shape[1])]
+            columns.append(ds.u)
+    write_csv(path, header, columns)
 
 
 def load_csv(path) -> Dataset:
     """Strictly typed read of the package CSV schema.
 
-    Covariates are columns x0..x{d-1}; 'a' must be 0/1; every other cell
-    must be a finite number; oracle columns are optional but tau/mu0/mu1/pi
-    must appear together.
+    Covariates are columns x0..x{d-1}; 'a' must be 0/1; every other schema
+    cell must be a finite number; oracle columns are optional but
+    tau/mu0/mu1/pi must appear together. Other columns are ignored.
     """
-    rows = read_csv_rows(path)
-    if not rows:
-        raise CsvFormatError(f"{path}: empty file")
-    header, rows = rows[0], rows[1:]
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-
-    col = {name: i for i, name in enumerate(header)}
-    d = sum(1 for name in header if name.startswith("x") and name[1:].isdigit())
-    for i in range(d):
-        if f"x{i}" not in col:
-            raise CsvFormatError(f"{path}: missing covariate column x{i}")
-    for name in ("a", "y"):
-        if name not in col:
-            raise CsvFormatError(f"{path}: missing column '{name}'")
-    if d == 0:
-        raise CsvFormatError(f"{path}: no covariate columns x0..")
-
-    oracle_names = ("tau", "mu0", "mu1", "pi")
-    has_oracle = all(name in col for name in oracle_names)
-    if any(name in col for name in oracle_names) and not has_oracle:
-        raise CsvFormatError(f"{path}: partial oracle block (need all of {oracle_names})")
-    n_latent = sum(1 for name in header if name.startswith("u") and name[1:].isdigit())
-
-    def parse(row_idx, row, name):
-        return parse_cell(path, row[col[name]], row_idx + 2, name)
-
-    n = len(rows)
-    x = np.empty((n, d))
-    a = np.empty(n, dtype=int)
-    y = np.empty(n)
-    tau = mu0 = mu1 = pi = u = None
-    if has_oracle:
-        tau, mu0, mu1, pi = (np.empty(n) for _ in range(4))
-        if n_latent:
-            u = np.empty((n, n_latent))
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise CsvFormatError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
+    def schema(header):
+        col = set(header)
+        d = _indexed(header, "x")
         for i in range(d):
-            x[r, i] = parse(r, row, f"x{i}")
-        aval = row[col["a"]].strip()
-        if aval not in ("0", "1"):
-            raise CsvFormatError(f"{path}: non-binary treatment {aval!r} at row {r + 2}")
-        a[r] = int(aval)
-        y[r] = parse(r, row, "y")
+            if f"x{i}" not in col:
+                raise CsvFormatError(f"{path}: missing covariate column x{i}")
+        for name in ("a", "y"):
+            if name not in col:
+                raise CsvFormatError(f"{path}: missing column '{name}'")
+        if d == 0:
+            raise CsvFormatError(f"{path}: no covariate columns x0..")
+        has_oracle = col.issuperset(_ORACLE)
+        if not has_oracle and col.intersection(_ORACLE):
+            raise CsvFormatError(f"{path}: partial oracle block (need all of {_ORACLE})")
+        names = [f"x{i}" for i in range(d)] + ["y"]
         if has_oracle:
-            tau[r] = parse(r, row, "tau")
-            mu0[r] = parse(r, row, "mu0")
-            mu1[r] = parse(r, row, "mu1")
-            pi[r] = parse(r, row, "pi")
-            if u is not None:
-                for i in range(n_latent):
-                    u[r, i] = parse(r, row, f"u{i}")
-    return Dataset(x=x, a=a, y=y, tau=tau, mu0=mu0, mu1=mu1, pi=pi, u=u)
+            latent = [f"u{i}" for i in range(_indexed(header, "u"))]
+            missing = [name for name in latent if name not in col]
+            if missing:
+                raise CsvFormatError(f"{path}: missing latent column {missing[0]}")
+            names += [*_ORACLE, *latent]
+        return names
+
+    header, cells, block = read_csv(path, schema)
+    if not len(cells):
+        raise CsvFormatError(f"{path}: no data rows")
+    col = {name: i for i, name in enumerate(header)}
+    a = np.array([cell.strip() for cell in cells[:, col["a"]]], dtype=object)
+    bad = np.flatnonzero((a != "0") & (a != "1"))
+    if bad.size:
+        raise CsvFormatError(f"{path}: non-binary treatment {a[bad[0]]!r} at row {bad[0] + 2}")
+    d = _indexed(header, "x")
+    x = block[:, :d].copy()
+    y, *oracle = block[:, d:d + 5].T.copy()
+    tau, mu0, mu1, pi = oracle or (None,) * 4
+    u = block[:, d + 5:].copy() if block.shape[1] > d + 5 else None
+    return Dataset(x=x, a=a == "1", y=y, tau=tau, mu0=mu0, mu1=mu1, pi=pi, u=u)

@@ -56,7 +56,7 @@ class EbmModel:
                 f"{partition.k} must agree"
             )
         err = np.max(np.abs(b_matrix @ b_matrix.T - np.eye(k)))
-        if err > 1e-8:
+        if not err <= 1e-8:  # a NaN deviation fails too
             raise ValueError(f"B is not orthogonal (max deviation {err:.2e})")
         if repr_std is not None and np.any(np.asarray(repr_std) <= 0):
             raise ValueError("repr_std entries must be positive")
@@ -133,10 +133,12 @@ class _Reader:
                 f"{len(self.buf) - self.pos} bytes after the last field of {what}")
 
 
-def _expect_shape(a: np.ndarray, shape, what: str) -> None:
+def _expect(a: np.ndarray, shape, what: str) -> None:
     if a.shape != tuple(shape):
         raise MalformedModelError(f"{what} has shape {a.shape}, the layer widths imply "
                                   f"{tuple(shape)}")
+    if not np.isfinite(a).all():
+        raise MalformedModelError(f"{what} holds non-finite values")
 
 
 def save_model(model: EbmModel, path) -> None:
@@ -196,18 +198,18 @@ def load_model(path) -> EbmModel:
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         for shape in ((fan_in, fan_out), (fan_out,)):
             params.append(net_rd.array())
-            _expect_shape(params[-1], shape, f"network parameter {len(params) - 1}")
+            _expect(params[-1], shape, f"network parameter {len(params) - 1}")
     net_rd.end("the network section")
     d, k = widths[0], widths[-1]
 
     part_rd = secs[0]
     inertia = struct.unpack("<d", part_rd.take(8))[0]
     centroids = part_rd.array()
-    _expect_shape(centroids, (k, d), "the centroid matrix")
+    _expect(centroids, (k, d), "the centroid matrix")
     part_rd.end("the partition section")
 
     b_matrix = secs[1].array()
-    _expect_shape(b_matrix, (k, k), "B")
+    _expect(b_matrix, (k, k), "B")
     secs[1].end("the B section")
 
     stats_rd = secs[3]
@@ -216,8 +218,8 @@ def load_model(path) -> EbmModel:
     if has_stats:
         mean = stats_rd.array()
         std = stats_rd.array()
-        _expect_shape(mean, (k,), "the representation mean")
-        _expect_shape(std, (k,), "the representation std")
+        _expect(mean, (k,), "the representation mean")
+        _expect(std, (k,), "the representation std")
     stats_rd.end("the statistics section")
 
     fp = ModelFingerprint(*struct.unpack("<IIIQ", secs[4].take(20)))

@@ -191,28 +191,42 @@ def test_criterion_07_cate_variance_ordering():
 
 
 def _project_simplex(v):
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / np.arange(1, len(v) + 1) > 0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1)
+    """Euclidean projection of each row onto the probability simplex (sort-based)."""
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    positive = u + (1.0 - css) / np.arange(1, v.shape[-1] + 1) > 0
+    rho = v.shape[-1] - 1 - np.argmax(positive[..., ::-1], axis=-1)  # last positive index
+    theta = (1.0 - np.take_along_axis(css, rho[..., None], axis=-1)) / (rho[..., None] + 1)
     return np.maximum(v + theta, 0.0)
 
 
 def test_criterion_08_weighted_log_maximizer():
-    worst = 0.0
+    # one row per seed; the projection acts on each row alone
+    w = np.empty((10, 4))
     for seed in range(10):
-        rng = make_rng(seed)
-        w = rng.gamma(2.0, size=4)
-        w /= w.sum()
-        wt = np.full(4, 0.25)
-        # constant small step keeps the iterate interior; a large step lets a
-        # coordinate hit the boundary where the gradient w/wt blows up
-        for _ in range(100_000):
-            wt = _project_simplex(wt + 1e-3 * w / np.maximum(wt, 1e-9))
-        worst = max(worst, float(np.abs(wt - w).max()))
+        w[seed] = make_rng(seed).gamma(2.0, size=4)
+        w[seed] /= w[seed].sum()
+    wt = np.full((10, 4), 0.25)
+    # constant small step keeps the iterate interior; a large step lets a
+    # coordinate hit the boundary where the gradient w/wt blows up
+    for _ in range(100_000):
+        wt = _project_simplex(wt + 1e-3 * w / np.maximum(wt, 1e-9))
+    worst = float(np.abs(wt - w).max())
     _report(8, f"simplex-constrained weighted log score peaks at the weights "
                f"(worst gap {worst:.1e})", worst <= 1e-4)
+
+
+def test_project_simplex_rows_match_one_row_reference():
+    """The row-wise projection equals the one-vector form, bit for bit."""
+    def one_row(v):
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u)
+        rho = np.nonzero(u + (1.0 - css) / np.arange(1, len(v) + 1) > 0)[0][-1]
+        return np.maximum(v + (1.0 - css[rho]) / (rho + 1), 0.0)
+
+    scale = np.repeat([0.1, 1.0, 10.0, 100.0], 50)[:, None]  # interior to mostly clipped
+    v = make_rng(8).standard_normal((200, 4)) * scale
+    assert np.array_equal(_project_simplex(v), np.array([one_row(row) for row in v]))
 
 
 def _linear_dgp_sample(n, seed):

@@ -131,18 +131,27 @@ class TestCommands:
         model = load_model(model_path)
         assert model.k == 2
 
+        log_csv = os.path.join(out, "train_log.csv")
+        log = np.loadtxt(log_csv, delimiter=",", skiprows=1)
+        assert _read(log_csv) == "epoch,train_loss,val_loss\n" + "".join(
+            _g17(int(e), tr, va) for e, tr, va in log)
+
         repr_csv = os.path.join(out, "repr.csv")
         assert main(["transform", "--model", model_path, "--data", train_csv,
                      "--out", repr_csv]) == 0
         z = np.loadtxt(repr_csv, delimiter=",", skiprows=1)
         assert z.shape == (120, 2)
         assert np.abs(z.mean(axis=0)).max() < 1e-8
+        assert _read(repr_csv) == "z0,z1\n" + "".join(
+            _g17(*row) for row in model.represent(load_csv(train_csv).x))
 
         assert main(["fit-cate", "--config", cfg_path, "--out", out,
                      "--data", train_csv, "--features", repr_csv]) == 0
-        preds = np.loadtxt(os.path.join(out, "predictions_t.csv"),
-                           delimiter=",", skiprows=1)
+        preds_csv = os.path.join(out, "predictions_t.csv")
+        preds = np.loadtxt(preds_csv, delimiter=",", skiprows=1)
         assert preds.shape == (120, 2)
+        assert _read(preds_csv) == "row,tau_hat\n" + "".join(
+            _g17(i, v) for i, v in enumerate(preds[:, 1]))
 
     def test_mcc_command(self, tmp_path):
         cfg_path = _write_cfg(tmp_path)
@@ -287,6 +296,25 @@ class TestExitCodes:
                      "--data", str(paths["data"]), "--features", str(paths["features"])]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["data_is_dir", "model_is_dir", "out_under_file",
+                                      "pipeline_out_is_file"])
+    def test_path_errors(self, tmp_path, capsys, case):
+        cfg_path = _write_cfg(tmp_path)
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        data = tmp_path / "d.csv"
+        data.write_text("x0,a,y\n1.0,0,2.0\n0.5,1,1.0\n")
+        argv = {
+            "data_is_dir": ["fit-cate", "--config", cfg_path, "--out", str(tmp_path),
+                            "--data", str(tmp_path)],
+            "model_is_dir": ["transform", "--model", str(tmp_path), "--data", str(data),
+                             "--out", str(tmp_path / "z.csv")],
+            "out_under_file": ["gen-data", "--config", cfg_path, "--out", str(plain / "sub")],
+            "pipeline_out_is_file": ["pipeline", "--config", cfg_path, "--out", str(plain)],
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_corrupt_model_file(self, tmp_path):
         bad = tmp_path / "bad.preb"
         bad.write_bytes(b"not a model file at all")
@@ -314,8 +342,13 @@ class TestExitCodes:
 
 
 def _read(path):
-    with open(path) as fh:
+    with open(path, newline="") as fh:
         return fh.read()
+
+
+def _g17(*values) -> str:
+    """One CSV line formatted by hand: every cell %.17g, LF line end."""
+    return ",".join("%.17g" % v for v in values) + "\n"
 
 
 def _corrupt_models(raw: bytes):
@@ -351,7 +384,7 @@ class TestFuzz:
         assert "Traceback" not in err
         return code
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN weights load and run
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # huge flipped weights overflow
     def test_corrupt_model_files(self, tmp_path, capsys):
         x = make_rng(0).standard_normal((12, 3))
         data = tmp_path / "d.csv"

@@ -158,8 +158,41 @@ class TestCsv:
             load_csv(path)
         assert "row 3" in str(exc.value)
 
+    def test_crlf_line_ends_load_identically(self, tmp_path):
+        ds = sample(gen_dgp(11, d=5), 40, 12)
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        save_csv(ds, lf)
+        assert b"\r" not in lf.read_bytes()
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = load_csv(lf), load_csv(crlf)
+        for name in ("x", "a", "y", "tau", "mu0", "mu1", "pi", "u"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert np.array_equal(getattr(b, name), getattr(ds, name))
+
+    def test_columns_outside_schema_ignored(self, tmp_path):
+        path = tmp_path / "i.csv"
+        path.write_text("id,x0,a,note,y\nr1,1.5,0,first,2.0\nr2,-3.0,1,,4.5\n")
+        ds = load_csv(path)
+        assert np.array_equal(ds.x, [[1.5], [-3.0]])
+        assert np.array_equal(ds.a, [0, 1])
+        assert np.array_equal(ds.y, [2.0, 4.5])
+        assert not ds.has_oracle
+
+    def test_first_bad_row_named(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_text("x0,a,y\n1.0,0,2.0\n1.0,1,oops\n1.0,0,2.0\nnan,1,3.0\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: non-numeric cell 'oops' at row 3, column 'y'"
+
     def test_partial_oracle_block(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("x0,a,y,tau\n1.0,0,2.0,0.5\n")
         with pytest.raises(CsvFormatError):
+            load_csv(path)
+
+    def test_latent_block_with_gap(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("x0,a,y,tau,mu0,mu1,pi,u1\n1.0,0,2.0,0.5,1.0,1.5,0.4,0.3\n")
+        with pytest.raises(CsvFormatError, match="missing latent column u0"):
             load_csv(path)

@@ -190,11 +190,22 @@ def _many_dims(secs):
     return b""
 
 
+def _nan_first_weight(secs):
+    n_widths = struct.unpack_from("<I", secs[2])[0]
+    struct.pack_into("<d", secs[2], 4 + 4 * n_widths + 12, np.nan)  # after W0's ndim and shape
+    return b""
+
+
+def _nan_first_b(secs):
+    struct.pack_into("<d", secs[1], 12, np.nan)  # after B's ndim and shape
+    return b""
+
+
 @pytest.mark.parametrize("edit", [_swap_first_weight_dims, _swap_centroid_dims,
                                   _grow_section, lambda secs: b"\x00", _fingerprint_d99,
-                                  _many_dims],
+                                  _many_dims, _nan_first_weight, _nan_first_b],
                          ids=["weight_shape", "centroid_shape", "section_tail", "file_tail",
-                              "fingerprint_d", "many_dims"])
+                              "fingerprint_d", "many_dims", "nan_weight", "nan_b"])
 def test_malformed_layout_detected(tmp_path, edit):
     model, _ = _trained_model()
     path = tmp_path / "m.preb"
@@ -204,6 +215,15 @@ def test_malformed_layout_detected(tmp_path, edit):
     path.write_bytes(_rewrite(raw, edit))
     with pytest.raises(MalformedModelError):
         load_model(path)
+
+
+@pytest.mark.parametrize("bad", ["scaled", "nan"])
+def test_b_must_be_orthogonal(bad):
+    model, _ = _untrained_model()
+    b = model.b_matrix.copy()
+    b[0, 0] = 2.0 * b[0, 0] if bad == "scaled" else np.nan
+    with pytest.raises(ValueError, match="not orthogonal"):
+        EbmModel(net=model.net, b_matrix=b, partition=model.partition)
 
 
 def test_fingerprint_compatibility():
