@@ -541,8 +541,9 @@ def ae_fit(x, k: int, hidden=(20, 20), epochs=200, batch_size=64,
     rng = make_rng(seed)
     encoder = Mlp([d, *hidden, k], rng=rng)
     decoder = Mlp([k, *reversed(hidden), d], rng=rng)
-    params = encoder.params + decoder.params
-    opt = Adam(params, lr=lr)
+    # Adam is elementwise, so one optimizer per net steps exactly like one over both
+    enc_opt = Adam(encoder.flat, lr=lr)
+    dec_opt = Adam(decoder.flat, lr=lr)
     order_rng = make_rng(seed + 1)
     for _ in range(epochs):
         order = order_rng.permutation(n)
@@ -552,9 +553,10 @@ def ae_fit(x, k: int, hidden=(20, 20), epochs=200, batch_size=64,
             z, enc_cache = encoder.forward_cache(xb)
             recon, dec_cache = decoder.forward_cache(z)
             g = 2.0 * (recon - xb) / xb.shape[0]
-            dec_grads, gz = decoder.backward(dec_cache, g)
-            enc_grads, _ = encoder.backward(enc_cache, gz)
-            opt.step(params, enc_grads + dec_grads)
+            dec_grad, gz = decoder.backward(dec_cache, g)
+            enc_grad, _ = encoder.backward(enc_cache, gz)
+            enc_opt.step(encoder.flat, enc_grad)
+            dec_opt.step(decoder.flat, dec_grad)
     z = encoder.forward(x)
     _, mean, std = standardize_columns(z)
     return AeEncoder(encoder=encoder, repr_mean=mean, repr_std=std)

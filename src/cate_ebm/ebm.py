@@ -20,6 +20,7 @@ from .errors import (
     BadMagicError,
     ChecksumError,
     DimensionError,
+    IllConditionedError,
     MalformedModelError,
     TruncatedFileError,
     UntrainedModelError,
@@ -86,8 +87,11 @@ class EbmModel:
         return float(self.b_matrix[:, j] @ out)
 
     def represent(self, x, use_train_stats: bool = True) -> np.ndarray:
-        """Network outputs, standardized with training statistics by default."""
+        """Network outputs, standardized with training statistics by default;
+        an output that is not finite raises IllConditionedError."""
         out = self.net.forward(np.asarray(x, dtype=float))
+        if not np.isfinite(out).all():
+            raise IllConditionedError("non-finite network output in represent")
         if not use_train_stats:
             return out
         if self.repr_mean is None or self.repr_std is None:
@@ -228,8 +232,8 @@ def load_model(path) -> EbmModel:
         raise MalformedModelError(f"the fingerprint says d={fp.d}, k={fp.k}; the layer "
                                   f"widths say d={d}, k={k}")
 
-    net = Mlp(widths)
-    net.params = params
+    net = Mlp(widths)  # allocated only once the stored arrays match the widths
+    net.flat[:] = np.concatenate([p.ravel() for p in params])
     try:
         return EbmModel(net=net, b_matrix=b_matrix,
                         partition=PartitionModel(centroids=centroids, inertia=inertia),

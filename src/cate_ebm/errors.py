@@ -30,8 +30,8 @@ class UntrainedModelError(CateEbmError, RuntimeError):
 
 
 class IllConditionedError(CateEbmError, RuntimeError):
-    """A linear system stayed non-SPD after jitter, a regression input was not
-    finite, or no fit had a finite error."""
+    """A linear system stayed non-SPD after jitter, or a regression input, every
+    fit error, a network output or a correlation was not finite."""
 
 
 class ModelFileError(CateEbmError, RuntimeError):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .cate import BaseSpec, ae_fit, fit_learner
 from .dgp import Dataset
-from .errors import DegenerateColumnError, DimensionError
+from .errors import DegenerateColumnError, DimensionError, IllConditionedError
 from .nce import TrainConfig, train_ebm
 
 _FMT = "%.10g"
@@ -35,7 +35,8 @@ def mcc(r1, r2) -> float:
     """Per-dimension Pearson correlation, averaged over the k dimensions.
 
     Deliberately strict: no sign or permutation alignment, so any flip or
-    dimension swap lowers the score.
+    dimension swap lowers the score. A std or correlation that is not finite
+    (huge values overflow the squares) raises IllConditionedError.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
@@ -49,7 +50,10 @@ def mcc(r1, r2) -> float:
         sb = b.std()
         if sa == 0.0 or sb == 0.0:
             raise DegenerateColumnError(j)
-        total += float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+        corr = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+        if not np.isfinite([sa, sb, corr]).all():
+            raise IllConditionedError(f"column {j}: std or correlation is not finite")
+        total += corr
     return total / r1.shape[1]
 
 

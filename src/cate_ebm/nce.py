@@ -164,7 +164,7 @@ def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
     returned scalar is the negation, so minimizing it maximizes the ranking
     objective. The whole batch takes one forward and one backward pass, with
     set i weighted by 1 / (m_j * n_present), m_j the size of its subset.
-    Returns (loss, grads) or just the loss.
+    Returns (loss, gradient over net.flat) or just the loss.
     """
     m = len(batch)
     if m == 0:
@@ -190,8 +190,8 @@ def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
     dscores[rows, batch.true_index] -= 1.0
     dscores *= weight[:, None]
     upstream = dscores[:, :, None] * model.b_matrix[:, batch.subset].T[:, None, :]
-    grads, _ = model.net.backward(cache, upstream.reshape(-1, model.k))
-    return total, grads
+    grad, _ = model.net.backward(cache, upstream.reshape(-1, model.k))
+    return total, grad
 
 
 def _stratified_batches(labels, batch_size, rng):
@@ -242,7 +242,7 @@ def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
 
     init_seed = config.init_seed if config.init_seed is not None else config.seed + 1
     net = Mlp([d, *config.hidden, k], rng=make_rng(init_seed))
-    opt = Adam(net.params, lr=config.lr)
+    opt = Adam(net.flat, lr=config.lr)
 
     n_val = max(1, int(round(n * config.val_fraction)))
     perm = split_rng.permutation(n)
@@ -251,7 +251,7 @@ def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
 
     model = EbmModel(net=net, b_matrix=b_matrix, partition=partition)
     best_val = np.inf
-    best_params = [p.copy() for p in net.params]
+    best = net.flat.copy()
     best_epoch = -1
     since_best = 0
     history = []
@@ -261,12 +261,12 @@ def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
         epoch_loss = 0.0
         for ids in _stratified_batches(train_sets.subset, config.batch_size, rng_e):
             batch = train_sets[ids]
-            loss, grads = nce_loss(model, batch)
+            loss, grad = nce_loss(model, batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"training loss became non-finite at epoch {epoch}"
                 )
-            opt.step(net.params, grads)
+            opt.step(net.flat, grad)
             epoch_loss += loss * len(batch)
         epoch_loss /= len(train_idx)
 
@@ -275,7 +275,7 @@ def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
         history.append((epoch, epoch_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in net.params]
+            best = net.flat.copy()
             best_epoch = epoch
             since_best = 0
         else:
@@ -283,7 +283,7 @@ def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
             if since_best >= config.patience:
                 break
 
-    net.params = best_params
+    net.flat[:] = best
     raw = net.forward(x)
     _, mean, std = standardize_columns(raw)
     # b_crc identifies the fixed B, so models sharing B compare equal

@@ -41,24 +41,30 @@ def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
 class Mlp:
     """Fully connected net: ReLU hidden layers, identity output.
 
-    Parameters are kept as a flat list [W0, b0, W1, b1, ...] with
-    W of shape (fan_in, fan_out). Forward accepts a single vector or a
-    batch matrix (n, d).
+    One float64 vector, flat, holds [W0, b0, W1, b1, ...] (W of shape
+    (fan_in, fan_out), row-major); params are reshaped views into it, so
+    parameters change in place. Forward accepts a vector or a batch (n, d).
     """
 
     def __init__(self, widths, rng=None, weight_std=None):
         if len(widths) < 2:
             raise DimensionError("need at least input and output widths")
         self.widths = [int(w) for w in widths]
-        self.params = []
+        self.flat = np.zeros(sum((a + 1) * b for a, b in zip(self.widths[:-1], self.widths[1:])))
+        self.params = self._views(self.flat)
+        if rng is not None:
+            for w in self.params[::2]:
+                std = weight_std if weight_std is not None else 1.0 / np.sqrt(w.shape[0])
+                w[...] = rng.standard_normal(w.shape) * std
+
+    def _views(self, buf):
+        """[W0, b0, W1, b1, ...] as views into the flat vector buf."""
+        views, start = [], 0
         for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
-            if rng is None:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                std = weight_std if weight_std is not None else 1.0 / np.sqrt(fan_in)
-                w = rng.standard_normal((fan_in, fan_out)) * std
-            self.params.append(w)
-            self.params.append(np.zeros(fan_out))
+            mid, end = start + fan_in * fan_out, start + (fan_in + 1) * fan_out
+            views += [buf[start:mid].reshape(fan_in, fan_out), buf[mid:end]]
+            start = end
+        return views
 
     @property
     def in_dim(self):
@@ -70,7 +76,7 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         clone = Mlp(self.widths)
-        clone.params = [p.copy() for p in self.params]
+        clone.flat[:] = self.flat
         return clone
 
     def _check_input(self, x):
@@ -84,40 +90,33 @@ class Mlp:
             )
         return x, single
 
+    def _layers(self, h, cache=None):
+        """Run the layers on h; appends every activation to cache if given."""
+        last = len(self.widths) - 2
+        for layer, (w, b) in enumerate(zip(self.params[::2], self.params[1::2])):
+            h = h @ w + b
+            if layer < last:
+                h = np.maximum(h, 0.0)
+            if cache is not None:
+                cache.append(h)
+        return h
+
     def forward(self, x):
         x, single = self._check_input(x)
-        h = x
-        n_layers = len(self.widths) - 1
-        for layer in range(n_layers):
-            w = self.params[2 * layer]
-            b = self.params[2 * layer + 1]
-            h = h @ w + b
-            if layer < n_layers - 1:
-                h = np.maximum(h, 0.0)
+        h = self._layers(x)
         return h[0] if single else h
 
     def forward_cache(self, x):
-        """Forward pass keeping pre-activations for backward."""
+        """Forward pass keeping every layer's activation for backward."""
         x, _ = self._check_input(x)
-        h = x
-        cache = [h]
-        n_layers = len(self.widths) - 1
-        for layer in range(n_layers):
-            w = self.params[2 * layer]
-            b = self.params[2 * layer + 1]
-            z = h @ w + b
-            if layer < n_layers - 1:
-                h = np.maximum(z, 0.0)
-            else:
-                h = z
-            cache.append(h)
-        return h, cache
+        cache = [x]
+        return self._layers(x, cache), cache
 
     def backward(self, cache, upstream):
         """Reverse-mode gradients of the forward map.
 
-        upstream has the output shape (n, k). Returns (grads, input_grad)
-        where grads mirrors self.params.
+        upstream has the output shape (n, k). Returns (grad, input_grad)
+        where grad is one vector laid out like flat.
         """
         upstream = np.asarray(upstream, dtype=float)
         if upstream.ndim == 1:
@@ -127,81 +126,70 @@ class Mlp:
                 f"upstream shape {upstream.shape} != output shape {cache[-1].shape}"
             )
         n_layers = len(self.widths) - 1
-        grads = [None] * len(self.params)
+        grad = np.empty_like(self.flat)
+        views = self._views(grad)
         g = upstream
         for layer in range(n_layers - 1, -1, -1):
-            h_in = cache[layer]
             if layer < n_layers - 1:
                 # cache[layer + 1] holds relu(z); its sign pattern gates the gradient
                 g = g * (cache[layer + 1] > 0.0)
-            w = self.params[2 * layer]
-            grads[2 * layer] = h_in.T @ g
-            grads[2 * layer + 1] = g.sum(axis=0)
-            g = g @ w.T
-        return grads, g
-
-    def zero_like_params(self):
-        return [np.zeros_like(p) for p in self.params]
+            np.matmul(cache[layer].T, g, out=views[2 * layer])
+            g.sum(axis=0, out=views[2 * layer + 1])
+            g = g @ self.params[2 * layer].T
+        return grad, g
 
 
 class Adam:
-    """Adam with bias correction over a list of parameter arrays."""
+    """Adam with bias correction over one parameter vector."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
 
-    def step(self, params, grads):
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise TrainingDivergedError("non-finite gradient in Adam step")
+    def step(self, theta, grad):
+        """One update of theta in place from its gradient grad."""
+        if not np.all(np.isfinite(grad)):
+            raise TrainingDivergedError("non-finite gradient in Adam step")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= b1
+        self.m += (1.0 - b1) * grad
+        self.v *= b2
+        self.v += (1.0 - b2) * grad * grad
+        theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
-def grad_check(loss_fn, params, h=1e-5, max_entries=10_000, seed=0):
+def grad_check(loss_fn, theta, h=1e-5, max_entries=10_000, seed=0):
     """Max relative error between analytic and central-difference gradients.
 
-    loss_fn(params) must return (loss, grads). Above max_entries parameters
-    a seeded subsample of entries is checked.
+    theta is a 1-d parameter vector, perturbed in place one entry at a time;
+    loss_fn(theta) must return (loss, grad) with grad shaped like theta.
+    Above max_entries parameters a seeded subsample of entries is checked.
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
-    _, grads = loss_fn(params)
-    flat = []
-    for i, p in enumerate(params):
-        for j in range(p.size):
-            flat.append((i, j))
-    if len(flat) > max_entries:
-        rng = make_rng(seed)
-        idx = rng.choice(len(flat), size=max_entries, replace=False)
-        flat = [flat[i] for i in sorted(idx)]
+    _, grad = loss_fn(theta)
+    entries = range(theta.size)
+    if theta.size > max_entries:
+        entries = sorted(make_rng(seed).choice(theta.size, size=max_entries, replace=False))
     worst = 0.0
-    for i, j in flat:
-        p = params[i]
-        orig = p.flat[j]
-        p.flat[j] = orig + h
-        lo_plus, _ = loss_fn(params)
-        p.flat[j] = orig - h
-        lo_minus, _ = loss_fn(params)
-        p.flat[j] = orig
+    for j in entries:
+        orig = theta[j]
+        theta[j] = orig + h
+        lo_plus, _ = loss_fn(theta)
+        theta[j] = orig - h
+        lo_minus, _ = loss_fn(theta)
+        theta[j] = orig
         numeric = (lo_plus - lo_minus) / (2.0 * h)
-        analytic = grads[i].flat[j]
-        scale = max(abs(numeric), abs(analytic), 1e-8)
-        worst = max(worst, abs(numeric - analytic) / scale)
+        scale = max(abs(numeric), abs(grad[j]), 1e-8)
+        worst = max(worst, abs(numeric - grad[j]) / scale)
     return worst
 
 

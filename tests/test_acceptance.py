@@ -67,11 +67,10 @@ def test_criterion_02_nce_gradient():
     rng = make_rng(13)
     batch = build_candidates(x, labels, spec, rng)
 
-    def loss_fn(params):
-        model.net.params = params
+    def loss_fn(theta):
         return nce_loss(model, batch)
 
-    err = grad_check(loss_fn, model.net.params, h=1e-4)
+    err = grad_check(loss_fn, model.net.flat, h=1e-4)
     _report(2, f"ranking-loss gradient vs finite differences (rel {err:.2e})",
             err < 1e-4)
 
@@ -101,7 +100,7 @@ def test_criterion_04_bias_shift_invariance():
     model = train_ebm(train.x, cfg)
 
     shifted_net = model.net.copy()
-    shifted_net.params[-1] = shifted_net.params[-1] + np.array([3.0, -1.5, 0.25])
+    shifted_net.params[-1] += np.array([3.0, -1.5, 0.25])
     raw = shifted_net.forward(train.x)
     shifted = EbmModel(net=shifted_net, b_matrix=model.b_matrix,
                        partition=model.partition,

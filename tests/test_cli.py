@@ -341,6 +341,47 @@ class TestExitCodes:
                      "--data", train_csv]) == 2
 
 
+class TestHugeWeights:
+    """A model whose first-layer weight is finite but huge loads, and the
+    numbers it leads to are caught as a numeric failure (exit 3)."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        x = make_rng(0).standard_normal((40, 3))
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=np.arange(40) % 2, y=x[:, 0]), data)
+        model = train_ebm(x, TrainConfig(k=2, b=2, hidden=(4, 4), epochs=3))
+        good = tmp_path / "good.preb"
+        save_model(model, good)
+        return model, data, good
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the column std overflows
+    @pytest.mark.parametrize("weight", [1e300, 1e200, 1e160])
+    def test_mcc_overflow_is_numeric(self, files, tmp_path, capsys, weight):
+        model, data, good = files
+        model.net.params[0][0, 0] = weight
+        huge = tmp_path / "huge.preb"
+        save_model(model, huge)
+        assert main(["mcc", "--models", str(huge), str(good), "--data", str(data)]) == 3
+        captured = capsys.readouterr()
+        assert "std or correlation is not finite" in captured.err
+        assert "mean mcc" not in captured.out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the layers
+    @pytest.mark.parametrize("command", ["transform", "mcc"])
+    def test_nonfinite_representation_is_numeric(self, files, tmp_path, capsys, command):
+        model, data, good = files
+        model.net.params[0][...] = 1e308
+        huge = tmp_path / "huge.preb"
+        save_model(model, huge)
+        out = tmp_path / "z.csv"
+        argv = (["transform", "--model", str(huge), "--out", str(out)] if command == "transform"
+                else ["mcc", "--models", str(huge), str(good)])
+        assert main([*argv, "--data", str(data)]) == 3
+        assert "non-finite network output" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _read(path):
     with open(path, newline="") as fh:
         return fh.read()
@@ -399,7 +440,9 @@ class TestFuzz:
                                                str(data), "--out", os.devnull]))
             codes.add(self._exit_code(capsys, ["mcc", "--models", str(bad), str(good),
                                                "--data", str(data)]))
-        assert codes == {0, 2}  # flipped weights still load; broken layouts do not
+        # flipped weights still load, and those that blow up the representations
+        # fail as numeric (3); broken layouts do not load (2)
+        assert codes == {0, 2, 3}
 
     def test_corrupt_csv_files(self, tmp_path, capsys):
         cfg_path = _write_cfg(tmp_path)

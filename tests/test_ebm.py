@@ -18,6 +18,7 @@ from cate_ebm import (
 from cate_ebm.ebm import ModelFingerprint
 from cate_ebm.errors import (
     ChecksumError,
+    IllConditionedError,
     MalformedModelError,
     TruncatedFileError,
     UntrainedModelError,
@@ -50,7 +51,7 @@ class TestEnergy:
         x = make_rng(1).standard_normal((10, 2))
         part = kmeans_fit(x, 1, make_rng(2))
         net = Mlp([2, 1])
-        net.params[1] = np.array([3.5])  # constant output via output bias
+        net.params[1][...] = 3.5  # constant output via output bias
         model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
         assert model.energy(x[3], 0) == 3.5
         assert model.energy(x[7], 0) == 3.5
@@ -84,10 +85,18 @@ class TestRepresent:
             model.represent(x)
         assert model.represent(x, use_train_stats=False).shape == (30, 2)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the layers
+    @pytest.mark.parametrize("use_train_stats", [True, False])
+    def test_nonfinite_output_raises(self, use_train_stats):
+        model, x = _trained_model()
+        model.net.params[0][0, 0] = 1e308
+        with pytest.raises(IllConditionedError, match="non-finite network output"):
+            model.represent(x, use_train_stats=use_train_stats)
+
     def test_output_bias_shift_invariant(self):
         model, x = _trained_model()
         shifted_net = model.net.copy()
-        shifted_net.params[-1] = shifted_net.params[-1] + np.array([2.0, -7.0])
+        shifted_net.params[-1] += np.array([2.0, -7.0])
         raw = shifted_net.forward(x)
         mean = raw.mean(axis=0)
         std = raw.std(axis=0)
@@ -108,6 +117,7 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         assert np.array_equal(model.represent(x), loaded.represent(x))
+        assert np.array_equal(model.net.flat, loaded.net.flat)
         for p1, p2 in zip(model.net.params, loaded.net.params):
             assert np.array_equal(p1, p2)
         assert np.array_equal(model.b_matrix, loaded.b_matrix)

@@ -12,7 +12,7 @@ from cate_ebm import (
     sample,
     write_table,
 )
-from cate_ebm.errors import DegenerateColumnError, DimensionError
+from cate_ebm.errors import DegenerateColumnError, DimensionError, IllConditionedError
 
 
 class TestPehe:
@@ -72,6 +72,22 @@ class TestMcc:
     def test_shape_guard(self):
         with pytest.raises(DimensionError):
             mcc(np.zeros((5, 2)), np.zeros((5, 3)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the std's squares overflow
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e160])
+    def test_overflowing_column_rejected(self, scale):
+        r = make_rng(6).standard_normal((50, 2))
+        huge = r.copy()
+        huge[:, 1] *= scale
+        with pytest.raises(IllConditionedError, match="column 1"):
+            mcc(huge, r)
+
+    def test_nonfinite_column_rejected(self):
+        r = make_rng(7).standard_normal((50, 2))
+        bad = r.copy()
+        bad[3, 0] = np.nan
+        with pytest.raises(IllConditionedError, match="column 0"):
+            mcc(r, bad)
 
 
 class TestWriteTable:

@@ -134,7 +134,7 @@ class TestPosterior:
         x = make_rng(1).standard_normal((10, 1))
         part = kmeans_fit(x, 1, make_rng(2))
         net = Mlp([1, 1])
-        net.params[0] = np.array([[1.0]])
+        net.params[0][...] = 1.0
         model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
         s = 0.7
         cs = CandidateSet(values=np.array([[[s], [s + math.log(3.0)]]]),
@@ -185,7 +185,7 @@ class TestNceLoss:
         x = make_rng(1).standard_normal((10, 1))
         part = kmeans_fit(x, 1, make_rng(2))
         net = Mlp([1, 1])
-        net.params[0] = np.array([[1.0]])
+        net.params[0][...] = 1.0
         model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
         # true candidate leads every decoy by a score gap of 50
         cs = CandidateSet(values=np.array([[[50.0], [0.0], [0.0]]]),
@@ -198,12 +198,11 @@ class TestNceLoss:
         spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=2)
         batch = _batch(model, x, spec, seed=13)
 
-        def loss_fn(params):
-            model.net.params = params
+        def loss_fn(theta):
             return nce_loss(model, batch)
 
         from cate_ebm import grad_check
-        assert grad_check(loss_fn, model.net.params, h=1e-4) < 1e-4
+        assert grad_check(loss_fn, model.net.flat, h=1e-4) < 1e-4
 
     def test_subset_weighting_matches_hand_formula(self):
         model, x = _toy_model(net_seed=17, n=20)
@@ -228,11 +227,11 @@ class TestNceLoss:
         spec = CorruptionSpec(rho=0.5, kinds=[None, np.array([-1.0, 1.0]), None, None], b=3)
         labels = np.repeat([2, 0, 1], [5, 12, 23])  # unequal subset sizes
         batch = build_candidates(x[:40], labels, spec, make_rng(45))
-        loss, grads = nce_loss(model, batch)
+        loss, grad = nce_loss(model, batch)
 
         sizes = {j: int(np.sum(labels == j)) for j in range(3)}
         ref_loss = 0.0
-        ref_grads = model.net.zero_like_params()
+        ref_grad = np.zeros_like(model.net.flat)
         for i in range(len(batch)):
             j, t = int(batch.subset[i]), int(batch.true_index[i])
             weight = 1.0 / (sizes[j] * len(sizes))
@@ -242,10 +241,9 @@ class TestNceLoss:
             dscores[t] -= 1.0
             _, cache = model.net.forward_cache(batch.values[i])
             g, _ = model.net.backward(cache, weight * np.outer(dscores, model.b_matrix[:, j]))
-            for acc, gi in zip(ref_grads, g):
-                acc += gi
+            ref_grad += g
         assert abs(loss - ref_loss) < 1e-12
-        assert max(np.abs(g - r).max() for g, r in zip(grads, ref_grads)) < 1e-12
+        assert np.abs(grad - ref_grad).max() < 1e-12
 
     def test_empty_batch_rejected(self):
         model, x = _toy_model()
@@ -280,6 +278,21 @@ class TestTrainEbm:
         save_model(train_ebm(x, cfg), p1)
         save_model(train_ebm(x, cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_best_epoch_restored(self):
+        """Early stopping keeps the best epoch's parameters: retraining for
+        exactly best_epoch + 1 epochs ends on the same network."""
+        x = sample(gen_dgp(0, d=5), 200, 1).x
+        cfg = TrainConfig(k=2, b=3, hidden=(8, 8), epochs=60, patience=5, seed=3)
+        stopped = train_ebm(x, cfg)
+        assert (len(stopped.history), stopped.best_epoch) == (17, 11)
+        again = train_ebm(x, TrainConfig(k=2, b=3, hidden=(8, 8), epochs=12,
+                                          patience=5, seed=3))
+        assert again.best_epoch == 11
+        assert np.array_equal(stopped.net.flat, again.net.flat)
+        assert all(np.array_equal(p, q) for p, q in zip(stopped.net.params, again.net.params))
+        assert np.array_equal(stopped.repr_mean, again.repr_mean)
+        assert np.array_equal(stopped.repr_std, again.repr_std)
 
     def test_records_history(self):
         x = make_rng(33).standard_normal((60, 4))

@@ -46,7 +46,7 @@ class TestMlpForward:
 
     def test_identity_single_layer(self):
         net = Mlp([2, 2])
-        net.params[0] = np.eye(2)
+        net.params[0][...] = np.eye(2)
         out = net.forward(np.array([1.0, -2.0]))
         assert np.array_equal(out, np.array([1.0, -2.0]))
 
@@ -80,30 +80,28 @@ class TestMlpBackward:
         net = Mlp([2, 4, 2], rng=make_rng(1))
         x = make_rng(2).standard_normal((5, 2))
         _, cache = net.forward_cache(x)
-        grads, _ = net.backward(cache, np.zeros((5, 2)))
-        for g in grads:
-            assert np.array_equal(g, np.zeros_like(g))
+        grad, _ = net.backward(cache, np.zeros((5, 2)))
+        assert np.array_equal(grad, np.zeros_like(net.flat))
 
     def test_linear_layer_closed_form(self):
         net = Mlp([3, 2], rng=make_rng(4))
         x = make_rng(5).standard_normal((1, 3))
         g = make_rng(6).standard_normal((1, 2))
         _, cache = net.forward_cache(x)
-        grads, _ = net.backward(cache, g)
-        assert np.allclose(grads[0], x.T @ g, atol=1e-14)
-        assert np.allclose(grads[1], g[0], atol=1e-14)
+        grad, _ = net.backward(cache, g)
+        assert np.allclose(grad[:6].reshape(3, 2), x.T @ g, atol=1e-14)
+        assert np.allclose(grad[6:], g[0], atol=1e-14)
 
     def test_sum_loss_matches_finite_differences(self):
         net = Mlp([2, 4, 2], rng=make_rng(7))
         x = make_rng(8).standard_normal((6, 2))
 
-        def loss_fn(params):
-            net.params = params
+        def loss_fn(theta):
             out, cache = net.forward_cache(x)
-            grads, _ = net.backward(cache, np.ones_like(out))
-            return float(out.sum()), grads
+            grad, _ = net.backward(cache, np.ones_like(out))
+            return float(out.sum()), grad
 
-        assert grad_check(loss_fn, net.params, h=1e-5) < 1e-5
+        assert grad_check(loss_fn, net.flat, h=1e-5) < 1e-5
 
     @pytest.mark.parametrize("widths", [[3, 5, 2], [3, 5, 5, 2], [3, 5, 5, 5, 2]])
     def test_deeper_nets_match_finite_differences(self, widths):
@@ -112,13 +110,12 @@ class TestMlpBackward:
         net = Mlp(widths, rng=make_rng(24))
         x = make_rng(11).standard_normal((4, widths[0]))
 
-        def loss_fn(params):
-            net.params = params
+        def loss_fn(theta):
             out, cache = net.forward_cache(x)
-            grads, _ = net.backward(cache, np.ones_like(out))
-            return float(out.sum()), grads
+            grad, _ = net.backward(cache, np.ones_like(out))
+            return float(out.sum()), grad
 
-        assert grad_check(loss_fn, net.params, h=1e-4) < 1e-4
+        assert grad_check(loss_fn, net.flat, h=1e-4) < 1e-4
 
     def test_upstream_shape_mismatch(self):
         net = Mlp([2, 2])
@@ -140,51 +137,148 @@ def _reference_adam_scalar(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1
 
 class TestAdam:
     def test_zero_gradients_leave_params(self):
-        p = [np.array([1.0, 2.0])]
+        p = np.array([1.0, 2.0])
         opt = Adam(p, lr=0.1)
-        opt.step(p, [np.zeros(2)])
-        assert np.array_equal(p[0], np.array([1.0, 2.0]))
+        opt.step(p, np.zeros(2))
+        assert np.array_equal(p, np.array([1.0, 2.0]))
 
     def test_descends_on_quadratic(self):
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         opt = Adam(p, lr=0.1)
-        opt.step(p, [2.0 * p[0]])
-        assert p[0][0] < 1.0
+        opt.step(p, 2.0 * p)
+        assert p[0] < 1.0
 
     def test_matches_reference_recurrence(self):
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         opt = Adam(p, lr=0.3)
         for _ in range(10):
-            opt.step(p, [2.0 * (p[0] - 3.0)])
+            opt.step(p, 2.0 * (p - 3.0))
         ref = _reference_adam_scalar(0.0, lambda w: 2.0 * (w - 3.0), lr=0.3, steps=10)
-        assert abs(p[0][0] - ref) < 1e-12
-        assert abs(p[0][0] - 3.0) < abs(0.0 - 3.0)
+        assert abs(p[0] - ref) < 1e-12
+        assert abs(p[0] - 3.0) < abs(0.0 - 3.0)
 
     def test_nonfinite_gradient_raises(self):
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         opt = Adam(p, lr=0.1)
         with pytest.raises(TrainingDivergedError):
-            opt.step(p, [np.array([np.nan])])
+            opt.step(p, np.array([np.nan]))
+
+
+class _PerArrayAdam:
+    """The former list-of-arrays Adam, kept as the reference for the flat one."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads):
+        for g in grads:
+            if not np.all(np.isfinite(g)):
+                raise TrainingDivergedError("non-finite gradient in Adam step")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+class TestFlatAdamMatchesPerArray:
+    STEPS = 500
+
+    def _gradients(self, shapes, seed):
+        rng = make_rng(seed)
+        for _ in range(self.STEPS):
+            # scales spread over decades so eps and the bias correction both matter
+            yield [rng.standard_normal(s) * 10.0 ** rng.uniform(-6, 2) for s in shapes]
+
+    def test_one_net(self):
+        net = Mlp([20, 64, 64, 3], rng=make_rng(0))
+        ref = [p.copy() for p in net.params]
+        flat_opt, ref_opt = Adam(net.flat, lr=1e-3), _PerArrayAdam(ref, lr=1e-3)
+        for grads in self._gradients([p.shape for p in ref], seed=1):
+            flat_opt.step(net.flat, np.concatenate([g.ravel() for g in grads]))
+            ref_opt.step(ref, grads)
+        assert flat_opt.t == ref_opt.t == self.STEPS
+        assert all(np.array_equal(p, r) for p, r in zip(net.params, ref))
+        assert np.array_equal(flat_opt.v, np.concatenate([v.ravel() for v in ref_opt.v]))
+
+    def test_two_nets_match_one_optimizer_over_both(self):
+        enc = Mlp([20, 64, 64, 3], rng=make_rng(2))
+        dec = Mlp([3, 64, 64, 20], rng=make_rng(3))
+        ref = [p.copy() for p in enc.params + dec.params]
+        enc_opt, dec_opt = Adam(enc.flat, lr=3e-3), Adam(dec.flat, lr=3e-3)
+        ref_opt = _PerArrayAdam(ref, lr=3e-3)
+        n_enc = len(enc.params)
+        for grads in self._gradients([p.shape for p in ref], seed=4):
+            enc_opt.step(enc.flat, np.concatenate([g.ravel() for g in grads[:n_enc]]))
+            dec_opt.step(dec.flat, np.concatenate([g.ravel() for g in grads[n_enc:]]))
+            ref_opt.step(ref, grads)
+        assert all(np.array_equal(p, r) for p, r in zip(enc.params + dec.params, ref))
+
+
+class TestMlpFlatLayout:
+    def test_params_are_views_of_flat(self):
+        net = Mlp([3, 4, 2], rng=make_rng(5))
+        assert net.flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        assert all(np.shares_memory(p, net.flat) for p in net.params)
+        assert np.array_equal(np.concatenate([p.ravel() for p in net.params]), net.flat)
+        net.flat[:] = 0.0
+        assert np.array_equal(net.forward(np.ones(3)), np.zeros(2))
+
+    def test_copy_owns_its_buffer(self):
+        net = Mlp([3, 4, 2], rng=make_rng(6))
+        clone = net.copy()
+        assert np.array_equal(clone.flat, net.flat)
+        clone.params[0][0, 0] += 1.0
+        assert clone.flat[0] == net.flat[0] + 1.0
+
+    def test_forward_matches_forward_cache(self):
+        net = Mlp([3, 5, 5, 2], rng=make_rng(7))
+        x = make_rng(8).standard_normal((6, 3))
+        out, cache = net.forward_cache(x)
+        assert np.array_equal(net.forward(x), out)
+        assert len(cache) == 4 and cache[-1] is out
 
 
 class TestGradCheck:
     def test_quadratic_is_exact(self):
-        params = [np.array([1.0, -2.0, 0.5])]
+        theta = np.array([1.0, -2.0, 0.5])
 
         def loss_fn(p):
-            return float(p[0] @ p[0]), [2.0 * p[0]]
+            return float(p @ p), 2.0 * p
 
-        assert grad_check(loss_fn, params, h=1e-5) < 1e-8
+        assert grad_check(loss_fn, theta, h=1e-5) < 1e-8
 
     def test_detects_corrupted_gradient(self):
-        params = [np.array([1.0, -2.0, 0.5])]
+        theta = np.array([1.0, -2.0, 0.5])
 
         def loss_fn(p):
-            g = 2.0 * p[0]
+            g = 2.0 * p
             g[0] *= 2.0  # fault injection
-            return float(p[0] @ p[0]), [g]
+            return float(p @ p), g
 
-        assert grad_check(loss_fn, params, h=1e-5) > 0.1
+        assert grad_check(loss_fn, theta, h=1e-5) > 0.1
+
+    def test_subsample_is_seeded_and_restores_theta(self):
+        theta = make_rng(9).standard_normal(50)
+        before = theta.copy()
+        seen = []
+
+        def loss_fn(p):
+            seen.append(int(np.flatnonzero(p != before)[0]) if np.any(p != before) else -1)
+            return float(p @ p), 2.0 * p
+
+        grad_check(loss_fn, theta, max_entries=5, seed=3)
+        picked = sorted(make_rng(3).choice(50, size=5, replace=False))
+        assert seen == [-1] + [j for j in picked for _ in range(2)]
+        assert np.array_equal(theta, before)
 
 
 class TestStandardize:
