@@ -554,7 +554,7 @@ def ae_fit(x, k: int, hidden=(20, 20), epochs=200, batch_size=64,
             recon, dec_cache = decoder.forward_cache(z)
             g = 2.0 * (recon - xb) / xb.shape[0]
             dec_grad, gz = decoder.backward(dec_cache, g)
-            enc_grad, _ = encoder.backward(enc_cache, gz)
+            enc_grad, _ = encoder.backward(enc_cache, gz, input_grad=False)
             enc_opt.step(encoder.flat, enc_grad)
             dec_opt.step(decoder.flat, dec_grad)
     z = encoder.forward(x)

@@ -117,7 +117,9 @@ def corrupt(x, spec: CorruptionSpec, rng) -> np.ndarray:
     if x.shape[-1] != spec.d:
         raise DimensionError(f"vector length {x.shape[-1]} != spec dimension {spec.d}")
     selected = rng.random(x.shape) < spec.rho
-    out = x + selected * rng.standard_normal(x.shape)
+    out = rng.standard_normal(x.shape)
+    out *= selected
+    out += x
     for f, kind in enumerate(spec.kinds):
         if kind is not None:
             draw = np.asarray(kind, dtype=float)[rng.integers(len(kind), size=x.shape[:-1])]
@@ -127,22 +129,33 @@ def corrupt(x, spec: CorruptionSpec, rng) -> np.ndarray:
 
 def build_candidates(rows, labels, spec: CorruptionSpec, rng) -> CandidateSet:
     """For each row, the clean sample plus b corrupted copies in a uniformly
-    random order; labels gives each row's partition subset."""
+    random order; labels gives each row's partition subset and must hold one
+    integral value per row."""
     rows = np.asarray(rows, dtype=float)
     m, d = rows.shape
+    labels = np.asarray(labels)
+    if labels.shape != (m,) or not np.all(labels % 1 == 0):
+        raise DimensionError(f"labels must be {m} integers, one per row")
     corrupted = corrupt(np.broadcast_to(rows[:, None, :], (m, spec.b, d)), spec, rng)
-    stacked = np.concatenate([rows[:, None, :], corrupted], axis=1)
-    # argsort of i.i.d. uniform keys is a uniform permutation of each set
+    # argsort of i.i.d. uniform keys is a uniform permutation of each set:
+    # slot s receives candidate perm[:, s], the clean row being candidate 0
     perm = np.argsort(rng.random((m, spec.b + 1)), axis=1)
-    values = np.take_along_axis(stacked, perm[:, :, None], axis=1)
-    true_index = np.argmin(perm, axis=1)  # the slot that received stacked[:, 0]
-    return CandidateSet(values=values, true_index=true_index,
-                        subset=np.asarray(labels, dtype=int))
+    slot = np.argsort(perm, axis=1)  # the inverse: slot[:, c] holds candidate c
+    values = np.empty((m, spec.b + 1, d))
+    sets = np.arange(m)
+    values[sets, slot[:, 0]] = rows
+    values[sets[:, None], slot[:, 1:]] = corrupted
+    return CandidateSet(values=values, true_index=slot[:, 0], subset=labels.astype(int))
 
 
 def _scores(model: EbmModel, out: np.ndarray, subset: np.ndarray) -> np.ndarray:
-    """(m, b + 1) scores of a batch from the net output of its flattened values."""
+    """(m, b + 1) scores of a batch from the net output of its flattened values.
+
+    Every subset label must index a column of B: DimensionError otherwise.
+    """
     m = len(subset)
+    if m and not (subset.dtype.kind in "iu" and 0 <= subset.min() and subset.max() < model.k):
+        raise DimensionError(f"subset labels must be integers in [0, {model.k})")
     return np.einsum("mck,km->mc", out.reshape(m, -1, model.k), model.b_matrix[:, subset])
 
 
@@ -169,13 +182,13 @@ def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
     m = len(batch)
     if m == 0:
         raise ValueError("batch must be non-empty")
-    _, where, counts = np.unique(batch.subset, return_inverse=True, return_counts=True)
-    weight = 1.0 / (counts[where] * len(counts))
     _, cache = model.net.forward_cache(batch.values.reshape(-1, model.d))
     # the output bias adds one constant to all candidates of a set and cancels
     # from its softmax; scoring from the last hidden layer leaves it out, so the
     # loss does not move with the bias even by round-off
     scores = _scores(model, cache[-2] @ model.net.params[-2], batch.subset)
+    counts = np.bincount(batch.subset)  # the labels are checked by _scores
+    weight = 1.0 / (counts[batch.subset] * np.count_nonzero(counts))
     if not np.all(np.isfinite(scores)):
         raise TrainingDivergedError("non-finite scores in nce_loss")
     shifted = scores - scores.max(axis=1, keepdims=True)
@@ -190,7 +203,7 @@ def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
     dscores[rows, batch.true_index] -= 1.0
     dscores *= weight[:, None]
     upstream = dscores[:, :, None] * model.b_matrix[:, batch.subset].T[:, None, :]
-    grad, _ = model.net.backward(cache, upstream.reshape(-1, model.k))
+    grad, _ = model.net.backward(cache, upstream.reshape(-1, model.k), input_grad=False)
     return total, grad
 
 
@@ -198,14 +211,15 @@ def _stratified_batches(labels, batch_size, rng):
     """Batches of positions into labels, drawn proportionally from each
     subset and shuffled within subsets; each batch in ascending order."""
     n_batches = max(1, -(-len(labels) // batch_size))
-    batches = [[] for _ in range(n_batches)]
+    parts = [[] for _ in range(n_batches)]
     for j in np.unique(labels):
         members = np.flatnonzero(labels == j)
         members = members[rng.permutation(len(members))]
         per = -(-len(members) // n_batches)
         for t in range(n_batches):
-            batches[t].extend(members[t * per : (t + 1) * per])
-    return [np.sort(b) for b in batches if b]
+            parts[t].append(members[t * per : (t + 1) * per])
+    batches = (np.sort(np.concatenate(p)) for p in parts)
+    return [b for b in batches if len(b)]
 
 
 def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:

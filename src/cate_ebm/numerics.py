@@ -94,9 +94,11 @@ class Mlp:
         """Run the layers on h; appends every activation to cache if given."""
         last = len(self.widths) - 2
         for layer, (w, b) in enumerate(zip(self.params[::2], self.params[1::2])):
-            h = h @ w + b
+            # one fresh array per layer; the bias and the ReLU act on it in place
+            h = h @ w
+            h += b
             if layer < last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             if cache is not None:
                 cache.append(h)
         return h
@@ -112,11 +114,13 @@ class Mlp:
         cache = [x]
         return self._layers(x, cache), cache
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         """Reverse-mode gradients of the forward map.
 
-        upstream has the output shape (n, k). Returns (grad, input_grad)
-        where grad is one vector laid out like flat.
+        upstream has the output shape (n, k); it is read, never written.
+        Returns (grad, input_grad) where grad is one vector laid out like
+        flat. With input_grad=False the first layer's input gradient is not
+        formed and None is returned in its place.
         """
         upstream = np.asarray(upstream, dtype=float)
         if upstream.ndim == 1:
@@ -131,11 +135,16 @@ class Mlp:
         g = upstream
         for layer in range(n_layers - 1, -1, -1):
             if layer < n_layers - 1:
-                # cache[layer + 1] holds relu(z); its sign pattern gates the gradient
-                g = g * (cache[layer + 1] > 0.0)
+                # cache[layer + 1] holds relu(z); its sign pattern gates the
+                # gradient. g is the fresh product of the layer above, so the
+                # gate can act on it in place.
+                g *= cache[layer + 1] > 0.0
             np.matmul(cache[layer].T, g, out=views[2 * layer])
             g.sum(axis=0, out=views[2 * layer + 1])
-            g = g @ self.params[2 * layer].T
+            if layer > 0 or input_grad:
+                g = g @ self.params[2 * layer].T
+            else:
+                g = None
         return grad, g
 
 

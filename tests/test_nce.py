@@ -20,7 +20,7 @@ from cate_ebm import (
 from cate_ebm.dgp import gen_dgp, sample
 from cate_ebm.ebm import ModelFingerprint
 from cate_ebm.errors import DimensionError, TooFewSamplesError
-from cate_ebm.nce import CandidateSet
+from cate_ebm.nce import CandidateSet, _stratified_batches
 
 
 def _toy_model(d=2, k=2, hidden=(3,), net_seed=3, b_seed=42, n=30):
@@ -118,6 +118,116 @@ class TestBuildCandidates:
         decoys = np.ones((50, 5), dtype=bool)
         decoys[np.arange(50), cs.true_index] = False
         assert not np.any(np.all(cs.values == x[:, None, :], axis=2) & decoys)
+
+
+def _reference_build_candidates(rows, labels, spec, rng):
+    """The concatenate + take_along_axis form of build_candidates, with the
+    corruption written as x + selected * noise: corrupt every copy, stack the
+    clean row in front, then gather each set through its permutation."""
+    rows = np.asarray(rows, dtype=float)
+    m, d = rows.shape
+    x = np.broadcast_to(rows[:, None, :], (m, spec.b, d))
+    selected = rng.random(x.shape) < spec.rho
+    corrupted = x + selected * rng.standard_normal(x.shape)
+    for f, kind in enumerate(spec.kinds):
+        if kind is not None:
+            draw = np.asarray(kind, dtype=float)[rng.integers(len(kind), size=x.shape[:-1])]
+            corrupted[..., f] = np.where(selected[..., f], draw, x[..., f])
+    stacked = np.concatenate([rows[:, None, :], corrupted], axis=1)
+    perm = np.argsort(rng.random((m, spec.b + 1)), axis=1)
+    values = np.take_along_axis(stacked, perm[:, :, None], axis=1)
+    return CandidateSet(values=values, true_index=np.argmin(perm, axis=1),
+                        subset=np.asarray(labels, dtype=int))
+
+
+_KINDS = {
+    "continuous": [None] * 5,
+    "mixed": [None, np.array([-1.0, 0.0, 2.0]), None, np.array([5.0, 7.0]), None],
+}
+
+
+class TestBuildCandidatesMatchesReference:
+    @pytest.mark.parametrize("kinds", list(_KINDS), ids=list(_KINDS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_sets_and_stream(self, kinds, seed):
+        spec = CorruptionSpec(rho=0.4, kinds=_KINDS[kinds], b=5)
+        x = make_rng(100 + seed).standard_normal((37, 5))
+        x[:, 3] = 5.0  # a valid level of the categorical column in "mixed"
+        labels = make_rng(200 + seed).integers(0, 3, size=37)
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        got = build_candidates(x, labels, spec, rng)
+        ref = _reference_build_candidates(x, labels, spec, ref_rng)
+        assert np.array_equal(got.values, ref.values)
+        assert np.array_equal(got.true_index, ref.true_index)
+        assert np.array_equal(got.subset, ref.subset)
+        assert rng.random() == ref_rng.random()  # same number of draws
+
+
+def _reference_stratified_batches(labels, batch_size, rng):
+    """Per-element list form: each batch grows by list.extend, then sorts."""
+    n_batches = max(1, -(-len(labels) // batch_size))
+    batches = [[] for _ in range(n_batches)]
+    for j in np.unique(labels):
+        members = np.flatnonzero(labels == j)
+        members = members[rng.permutation(len(members))]
+        per = -(-len(members) // n_batches)
+        for t in range(n_batches):
+            batches[t].extend(members[t * per : (t + 1) * per])
+    return [np.sort(b) for b in batches if b]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stratified_batches_match_reference(seed):
+    r = make_rng(300 + seed)
+    labels = r.integers(0, int(r.integers(1, 6)), size=int(r.integers(1, 300)))
+    batch_size = int(r.integers(1, 80))
+    got = _stratified_batches(labels, batch_size, make_rng(seed))
+    ref = _reference_stratified_batches(labels, batch_size, make_rng(seed))
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_stratified_batches_drop_empty_batches():
+    # two subsets of 5 in 4 batches: 2 + 2 + 1 + 0 rows of each, so the
+    # fourth batch is empty and left out
+    labels = np.repeat([0, 1], 5)
+    got = _stratified_batches(labels, 3, make_rng(0))
+    ref = _reference_stratified_batches(labels, 3, make_rng(0))
+    assert [len(b) for b in got] == [len(b) for b in ref] == [4, 4, 2]
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+class TestSubsetLabels:
+    """A subset label must be an integer in [0, k): B has one column per subset."""
+
+    def test_fractional_label_rejected(self):
+        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=1)
+        with pytest.raises(DimensionError):
+            _rows(np.zeros((3, 2)), spec, 0, labels=np.array([0.0, 0.7, 1.0]))
+        with pytest.raises(DimensionError):
+            _rows(np.zeros((3, 2)), spec, 0, labels=np.array([0.0, np.nan, 1.0]))
+
+    def test_integral_floats_and_length(self):
+        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=1)
+        cs = _rows(np.zeros((3, 2)), spec, 0, labels=np.array([1.0, 0.0, 1.0]))
+        assert cs.subset.dtype.kind == "i" and cs.subset.tolist() == [1, 0, 1]
+        with pytest.raises(DimensionError):
+            _rows(np.zeros((3, 2)), spec, 0, labels=np.array([1, 0]))
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_k_rejected(self, label):
+        model, x = _toy_model(k=2)
+        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=2)
+        labels = model.partition.assign(x[:6])
+        labels[3] = label
+        batch = _rows(x[:6], spec, 0, labels=labels)
+        with pytest.raises(DimensionError):
+            nce_loss(model, batch)
+        with pytest.raises(DimensionError):
+            nce_loss(model, batch, with_grads=False)
+        with pytest.raises(DimensionError):
+            posterior(model, batch)
 
 
 class TestPosterior:
@@ -244,6 +354,20 @@ class TestNceLoss:
             ref_grad += g
         assert abs(loss - ref_loss) < 1e-12
         assert np.abs(grad - ref_grad).max() < 1e-12
+
+    def test_absent_subset_not_counted(self):
+        """Only the subsets present in a batch share the average: with labels
+        {0, 2} out of k=3, each set weighs 1 / (m_j * 2)."""
+        x = make_rng(51).standard_normal((40, 3))
+        model = EbmModel(net=Mlp([3, 6, 3], rng=make_rng(52)),
+                         b_matrix=random_orthogonal(3, make_rng(53)),
+                         partition=kmeans_fit(x, 3, make_rng(54)))
+        spec = CorruptionSpec(rho=0.5, kinds=[None] * 3, b=2)
+        batch = build_candidates(x, np.repeat([2, 0], [9, 31]), spec, make_rng(55))
+        p = posterior(model, batch)
+        logp = np.log(p[np.arange(40), batch.true_index])
+        expected = -(logp[:9].mean() + logp[9:].mean()) / 2.0
+        assert abs(nce_loss(model, batch, with_grads=False) - expected) < 1e-12
 
     def test_empty_batch_rejected(self):
         model, x = _toy_model()

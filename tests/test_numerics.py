@@ -69,6 +69,23 @@ class TestMlpForward:
             expected.append(z)
         assert np.allclose(net.forward(x), expected, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("widths", [[3, 2], [20, 64, 64, 3], [4, 7, 5, 2]])
+    def test_matches_reference_layer_loop(self, widths):
+        net = Mlp(widths)
+        net.flat[:] = make_rng(5).standard_normal(net.flat.size) * 0.3  # biases too
+        x = make_rng(6).standard_normal((50, widths[0]))
+        h, ref_cache = x, [x]
+        for layer in range(len(widths) - 1):
+            h = h @ net.params[2 * layer] + net.params[2 * layer + 1]
+            if layer < len(widths) - 2:
+                h = np.maximum(h, 0.0)
+            ref_cache.append(h)
+        assert np.array_equal(net.forward(x), h)
+        out, cache = net.forward_cache(x)
+        assert np.array_equal(out, h)
+        assert len(cache) == len(ref_cache)
+        assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
+
     def test_shape_mismatch_raises(self):
         net = Mlp([3, 2])
         with pytest.raises(DimensionError):
@@ -116,6 +133,26 @@ class TestMlpBackward:
             return float(out.sum()), grad
 
         assert grad_check(loss_fn, net.flat, h=1e-4) < 1e-4
+
+    @pytest.mark.parametrize("widths", [[3, 2], [20, 64, 64, 3], [4, 7, 5, 2]])
+    def test_skipping_input_grad_keeps_param_grad(self, widths):
+        net = Mlp(widths, rng=make_rng(12))
+        x = make_rng(13).standard_normal((40, widths[0]))
+        upstream = make_rng(14).standard_normal((40, widths[-1]))
+        _, cache = net.forward_cache(x)
+        full, gx = net.backward(cache, upstream)
+        lean, none = net.backward(cache, upstream, input_grad=False)
+        assert gx.shape == x.shape and none is None
+        assert np.array_equal(lean, full)
+
+    def test_upstream_left_unchanged(self):
+        net = Mlp([3, 6, 6, 2], rng=make_rng(15))
+        _, cache = net.forward_cache(make_rng(16).standard_normal((9, 3)))
+        upstream = make_rng(17).standard_normal((9, 2))
+        kept = upstream.copy()
+        net.backward(cache, upstream)
+        net.backward(cache, upstream, input_grad=False)
+        assert np.array_equal(upstream, kept)
 
     def test_upstream_shape_mismatch(self):
         net = Mlp([2, 2])
