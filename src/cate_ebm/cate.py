@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .dgp import Dataset
-from .errors import DimensionError, IllConditionedError, TooFewSamplesError
-from .numerics import Adam, Mlp, make_rng, standardize_columns
+from .errors import ConfigError, DimensionError, IllConditionedError, TooFewSamplesError
+from .numerics import Adam, Mlp, make_rng, sq_dists, standardize_columns
 
 
 # ---------------------------------------------------------------------------
@@ -88,30 +88,22 @@ class Ridge:
         return _augment(np.asarray(x, dtype=float)) @ self.w
 
 
-def _sq_dists(xa, xb):
-    """Squared distances aa_i + bb_j - 2 xa_i . xb_j, rounded as written,
-    built in two len(xa)-by-len(xb) buffers."""
-    d2 = xa @ xb.T
-    d2 *= -2.0
-    d2 += np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
-    return d2
-
-
 def _rbf_kernel(xa, xb, gamma):
-    k = _sq_dists(xa, xb)
+    k = sq_dists(xa, xb)
     np.maximum(k, 0.0, out=k)
     k *= -gamma
     np.exp(k, out=k)
     return k
 
 
-def median_gamma(x, cap=2000):
+def median_gamma(x):
     """1 / median squared pairwise distance, on a subsample for large n."""
     x = np.asarray(x, dtype=float)
+    cap = 2000  # rows kept: the distances take 32 MB
     if x.shape[0] > cap:
         idx = make_rng(0).choice(x.shape[0], size=cap, replace=False)
         x = x[np.sort(idx)]
-    d2 = _sq_dists(x, x)
+    d2 = sq_dists(x, x)
     upper = d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]
     return 1.0 / max(np.median(upper, overwrite_input=True), 1e-12)
 
@@ -159,7 +151,11 @@ class BaseSpec:
 
     def __post_init__(self):
         if self.kind not in ("ridge", "kernel"):
-            raise ValueError(f"unknown base regressor kind {self.kind!r}")
+            raise ConfigError(f"unknown base regressor kind {self.kind!r}")
+        if not 0.0 < self.lam < np.inf:
+            raise ConfigError(f"lam must be finite and > 0, got {self.lam}")
+        if self.gamma is not None and not 0.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be None or finite and > 0, got {self.gamma}")
 
 
 def _cv_folds(n: int, spec: BaseSpec) -> np.ndarray:
@@ -458,25 +454,19 @@ def r_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
     y_res = ds.y - m_hat.predict(ds.x)
     a_res = ds.a.astype(float) - prop.predict_proba(ds.x)
 
-    lam = getattr(m_hat, "lam", spec.lam)
+    # the effect model takes m_hat's family and hyperparameters
     if spec.kind == "ridge":
         xa = _augment(ds.x)
-        a2 = a_res * a_res
-        lhs = (xa * a2[:, None]).T @ xa + lam * np.eye(xa.shape[1])
-        w = _chol_solve(lhs, xa.T @ (a_res * y_res))
-        return CateModel("r", lambda x: _augment(np.asarray(x, dtype=float)) @ w, ds.d)
-
-    gamma = getattr(m_hat, "gamma", None) or median_gamma(ds.x)
-    lhs = _rbf_kernel(ds.x, ds.x, gamma)
-    lhs *= (a_res * a_res)[:, None]
-    lhs.flat[:: ds.n + 1] += lam
-    alpha = np.linalg.solve(lhs, a_res * y_res)
-    x_train = ds.x.copy()
-
-    def predict(x):
-        return _rbf_kernel(np.asarray(x, dtype=float), x_train, gamma) @ alpha
-
-    return CateModel("r", predict, ds.d)
+        lhs = (xa * (a_res * a_res)[:, None]).T @ xa + m_hat.lam * np.eye(xa.shape[1])
+        tau = Ridge(m_hat.lam)
+        tau.w = _chol_solve(lhs, xa.T @ (a_res * y_res))
+    else:
+        lhs = _rbf_kernel(ds.x, ds.x, m_hat.gamma)
+        lhs *= (a_res * a_res)[:, None]
+        lhs.flat[:: ds.n + 1] += m_hat.lam
+        tau = KernelRidge(m_hat.lam, m_hat.gamma)
+        tau.x_train, tau.alpha = ds.x.copy(), np.linalg.solve(lhs, a_res * y_res)
+    return CateModel("r", tau.predict, ds.d)
 
 
 LEARNERS = {"t": t_learner, "x": x_learner, "dr": dr_learner, "r": r_learner}

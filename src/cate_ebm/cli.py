@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-data, fit-ebm, transform, fit-cate, pipeline, mcc.
-Exit codes: 0 success, 2 input/config error, 3 numeric/training failure.
+Exit codes: 0 success, 2 input/config error, 3 numeric/training failure; a
+package error ends in the exit_code of its type.
 """
 
 from __future__ import annotations
@@ -14,25 +15,15 @@ import sys
 import numpy as np
 
 from . import evalx
-from .cate import BaseSpec, fit_learner
+from .cate import fit_learner
 from .config import ExperimentConfig, load_config
 from .dgp import Dataset, gen_dgp, load_csv, read_csv, sample, save_csv, write_csv
 from .ebm import load_model, save_model
-from .errors import (
-    CateEbmError,
-    ConfigError,
-    CsvFormatError,
-    IllConditionedError,
-    ModelFileError,
-    TooFewSamplesError,
-    TrainingDivergedError,
-)
-from .nce import TrainConfig, train_ebm
+from .errors import CateEbmError, ConfigError, CsvFormatError
+from .nce import train_ebm
 from .numerics import make_rng, random_orthogonal
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NUMERIC = 3
 
 
 def _exp_dir(cfg: ExperimentConfig) -> str:
@@ -52,14 +43,9 @@ def _read_repr(path) -> np.ndarray:
 
 def _fit_ebm(cfg: ExperimentConfig, x, out_dir: str, init_seed, tag: str):
     """Train on x; write model{tag}.preb and train_log{tag}.csv."""
-    train_cfg = TrainConfig(
-        k=cfg.k, b=cfg.b, rho=cfg.rho, hidden=cfg.hidden, epochs=cfg.epochs,
-        batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed,
-        init_seed=init_seed, patience=cfg.patience,
-    )
     # B is frozen by its own seed so every run of an experiment shares it
     b_matrix = random_orthogonal(cfg.k, make_rng(cfg.b_seed))
-    model = train_ebm(x, train_cfg, b_matrix=b_matrix)
+    model = train_ebm(x, cfg.train_config(init_seed), b_matrix=b_matrix)
     save_model(model, os.path.join(out_dir, f"model{tag}.preb"))
     write_csv(os.path.join(out_dir, f"train_log{tag}.csv"),
               ["epoch", "train_loss", "val_loss"], [np.array(model.history)])
@@ -75,8 +61,7 @@ def _transform(model, x, path: str) -> np.ndarray:
 
 def _fit_predict(cfg: ExperimentConfig, kind: str, feats, ds: Dataset, x_eval) -> np.ndarray:
     """Fit one learner on feats with ds's treatment and outcome; predict at x_eval."""
-    spec = BaseSpec(kind=cfg.base_kind, lam=cfg.base_lam, cv=cfg.base_cv)
-    return fit_learner(kind, Dataset(x=feats, a=ds.a, y=ds.y), spec,
+    return fit_learner(kind, Dataset(x=feats, a=ds.a, y=ds.y), cfg.base_spec(),
                        split_seed=cfg.seed).predict(x_eval)
 
 
@@ -152,6 +137,8 @@ def cmd_mcc(model_paths, data_path: str, out_dir=None) -> int:
 
 
 def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
+    if with_mcc and cfg.runs < 2:
+        raise ConfigError(f"pipeline --mcc needs runs >= 2, got runs={cfg.runs}")
     out_dir = _exp_dir(cfg)
     stage = "gen-data"
     try:
@@ -196,7 +183,9 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
             print(f"mcc over runs: {vals.mean():.4f} +- {vals.std():.4f}")
         return EXIT_OK
     except CateEbmError as exc:
-        raise CateEbmError(f"pipeline stage {stage!r} failed (seed {cfg.seed}): {exc}") from exc
+        # the message gains the stage; the type, and with it the exit code, stays
+        exc.args = (f"pipeline stage {stage!r} failed (seed {cfg.seed}): {exc}",)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,20 +253,13 @@ def main(argv=None) -> int:
         if args.command == "fit-cate":
             return cmd_fit_cate(cfg, args.data, out, features_path=args.features)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, CsvFormatError, ModelFileError, TooFewSamplesError, OSError) as exc:
+    except OSError as exc:  # a path that cannot be read or written is an input error
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (TrainingDivergedError, IllConditionedError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return CateEbmError.exit_code
     except CateEbmError as exc:
-        # pipeline wraps stage failures; classify by the root cause
-        cause = exc.__cause__
-        if isinstance(cause, (TrainingDivergedError, IllConditionedError)):
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        label = "error" if exc.exit_code == CateEbmError.exit_code else "numeric failure"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

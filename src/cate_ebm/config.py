@@ -9,8 +9,9 @@ import configparser
 import zlib
 from dataclasses import dataclass, fields
 
-from .cate import LEARNERS
+from .cate import LEARNERS, BaseSpec
 from .errors import ConfigError
+from .nce import TrainConfig
 
 # defaults per synthetic setup: (b, k, hidden widths, rho)
 PRESETS = {
@@ -61,22 +62,32 @@ class ExperimentConfig:
     # io
     out_dir: str = "results"
 
+    def train_config(self, init_seed=None) -> TrainConfig:
+        """The EBM training settings; TrainConfig checks them."""
+        return TrainConfig(
+            k=self.k, b=self.b, rho=self.rho, hidden=self.hidden, epochs=self.epochs,
+            batch_size=self.batch_size, lr=self.lr, seed=self.seed,
+            init_seed=init_seed, patience=self.patience,
+        )
+
+    def base_spec(self) -> BaseSpec:
+        """The learners' base regression settings; BaseSpec checks them."""
+        return BaseSpec(kind=self.base_kind, lam=self.base_lam, cv=self.base_cv)
+
     def validate(self):
-        if self.n < 2:
-            raise ConfigError("n must be >= 2")
-        if self.d < 1:
-            raise ConfigError("d must be >= 1")
+        """Check via train_config() and base_spec(), then what no library object does."""
+        self.train_config()
+        self.base_spec()
+        # with k >= 1 (TrainConfig) these also give d >= 2 and n >= 2
         if not self.k < self.d:
             raise ConfigError(f"k={self.k} must be < d={self.d}")
         if self.n < 2 * self.k:
             raise ConfigError(f"n={self.n} must be >= 2k={2 * self.k}")
-        for name in ("b", "epochs", "batch_size", "runs", "test_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if not 0.0 < self.rho <= 1.0:
-            raise ConfigError("rho must be in (0, 1]")
-        if self.base_kind not in ("ridge", "kernel"):
-            raise ConfigError(f"unknown base regressor {self.base_kind!r}")
+        for name, least in (("test_size", 2), ("runs", 1), ("b_seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        if not self.learners:
+            raise ConfigError("learners must name at least one kind")
         bad = [l for l in self.learners if l not in LEARNERS]
         if bad:
             raise ConfigError(f"unknown learners {bad}; valid kinds: {', '.join(LEARNERS)}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError, DimensionError
+from .errors import CsvFormatError, DimensionError, TooFewSamplesError
 from .numerics import Mlp, make_rng
 
 _FLOAT_FMT = "%.17g"
@@ -85,8 +85,7 @@ class Dataset:
         return self.tau is not None
 
 
-def gen_dgp(seed: int, d: int, latent_dim: int = 5,
-            overlap_margin: float = 0.05, max_tries: int = 50) -> DgpSpec:
+def gen_dgp(seed: int, d: int) -> DgpSpec:
     """Frozen generating process with an empirical overlap check.
 
     Candidate seeds are tried in order until the mean treated probability
@@ -94,6 +93,7 @@ def gen_dgp(seed: int, d: int, latent_dim: int = 5,
     """
     if d < 1:
         raise DimensionError("observed dimension must be >= 1")
+    latent_dim, overlap_margin, max_tries = 5, 0.05, 50
     for attempt in range(max_tries):
         s = seed + attempt * 1_000_003
         rng = make_rng(s)
@@ -119,7 +119,7 @@ def sample(dgp: DgpSpec, n: int, seed: int, return_noise: bool = False):
     """Draw n rows; oracle columns (tau, mu0, mu1, pi, u) ride along.
 
     Retries up to 5 derived seeds if a draw comes out all-treated or
-    all-control, then raises.
+    all-control, then raises TooFewSamplesError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -141,7 +141,7 @@ def sample(dgp: DgpSpec, n: int, seed: int, return_noise: bool = False):
         y = mean + eps
         ds = Dataset(x=x, a=a, y=y, tau=mu1 - mu0, mu0=mu0, mu1=mu1, pi=pi, u=u)
         return (ds, eps) if return_noise else ds
-    raise RuntimeError("degenerate draw: one treatment arm empty after 5 attempts")
+    raise TooFewSamplesError("degenerate draw: one treatment arm empty after 5 attempts")
 
 
 def write_csv(path, header, columns) -> None:

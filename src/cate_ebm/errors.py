@@ -2,7 +2,10 @@
 
 
 class CateEbmError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; exit_code is the command-line exit
+    status each ends in: 3 for the numeric failures that set it, else 2."""
+
+    exit_code = 2
 
 
 class DimensionError(CateEbmError, ValueError):
@@ -24,6 +27,8 @@ class TooFewSamplesError(CateEbmError, ValueError):
 class TrainingDivergedError(CateEbmError, RuntimeError):
     """Loss or gradients became non-finite during optimization."""
 
+    exit_code = 3
+
 
 class UntrainedModelError(CateEbmError, RuntimeError):
     """A trained-model operation was invoked on an unfitted model."""
@@ -32,6 +37,8 @@ class UntrainedModelError(CateEbmError, RuntimeError):
 class IllConditionedError(CateEbmError, RuntimeError):
     """A linear system stayed non-SPD after jitter, or a regression input, every
     fit error, a network output or a correlation was not finite."""
+
+    exit_code = 3
 
 
 class ModelFileError(CateEbmError, RuntimeError):

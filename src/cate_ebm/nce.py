@@ -29,9 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ebm import EbmModel, ModelFingerprint
-from .errors import DimensionError, TooFewSamplesError, TrainingDivergedError
+from .errors import ConfigError, DimensionError, TooFewSamplesError, TrainingDivergedError
 from .numerics import Adam, Mlp, make_rng, random_orthogonal, standardize_columns
 from .partition import kmeans_fit
+
+
+def _check_corruption(rho, b) -> None:
+    """The one check of rho and b, made by CorruptionSpec and TrainConfig."""
+    if not (0.0 < rho <= 1.0 and b >= 1):
+        raise ConfigError(f"need rho in (0, 1] and b >= 1, got rho={rho}, b={b}")
 
 
 @dataclass
@@ -47,10 +53,7 @@ class CorruptionSpec:
     b: int
 
     def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError(f"rho must be in (0, 1], got {self.rho}")
-        if self.b < 1:
-            raise ValueError("candidate count b must be >= 1")
+        _check_corruption(self.rho, self.b)
         for f, kind in enumerate(self.kinds):
             if kind is not None and len(kind) == 0:
                 raise ValueError(f"categorical feature {f} has an empty value set")
@@ -100,10 +103,14 @@ class TrainConfig:
     kinds: list | None = None  # None means all-continuous
 
     def __post_init__(self):
-        if self.k < 1 or self.b < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("k, b, epochs and batch_size must all be >= 1")
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must be in (0, 1]")
+        _check_corruption(self.rho, self.b)
+        for name in ("k", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if self.seed < 0 or (self.init_seed or 0) < 0:
+            raise ConfigError(f"seed and init_seed must be >= 0, got {self.seed}, {self.init_seed}")
 
 
 def corrupt(x, spec: CorruptionSpec, rng) -> np.ndarray:

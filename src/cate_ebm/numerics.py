@@ -38,6 +38,15 @@ def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     return vecs
 
 
+def sq_dists(xa, xb):
+    """Squared distances aa_i + bb_j - 2 xa_i . xb_j, rounded as written (so an
+    entry can be slightly negative), built in two len(xa)-by-len(xb) buffers."""
+    d2 = xa @ xb.T
+    d2 *= -2.0
+    d2 += np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
+    return d2
+
+
 class Mlp:
     """Fully connected net: ReLU hidden layers, identity output.
 
@@ -46,7 +55,7 @@ class Mlp:
     parameters change in place. Forward accepts a vector or a batch (n, d).
     """
 
-    def __init__(self, widths, rng=None, weight_std=None):
+    def __init__(self, widths, rng=None):
         if len(widths) < 2:
             raise DimensionError("need at least input and output widths")
         self.widths = [int(w) for w in widths]
@@ -54,8 +63,7 @@ class Mlp:
         self.params = self._views(self.flat)
         if rng is not None:
             for w in self.params[::2]:
-                std = weight_std if weight_std is not None else 1.0 / np.sqrt(w.shape[0])
-                w[...] = rng.standard_normal(w.shape) * std
+                w[...] = rng.standard_normal(w.shape) * (1.0 / np.sqrt(w.shape[0]))
 
     def _views(self, buf):
         """[W0, b0, W1, b1, ...] as views into the flat vector buf."""
@@ -149,13 +157,11 @@ class Mlp:
 
 
 class Adam:
-    """Adam with bias correction over one parameter vector."""
+    """Adam with bias correction over one parameter vector, at the usual
+    beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
 
-    def __init__(self, theta, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
         self.t = 0
@@ -165,14 +171,14 @@ class Adam:
         if not np.all(np.isfinite(grad)):
             raise TrainingDivergedError("non-finite gradient in Adam step")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         self.m *= b1
         self.m += (1.0 - b1) * grad
         self.v *= b2
         self.v += (1.0 - b2) * grad * grad
-        theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + 1e-8)
 
 
 def grad_check(loss_fn, theta, h=1e-5, max_entries=10_000, seed=0):

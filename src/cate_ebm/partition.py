@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, TooFewSamplesError
+from .numerics import sq_dists
 
 
 @dataclass
@@ -45,10 +46,8 @@ class PartitionModel:
 
 
 def _sq_dists(x, c):
-    # (n, k) squared distances, computed without forming the n*k*d tensor
-    xx = np.sum(x * x, axis=1)[:, None]
-    cc = np.sum(c * c, axis=1)[None, :]
-    d2 = xx + cc - 2.0 * (x @ c.T)
+    """(n, k) squared distances, clipped at 0."""
+    d2 = sq_dists(x, c)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -71,7 +70,7 @@ def _kmeanspp_init(x, k, rng):
     return centroids
 
 
-def kmeans_fit(x, k, rng, max_iter=100, tol=1e-8) -> PartitionModel:
+def kmeans_fit(x, k, rng) -> PartitionModel:
     """Lloyd iterations from a k-means++ start.
 
     Stops at an assignment fixpoint, when inertia improves by less than tol,
@@ -86,10 +85,7 @@ def kmeans_fit(x, k, rng, max_iter=100, tol=1e-8) -> PartitionModel:
         raise ValueError("k must be >= 1")
     if n < k:
         raise TooFewSamplesError(f"n={n} < k={k}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    max_iter, tol = 100, 1e-8
 
     centroids = _kmeanspp_init(x, k, rng)
     prev_labels = None

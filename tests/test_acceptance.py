@@ -131,6 +131,7 @@ def _mean_mcc(n, data_seed, cfg, b_matrix, n_init=5):
     return float(np.mean([mcc(a, b) for a, b in itertools.combinations(reps, 2)]))
 
 
+@pytest.mark.slow  # statistical: trains many models
 def test_criterion_05_identifiability_trend():
     cfg = TrainConfig(k=3, b=5, rho=0.5, hidden=(64, 64), epochs=300,
                       lr=1e-3, batch_size=64, seed=0, patience=60)
@@ -145,6 +146,7 @@ def test_criterion_05_identifiability_trend():
             m_big >= 0.9 and m_big > m_small)
 
 
+@pytest.mark.slow  # statistical: trains many models
 def test_criterion_06_pehe_ordering():
     cfg = TrainConfig(k=4, b=10, rho=0.5, hidden=(20, 20, 20), epochs=300,
                       lr=3e-3, batch_size=64, patience=80)
@@ -172,6 +174,7 @@ def test_criterion_06_pehe_ordering():
                f"R: {means['r'][0]:.3f} vs {means['r'][1]:.3f})", ok)
 
 
+@pytest.mark.slow  # statistical: trains many models
 def test_criterion_07_cate_variance_ordering():
     dgp = gen_dgp(900, d=20)
     train = sample(dgp, 2000, 901)

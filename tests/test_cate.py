@@ -18,7 +18,7 @@ from cate_ebm import (
     t_learner,
     x_learner,
 )
-from cate_ebm.errors import DimensionError, IllConditionedError, TooFewSamplesError
+from cate_ebm.errors import ConfigError, DimensionError, IllConditionedError, TooFewSamplesError
 
 
 def _linear_effect_data(n=400, d=3, seed=0, noise=0.0):
@@ -153,6 +153,17 @@ class TestMetaLearners:
         model = r_learner(ds, BaseSpec(kind="kernel", lam=1e-2, cv=False))
         assert abs(model.predict(x).mean() - c) < 0.3
 
+    @pytest.mark.parametrize("kind", ["ridge", "kernel"])
+    @pytest.mark.parametrize("cv", [True, False])
+    def test_r_learner_matches_reference_closure(self, kind, cv):
+        ds, _ = _linear_effect_data(n=150, seed=19, noise=0.1)
+        spec = BaseSpec(kind=kind, cv=cv)
+        x_new = make_rng(20).standard_normal((40, 3))
+        model = r_learner(ds, spec)
+        assert isinstance(model._predict.__self__, Ridge if kind == "ridge" else KernelRidge)
+        assert np.array_equal(model.predict(x_new), _reference_r_predict(ds, spec, x_new))
+        assert np.array_equal(model.predict(ds.x), _reference_r_predict(ds, spec, ds.x))
+
     def test_dr_pseudo_outcome_hand_formula(self):
         ds, _ = _linear_effect_data(n=10, seed=3)
         mu0 = np.full(10, 0.5)
@@ -195,6 +206,39 @@ class TestMetaLearners:
         ds.a[:] = 1
         with pytest.raises(TooFewSamplesError):
             t_learner(ds, self.SPEC)
+
+
+def _reference_r_predict(ds, spec, x_new):
+    """The R-learner as a closure over its solved weights, with the fallbacks
+    for a base model without lam or gamma."""
+    from cate_ebm import cate
+    m_hat = cate.fit_base(ds.x, ds.y, spec)
+    prop = propensity_fit(ds.x, ds.a)
+    y_res = ds.y - m_hat.predict(ds.x)
+    a_res = ds.a.astype(float) - prop.predict_proba(ds.x)
+    lam = getattr(m_hat, "lam", spec.lam)
+    if spec.kind == "ridge":
+        xa = cate._augment(ds.x)
+        a2 = a_res * a_res
+        lhs = (xa * a2[:, None]).T @ xa + lam * np.eye(xa.shape[1])
+        w = cate._chol_solve(lhs, xa.T @ (a_res * y_res))
+        return cate._augment(np.asarray(x_new, dtype=float)) @ w
+    gamma = getattr(m_hat, "gamma", None) or median_gamma(ds.x)
+    lhs = cate._rbf_kernel(ds.x, ds.x, gamma)
+    lhs *= (a_res * a_res)[:, None]
+    lhs.flat[:: ds.n + 1] += lam
+    alpha = np.linalg.solve(lhs, a_res * y_res)
+    return cate._rbf_kernel(np.asarray(x_new, dtype=float), ds.x.copy(), gamma) @ alpha
+
+
+class TestBaseSpec:
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="lasso"), dict(lam=0.0), dict(lam=-1.0), dict(lam=np.nan), dict(lam=np.inf),
+        dict(gamma=0.0), dict(gamma=-2.0), dict(gamma=np.nan), dict(gamma=np.inf),
+    ])
+    def test_invalid_settings_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            BaseSpec(**kwargs)
 
 
 class TestCvSelection:

@@ -18,7 +18,7 @@ from cate_ebm import (
 )
 from cate_ebm.cli import main
 from cate_ebm.config import PRESETS, ExperimentConfig, load_config
-from cate_ebm.errors import ConfigError
+from cate_ebm.errors import ConfigError, DimensionError, TrainingDivergedError
 
 
 FAST_CONFIG = """\
@@ -340,6 +340,21 @@ class TestExitCodes:
                      os.path.join(out, "b", "model.preb"),
                      "--data", train_csv]) == 2
 
+    @pytest.mark.parametrize("error, code, prefix", [
+        (TrainingDivergedError, 3, "numeric failure: "), (DimensionError, 2, "error: ")])
+    def test_pipeline_failure_keeps_its_type(self, tmp_path, capsys, monkeypatch,
+                                             error, code, prefix):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "train_ebm", fail)
+        cfg_path = _write_cfg(tmp_path)
+        with pytest.raises(error, match=r"^pipeline stage 'fit-ebm' failed \(seed 5\): boom$"):
+            cli.cmd_pipeline(load_config(path=cfg_path))
+        capsys.readouterr()
+        assert main(["pipeline", "--config", cfg_path]) == code
+        assert capsys.readouterr().err == f"{prefix}pipeline stage 'fit-ebm' failed (seed 5): boom\n"
+
 
 class TestHugeWeights:
     """A model whose first-layer weight is finite but huge loads, and the
@@ -468,3 +483,38 @@ class TestFuzz:
                 code = self._exit_code(capsys, [command, "--config", cfg_path, "--out",
                                                 str(tmp_path / "out"), flag, str(path)])
                 assert code == (0 if name == "good" else 2), (name, command)
+
+    @pytest.mark.parametrize("edit, argv", [
+        (("cv = false", "cv = false\nlam = 0"), ["fit-cate", "--data"]),
+        (("kinds = t\nbase = ridge\ncv = false", "kinds = dr\nbase = ridge\ncv = true\nlam = -1"),
+         ["fit-cate", "--data"]),
+        (None, ["gen-data", "--seed", "-1"]),
+        (("[ebm]\n", "[ebm]\nb_seed = -3\n"), ["fit-ebm", "--train"]),
+        (None, ["fit-ebm", "--init-seed", "-1", "--train"]),
+        (("test_size = 60", "test_size = 1"), ["gen-data"]),
+        (("test_size = 60", "test_size = 2"), ["gen-data", "--seed", "1"]),  # one arm only
+        (("[ebm]\n", "[ebm]\nlr = -1\n"), ["fit-ebm", "--train"]),
+        (("[ebm]\n", "[ebm]\nlr = 0\n"), ["fit-ebm", "--train"]),
+        (("[ebm]\n", "[ebm]\nlr = nan\n"), ["fit-ebm", "--train"]),
+        (("kinds = t", "kinds ="), ["fit-cate", "--data"]),
+        (("runs = 2", "runs = 1"), ["pipeline", "--mcc"]),
+    ], ids=["lam_0_cv_off", "lam_negative_dr_cv_on", "seed_negative", "b_seed_negative",
+            "init_seed_negative", "test_size_1", "test_size_2_one_arm", "lr_negative",
+            "lr_0", "lr_nan", "no_learners", "mcc_one_run"])
+    def test_invalid_settings(self, tmp_path, capsys, edit, argv):
+        # each setting exits 2 with a message, before any model is trained
+        text = FAST_CONFIG.format(out=tmp_path / "results")
+        if edit:
+            text = text.replace(*edit)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(text)
+        x = make_rng(0).standard_normal((60, 3))
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=np.arange(60) % 2, y=x[:, 0]), data)
+        if argv[-1] in ("--data", "--train"):
+            argv = [*argv, str(data)]
+        code = main([argv[0], "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, (code, err)
+        assert not list(tmp_path.rglob("*.preb"))

@@ -19,7 +19,7 @@ from cate_ebm import (
 )
 from cate_ebm.dgp import gen_dgp, sample
 from cate_ebm.ebm import ModelFingerprint
-from cate_ebm.errors import DimensionError, TooFewSamplesError
+from cate_ebm.errors import ConfigError, DimensionError, TooFewSamplesError
 from cate_ebm.nce import CandidateSet, _stratified_batches
 
 
@@ -380,6 +380,15 @@ class TestTrainEbm:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(k=2, epochs=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(k=0), dict(b=0), dict(rho=0.0), dict(rho=1.5), dict(rho=math.nan), dict(epochs=0),
+        dict(batch_size=0), dict(lr=0.0), dict(lr=-1.0), dict(lr=math.nan), dict(lr=math.inf),
+        dict(seed=-1), dict(init_seed=-1),
+    ])
+    def test_invalid_settings_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{"k": 2, **kwargs})
 
     def test_too_few_samples(self):
         cfg = TrainConfig(k=4, epochs=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cate_ebm import kmeans_fit, make_rng
+from cate_ebm.partition import _sq_dists
 from cate_ebm.errors import TooFewSamplesError
 
 
@@ -103,3 +104,21 @@ def test_refit_same_seed_bit_identical():
 def test_too_few_samples():
     with pytest.raises(TooFewSamplesError):
         kmeans_fit(np.zeros((2, 2)), 3, make_rng(0))
+
+
+def _reference_sq_dists(x, c):
+    xx = np.sum(x * x, axis=1)[:, None]
+    cc = np.sum(c * c, axis=1)[None, :]
+    d2 = xx + cc - 2.0 * (x @ c.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sq_dists_match_reference(seed):
+    rng = make_rng(seed)
+    n, k, d = rng.integers(1, 60), rng.integers(1, 8), rng.integers(1, 30)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5)
+    c = x[rng.choice(n, size=min(k, n), replace=False)]  # centroids on data rows
+    c = np.vstack([c, rng.standard_normal((k, d))])
+    assert np.array_equal(_sq_dists(x, c), _reference_sq_dists(x, c))
