@@ -484,6 +484,10 @@ def fit_learner(kind: str, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> 
 # reduction baselines
 
 class PcaProjector:
+    """Centred, unscaled projection onto the top-k principal directions: the
+    x -> z call shape of the other reducers, but not standardized like them,
+    and not offered by fit_reducer yet."""
+
     def __init__(self, mean, components):
         self.mean = mean
         self.components = components  # (d, k)
@@ -514,10 +518,9 @@ class AeEncoder:
         self.repr_mean = repr_mean
         self.repr_std = repr_std
 
-    def transform(self, x, use_train_stats: bool = True):
+    def transform(self, x):
+        """Encoder outputs standardized with the training statistics."""
         z = self.encoder.forward(np.asarray(x, dtype=float))
-        if not use_train_stats:
-            return z
         return (z - self.repr_mean) / self.repr_std
 
 

@@ -156,14 +156,15 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
                 for r, m in enumerate(models)]
 
         stage = "fit-cate"
+        # feature set -> its (train, test) pairs, one per fitted reducer run
+        features = {"raw": [(train.x, test.x)], "ebm": reps}
         rows = []
         for kind in cfg.learners:
-            raw_pehe = evalx.pehe(_fit_predict(cfg, kind, train.x, train, test.x), test.tau)
-            ebm_vals = np.array([evalx.pehe(_fit_predict(cfg, kind, zt, train, zs), test.tau)
-                                 for zt, zs in reps])
-            rows.append([kind, "raw", float(raw_pehe), 0.0, float(np.sqrt(raw_pehe))])
-            rows.append([kind, "ebm", float(ebm_vals.mean()), float(ebm_vals.std()),
-                         float(np.mean(np.sqrt(ebm_vals)))])
+            for name, pairs in features.items():
+                vals = np.array([evalx.pehe(_fit_predict(cfg, kind, zt, train, zs), test.tau)
+                                 for zt, zs in pairs])
+                rows.append([kind, name, float(vals.mean()), float(vals.std()),
+                             float(np.mean(np.sqrt(vals)))])
 
         stage = "report"
         evalx.write_table(

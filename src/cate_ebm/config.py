@@ -110,7 +110,7 @@ class ExperimentConfig:
 
 
 def _parse_hidden(raw) -> tuple:
-    return tuple(int(w) for w in str(raw).replace("-", ",").split(",") if w.strip())
+    return tuple(int(w) for w in str(raw).split(",") if w.strip())
 
 
 def _parse_bool(raw) -> bool:

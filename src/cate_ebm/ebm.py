@@ -86,14 +86,12 @@ class EbmModel:
             raise DimensionError("energy takes a single covariate vector")
         return float(self.b_matrix[:, j] @ out)
 
-    def represent(self, x, use_train_stats: bool = True) -> np.ndarray:
-        """Network outputs, standardized with training statistics by default;
-        an output that is not finite raises IllConditionedError."""
+    def represent(self, x) -> np.ndarray:
+        """Network outputs standardized with the training statistics; an
+        output that is not finite raises IllConditionedError."""
         out = self.net.forward(np.asarray(x, dtype=float))
         if not np.isfinite(out).all():
             raise IllConditionedError("non-finite network output in represent")
-        if not use_train_stats:
-            return out
         if self.repr_mean is None or self.repr_std is None:
             raise UntrainedModelError("model carries no standardization statistics")
         return (out - self.repr_mean) / self.repr_std

@@ -1,6 +1,6 @@
 """Evaluation: squared-error effect risk, the per-dimension correlation
-metric between representations from independent runs, and the CATE
-standard-deviation experiment. Report files are byte-deterministic.
+metric between representations from independent runs, fitted reducers and
+the CATE standard-deviation experiment. Report files are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ from .nce import TrainConfig, train_ebm
 _FMT = "%.10g"
 
 
-def pehe(tau_hat, tau_true, root: bool = False) -> float:
-    """Mean squared difference between estimated and true effects.
-
-    root=True returns the square root, labeled separately in reports.
-    """
+def pehe(tau_hat, tau_true) -> float:
+    """Mean squared difference between estimated and true effects."""
     tau_hat = np.asarray(tau_hat, dtype=float)
     tau_true = np.asarray(tau_true, dtype=float)
     if tau_hat.shape != tau_true.shape:
         raise DimensionError("effect vectors must have equal length")
-    val = float(np.mean((tau_hat - tau_true) ** 2))
-    return float(np.sqrt(val)) if root else val
+    return float(np.mean((tau_hat - tau_true) ** 2))
 
 
 def mcc(r1, r2) -> float:
@@ -57,43 +53,38 @@ def mcc(r1, r2) -> float:
     return total / r1.shape[1]
 
 
-def cate_std_experiment(train: Dataset, test: Dataset, reducer: str,
-                        learner: str, runs: int, base_seed: int,
-                        config: TrainConfig, base_spec: BaseSpec | None = None,
-                        b_matrix=None, seeds=None):
-    """Per-test-sample standard deviation of effect estimates across
-    independently initialized reducers.
+def fit_reducer(name: str, x, config: TrainConfig, seed: int, b_matrix=None):
+    """The fitted map x -> z of reducer 'ebm' or 'ae', trained on x with init
+    seed `seed` and config's k, widths, epochs, batch size and learning rate;
+    the EBM keeps b_matrix (None draws B from config.seed)."""
+    if name == "ebm":
+        return train_ebm(x, dataclasses.replace(config, init_seed=seed),
+                         b_matrix=b_matrix).represent
+    if name == "ae":
+        return ae_fit(x, config.k, hidden=config.hidden, epochs=config.epochs,
+                      batch_size=config.batch_size, lr=config.lr, seed=seed).transform
+    raise ValueError(f"unknown reducer {name!r}")
+
+
+def cate_std_experiment(train: Dataset, test: Dataset, reducer: str, learner: str,
+                        seeds, config: TrainConfig, base_spec: BaseSpec | None = None,
+                        b_matrix=None):
+    """Per-test-sample standard deviation of effect estimates across reducers
+    fitted with each of `seeds`.
 
     For the energy model, B stays fixed across runs; only the init seed
     moves. Returns (std_vector, mean_std).
     """
-    if runs < 2:
-        raise ValueError("need runs >= 2")
-    if reducer not in ("ebm", "ae"):
-        raise ValueError(f"unknown reducer {reducer!r}")
+    if len(seeds) < 2:
+        raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
     base_spec = base_spec or BaseSpec()
-    if seeds is None:
-        seeds = [base_seed + 1000 * r for r in range(runs)]
-    elif len(seeds) != runs:
-        raise ValueError("seeds must have one entry per run")
     preds = []
     for seed in seeds:
-        if reducer == "ebm":
-            cfg = dataclasses.replace(config, init_seed=seed)
-            model = train_ebm(train.x, cfg, b_matrix=b_matrix)
-            z_train = model.represent(train.x)
-            z_test = model.represent(test.x)
-        else:
-            enc = ae_fit(train.x, config.k, hidden=config.hidden,
-                         epochs=config.epochs, batch_size=config.batch_size,
-                         lr=config.lr, seed=seed)
-            z_train = enc.transform(train.x)
-            z_test = enc.transform(test.x)
-        rep_ds = Dataset(x=z_train, a=train.a, y=train.y)
-        fitted = fit_learner(learner, rep_ds, base_spec)
-        preds.append(fitted.predict(z_test))
-    stacked = np.stack(preds)
-    std = stacked.std(axis=0)
+        reduce = fit_reducer(reducer, train.x, config, seed, b_matrix=b_matrix)
+        fitted = fit_learner(learner, Dataset(x=reduce(train.x), a=train.a, y=train.y),
+                             base_spec)
+        preds.append(fitted.predict(reduce(test.x)))
+    std = np.stack(preds).std(axis=0)
     return std, float(std.mean())
 
 

@@ -107,6 +107,8 @@ class TrainConfig:
         for name in ("k", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(w < 1 for w in self.hidden):
+            raise ConfigError(f"hidden widths must each be >= 1, got {self.hidden}")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.seed < 0 or (self.init_seed or 0) < 0:

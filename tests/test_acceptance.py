@@ -183,11 +183,10 @@ def test_criterion_07_cate_variance_ordering():
                       lr=1e-3, batch_size=64, seed=900, patience=60)
     spec = BaseSpec(kind="kernel", cv=False, lam=1e-2)
     b = random_orthogonal(3, make_rng(42))
-    _, ebm_std = cate_std_experiment(train, test, "ebm", "r", runs=10,
-                                     base_seed=0, config=cfg,
+    seeds = [1000 * r for r in range(10)]
+    _, ebm_std = cate_std_experiment(train, test, "ebm", "r", seeds, cfg,
                                      base_spec=spec, b_matrix=b)
-    _, ae_std = cate_std_experiment(train, test, "ae", "r", runs=10,
-                                    base_seed=0, config=cfg, base_spec=spec)
+    _, ae_std = cate_std_experiment(train, test, "ae", "r", seeds, cfg, base_spec=spec)
     _report(7, f"R-learner estimate spread (ebm {ebm_std:.4f} < ae {ae_std:.4f})",
             ebm_std < ae_std)
 

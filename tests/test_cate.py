@@ -436,7 +436,7 @@ class TestReductionBaselines:
         mix = rng.standard_normal((2, 6))
         x = t @ mix + 0.1 * rng.standard_normal((300, 6))
         enc = ae_fit(x, 2, hidden=(16,), epochs=60, seed=12)
-        z = enc.transform(x, use_train_stats=False)
+        z = enc.encoder.forward(x)
         # encoder output must carry signal: correlate with the latent factors
         corr = np.corrcoef(np.hstack([z, t]).T)[:2, 2:]
         assert np.abs(corr).max() > 0.5

@@ -9,9 +9,11 @@ from cate_ebm import (
     Dataset,
     TrainConfig,
     cli,
+    fit_learner,
     load_csv,
     load_model,
     make_rng,
+    pehe,
     save_csv,
     save_model,
     train_ebm,
@@ -205,6 +207,36 @@ class TestCommands:
                                          ("train_log.csv", "train_log_run0.csv"),
                                          ("repr.csv", "repr_test_run0.csv")):
             assert (out / step_file).read_bytes() == (exp_dir / pipeline_file).read_bytes()
+
+    def test_pipeline_report_rebuilt_from_artifacts(self, tmp_path):
+        # every report row is the PEHE of one learner refitted on the feature
+        # files the pipeline wrote: raw covariates, then each run's representation
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(FAST_CONFIG.format(out=tmp_path / "results")
+                            .replace("kinds = t", "kinds = t,x,dr,r"))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        cfg = load_config(path=cfg_path)
+        exp_dir = next((tmp_path / "results").iterdir())
+        train, test = load_csv(exp_dir / "train.csv"), load_csv(exp_dir / "test.csv")
+
+        def z(name):
+            return np.loadtxt(exp_dir / name, delimiter=",", skiprows=1, ndmin=2)
+
+        features = {"raw": [(train.x, test.x)],
+                    "ebm": [(z(f"repr_train_run{r}.csv"), z(f"repr_test_run{r}.csv"))
+                            for r in range(cfg.runs)]}
+        want = ["learner,features,pehe_sq_mean,pehe_sq_std,pehe_root_mean"]
+        for kind in cfg.learners:
+            for name, pairs in features.items():
+                vals = np.array([
+                    pehe(fit_learner(kind, Dataset(x=zt, a=train.a, y=train.y),
+                                     cfg.base_spec(), split_seed=cfg.seed).predict(zs),
+                         test.tau)
+                    for zt, zs in pairs])
+                stats = (vals.mean(), vals.std(), np.mean(np.sqrt(vals)))
+                want.append(",".join([kind, name, *("%.10g" % v for v in stats)]))
+        assert (exp_dir / "pehe_report.csv").read_text().splitlines() == want
+        assert len(want) == 9  # the header, then a raw and an ebm row per learner
 
 
 class TestExitCodes:
@@ -498,9 +530,11 @@ class TestFuzz:
         (("[ebm]\n", "[ebm]\nlr = nan\n"), ["fit-ebm", "--train"]),
         (("kinds = t", "kinds ="), ["fit-cate", "--data"]),
         (("runs = 2", "runs = 1"), ["pipeline", "--mcc"]),
+        (("hidden = 8", "hidden = 0"), ["fit-ebm", "--train"]),
+        (("hidden = 8", "hidden = 4,-3"), ["fit-ebm", "--train"]),
     ], ids=["lam_0_cv_off", "lam_negative_dr_cv_on", "seed_negative", "b_seed_negative",
             "init_seed_negative", "test_size_1", "test_size_2_one_arm", "lr_negative",
-            "lr_0", "lr_nan", "no_learners", "mcc_one_run"])
+            "lr_0", "lr_nan", "no_learners", "mcc_one_run", "hidden_0", "hidden_negative"])
     def test_invalid_settings(self, tmp_path, capsys, edit, argv):
         # each setting exits 2 with a message, before any model is trained
         text = FAST_CONFIG.format(out=tmp_path / "results")

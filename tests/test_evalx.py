@@ -1,15 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cate_ebm import (
     BaseSpec,
+    Dataset,
     TrainConfig,
+    ae_fit,
     cate_std_experiment,
+    fit_learner,
+    fit_reducer,
     gen_dgp,
     make_rng,
     mcc,
     pehe,
+    random_orthogonal,
     sample,
+    train_ebm,
     write_table,
 )
 from cate_ebm.errors import DegenerateColumnError, DimensionError, IllConditionedError
@@ -19,10 +27,6 @@ class TestPehe:
     def test_hand_value(self):
         # squared gaps 1, 4 -> mean 2.5
         assert pehe(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 2.5
-
-    def test_root_variant(self):
-        v = pehe(np.array([1.0, 0.0]), np.array([0.0, 2.0]), root=True)
-        assert abs(v - np.sqrt(2.5)) < 1e-15
 
     def test_zero_on_exact(self):
         t = make_rng(0).standard_normal(50)
@@ -109,6 +113,23 @@ class TestWriteTable:
         assert "0.3333333333" in p.read_text()
 
 
+def _two_branch_std(train, test, reducer, learner, seeds, config, base_spec, b_matrix=None):
+    """The experiment's loop written out per reducer, as a reference."""
+    preds = []
+    for seed in seeds:
+        if reducer == "ebm":
+            model = train_ebm(train.x, dataclasses.replace(config, init_seed=seed),
+                              b_matrix=b_matrix)
+            z_train, z_test = model.represent(train.x), model.represent(test.x)
+        else:
+            enc = ae_fit(train.x, config.k, hidden=config.hidden, epochs=config.epochs,
+                         batch_size=config.batch_size, lr=config.lr, seed=seed)
+            z_train, z_test = enc.transform(train.x), enc.transform(test.x)
+        fitted = fit_learner(learner, Dataset(x=z_train, a=train.a, y=train.y), base_spec)
+        preds.append(fitted.predict(z_test))
+    return np.stack(preds).std(axis=0)
+
+
 class TestCateStdExperiment:
     @staticmethod
     def _data():
@@ -119,8 +140,7 @@ class TestCateStdExperiment:
         train, test = self._data()
         cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=31)
         std, mean_std = cate_std_experiment(
-            train, test, "ebm", "t", runs=2, base_seed=0, config=cfg,
-            base_spec=BaseSpec(kind="ridge", cv=False), seeds=[5, 5],
+            train, test, "ebm", "t", [5, 5], cfg, base_spec=BaseSpec(kind="ridge", cv=False),
         )
         assert std.shape == (test.n,)
         assert mean_std == 0.0
@@ -129,20 +149,32 @@ class TestCateStdExperiment:
         train, test = self._data()
         cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=31)
         _, mean_std = cate_std_experiment(
-            train, test, "ae", "t", runs=2, base_seed=0, config=cfg,
-            base_spec=BaseSpec(kind="ridge", cv=False),
+            train, test, "ae", "t", [0, 1000], cfg, base_spec=BaseSpec(kind="ridge", cv=False),
         )
         assert mean_std > 0.0
+
+    @pytest.mark.parametrize("reducer", ["ebm", "ae"])
+    def test_matches_two_branch_loop(self, reducer):
+        train, test = self._data()
+        cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=31)
+        spec = BaseSpec(kind="ridge", cv=False)
+        b = random_orthogonal(2, make_rng(42)) if reducer == "ebm" else None
+        std, mean_std = cate_std_experiment(train, test, reducer, "r", [0, 1000, 2000], cfg,
+                                            base_spec=spec, b_matrix=b)
+        want = _two_branch_std(train, test, reducer, "r", [0, 1000, 2000], cfg, spec, b)
+        assert np.array_equal(std, want)
+        assert mean_std == float(want.mean()) > 0.0
 
     def test_validation(self):
         train, test = self._data()
         cfg = TrainConfig(k=2, b=2, epochs=2, hidden=(8,), seed=31)
-        with pytest.raises(ValueError):
-            cate_std_experiment(train, test, "ebm", "t", runs=1,
-                                base_seed=0, config=cfg)
-        with pytest.raises(ValueError):
-            cate_std_experiment(train, test, "umap", "t", runs=2,
-                                base_seed=0, config=cfg)
-        with pytest.raises(ValueError):
-            cate_std_experiment(train, test, "ebm", "t", runs=3,
-                                base_seed=0, config=cfg, seeds=[1, 2])
+        for seeds in ([], [1]):
+            with pytest.raises(ValueError, match="at least 2 seeds"):
+                cate_std_experiment(train, test, "ebm", "t", seeds, cfg)
+
+
+class TestFitReducer:
+    def test_unknown_reducer(self):
+        x = make_rng(9).standard_normal((40, 4))
+        with pytest.raises(ValueError, match="unknown reducer 'umap'"):
+            fit_reducer("umap", x, TrainConfig(k=2), seed=0)
