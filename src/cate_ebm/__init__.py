@@ -12,6 +12,7 @@ from .cate import (
     dr_learner,
     dr_pseudo_outcome,
     fit_learner,
+    fit_learners,
     median_gamma,
     pca_fit,
     propensity_fit,
@@ -22,7 +23,7 @@ from .cate import (
 from .config import ExperimentConfig, load_config
 from .dgp import Dataset, DgpSpec, gen_dgp, load_csv, sample, save_csv
 from .ebm import EbmModel, ModelFingerprint, load_model, save_model
-from .evalx import cate_std_experiment, fit_reducer, mcc, pehe, write_table
+from .evalx import cate_std_experiment, fit_reducer, fit_reducers, mcc, pehe, write_table
 from .nce import (
     CandidateSet,
     CorruptionSpec,
@@ -32,6 +33,7 @@ from .nce import (
     nce_loss,
     posterior,
     train_ebm,
+    train_ebms,
 )
 from .numerics import (
     Adam,

@@ -379,23 +379,30 @@ def _check_arms(ds: Dataset):
         raise TooFewSamplesError("both treatment arms must be non-empty")
 
 
-def t_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
-    """Separate outcome regressions per arm; effect is their difference."""
+def _fit_arms(ds: Dataset, spec: BaseSpec, keep_bases: bool):
+    """Each arm's KernelRows and outcome model: ((rows1, mu1), (rows0, mu0)).
+
+    With keep_bases the rows keep their kernel bases for more targets on the
+    same arm; without, each basis is freed once scored.
+    """
     _check_arms(ds)
     t = ds.a == 1
-    mu1 = fit_base(ds.x[t], ds.y[t], spec)
-    mu0 = fit_base(ds.x[~t], ds.y[~t], spec)
+    arms = []
+    for arm in (t, ~t):
+        rows = KernelRows(ds.x[arm], spec, keep_bases)
+        arms.append((rows, fit_base(rows.x, ds.y[arm], spec, rows)))
+    return tuple(arms)
+
+
+def _t_from_arms(ds: Dataset, arms) -> CateModel:
+    (_, mu1), (_, mu0) = arms
     return CateModel("t", lambda x: mu1.predict(x) - mu0.predict(x), ds.d)
 
 
-def x_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
-    """Imputed-effect regressions per arm, combined with propensity weights."""
-    _check_arms(ds)
+def _x_from_arms(ds: Dataset, spec: BaseSpec, arms) -> CateModel:
+    (rows1, mu1), (rows0, mu0) = arms
     t = ds.a == 1
     # each arm's outcome and effect targets share one set of kernel bases
-    rows1, rows0 = KernelRows(ds.x[t], spec), KernelRows(ds.x[~t], spec)
-    mu1 = fit_base(rows1.x, ds.y[t], spec, rows1)
-    mu0 = fit_base(rows0.x, ds.y[~t], spec, rows0)
     d1 = ds.y[t] - mu0.predict(rows1.x)
     d0 = mu1.predict(rows0.x) - ds.y[~t]
     tau1 = fit_base(rows1.x, d1, spec, rows1)
@@ -407,6 +414,17 @@ def x_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
         return g * tau0.predict(x) + (1.0 - g) * tau1.predict(x)
 
     return CateModel("x", predict, ds.d)
+
+
+def t_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
+    """Separate outcome regressions per arm; effect is their difference."""
+    return _t_from_arms(ds, _fit_arms(ds, spec, keep_bases=False))
+
+
+def x_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
+    """Imputed-effect regressions per arm, combined with propensity weights;
+    its first stage is the T-learner's pair of outcome models."""
+    return _x_from_arms(ds, spec, _fit_arms(ds, spec, keep_bases=True))
 
 
 def dr_learner(ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
@@ -478,6 +496,34 @@ def fit_learner(kind: str, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> 
     if kind == "dr":
         return dr_learner(ds, spec, split_seed=split_seed)
     return LEARNERS[kind](ds, spec)
+
+
+def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dict:
+    """{kind: fit_learner(kind, ...)} for every kind, each model the same.
+
+    With both 't' and 'x' asked for, the T-learner is the X-learner's first
+    stage: each arm's outcome model is fitted once, on one KernelRows, and
+    shared; the arms are freed once both are built. Every kind is checked
+    before any fit.
+    """
+    kinds = list(kinds)
+    bad = [kind for kind in kinds if kind not in LEARNERS]
+    if bad:
+        raise ValueError(f"unknown learner {bad[0]!r}; valid kinds: {sorted(LEARNERS)}")
+    shared = [kind for kind in kinds if kind in ("t", "x")] if {"t", "x"} <= set(kinds) else []
+    arms = None
+    models = {}
+    for kind in kinds:
+        if kind not in shared:
+            models[kind] = fit_learner(kind, ds, spec, split_seed=split_seed)
+            continue
+        if arms is None:
+            arms = _fit_arms(ds, spec, keep_bases=True)
+        models[kind] = _t_from_arms(ds, arms) if kind == "t" else _x_from_arms(ds, spec, arms)
+        shared.remove(kind)
+        if not shared:
+            arms = None  # frees both arms' kernel bases
+    return models
 
 
 # ---------------------------------------------------------------------------

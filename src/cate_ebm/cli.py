@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from . import evalx
-from .cate import fit_learner
+from .cate import fit_learners
 from .config import ExperimentConfig, load_config
 from .dgp import Dataset, gen_dgp, load_csv, read_csv, sample, save_csv, write_csv
 from .ebm import load_model, save_model
 from .errors import CateEbmError, ConfigError, CsvFormatError
-from .nce import train_ebm
+from .nce import train_ebm, train_ebms
 from .numerics import make_rng, random_orthogonal
 
 EXIT_OK = 0
@@ -41,15 +41,16 @@ def _read_repr(path) -> np.ndarray:
     return read_csv(path, z_columns)[2]
 
 
-def _fit_ebm(cfg: ExperimentConfig, x, out_dir: str, init_seed, tag: str):
-    """Train on x; write model{tag}.preb and train_log{tag}.csv."""
+def _b_matrix(cfg: ExperimentConfig) -> np.ndarray:
     # B is frozen by its own seed so every run of an experiment shares it
-    b_matrix = random_orthogonal(cfg.k, make_rng(cfg.b_seed))
-    model = train_ebm(x, cfg.train_config(init_seed), b_matrix=b_matrix)
+    return random_orthogonal(cfg.k, make_rng(cfg.b_seed))
+
+
+def _save_run(model, out_dir: str, tag: str) -> None:
+    """Write model{tag}.preb and train_log{tag}.csv."""
     save_model(model, os.path.join(out_dir, f"model{tag}.preb"))
     write_csv(os.path.join(out_dir, f"train_log{tag}.csv"),
               ["epoch", "train_loss", "val_loss"], [np.array(model.history)])
-    return model
 
 
 def _transform(model, x, path: str) -> np.ndarray:
@@ -59,10 +60,10 @@ def _transform(model, x, path: str) -> np.ndarray:
     return z
 
 
-def _fit_predict(cfg: ExperimentConfig, kind: str, feats, ds: Dataset, x_eval) -> np.ndarray:
-    """Fit one learner on feats with ds's treatment and outcome; predict at x_eval."""
-    return fit_learner(kind, Dataset(x=feats, a=ds.a, y=ds.y), cfg.base_spec(),
-                       split_seed=cfg.seed).predict(x_eval)
+def _fit_learners(cfg: ExperimentConfig, feats, ds: Dataset) -> dict:
+    """Every configured learner fitted on feats with ds's treatment and outcome."""
+    return fit_learners(cfg.learners, Dataset(x=feats, a=ds.a, y=ds.y), cfg.base_spec(),
+                        split_seed=cfg.seed)
 
 
 def _mcc_pairs(reps) -> list:
@@ -81,7 +82,9 @@ def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_fit_ebm(cfg: ExperimentConfig, train_path: str, out_dir: str, init_seed=None) -> int:
-    model = _fit_ebm(cfg, load_csv(train_path).x, out_dir, init_seed, "")
+    model = train_ebm(load_csv(train_path).x, cfg.train_config(init_seed),
+                      b_matrix=_b_matrix(cfg))
+    _save_run(model, out_dir, "")
     print(f"final validation loss: {model.best_val_loss:.6f} "
           f"(best epoch {model.best_epoch}); wrote model.preb")
     return EXIT_OK
@@ -105,8 +108,9 @@ def cmd_fit_cate(cfg: ExperimentConfig, data_path: str, out_dir: str,
         raise ConfigError(
             f"feature rows ({feats.shape[0]}) != dataset rows ({ds.n})"
         )
+    models = _fit_learners(cfg, feats, ds)
     for kind in cfg.learners:
-        tau_hat = _fit_predict(cfg, kind, feats, ds, feats)
+        tau_hat = models[kind].predict(feats)
         path = os.path.join(out_dir, f"predictions_{kind}.csv")
         write_csv(path, ["row", "tau_hat"], [np.arange(len(tau_hat)), tau_hat])
         print(f"{kind}-learner: wrote {path} (mean tau_hat {tau_hat.mean():.4f})")
@@ -147,8 +151,11 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
         test = load_csv(os.path.join(out_dir, "test.csv"))
 
         stage = "fit-ebm"
-        models = [_fit_ebm(cfg, train.x, out_dir, cfg.seed + 101 * (r + 1), f"_run{r}")
-                  for r in range(cfg.runs)]
+        models = train_ebms(train.x, cfg.train_config(),
+                            [cfg.seed + 101 * (r + 1) for r in range(cfg.runs)],
+                            b_matrix=_b_matrix(cfg))
+        for r, model in enumerate(models):
+            _save_run(model, out_dir, f"_run{r}")
 
         stage = "transform"
         reps = [(_transform(m, train.x, os.path.join(out_dir, f"repr_train_run{r}.csv")),
@@ -158,11 +165,15 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
         stage = "fit-cate"
         # feature set -> its (train, test) pairs, one per fitted reducer run
         features = {"raw": [(train.x, test.x)], "ebm": reps}
+        # feature set -> one {kind: PEHE} per pair, every learner fitted at once
+        scores = {name: [{kind: evalx.pehe(m.predict(zs), test.tau)
+                          for kind, m in _fit_learners(cfg, zt, train).items()}
+                         for zt, zs in pairs]
+                  for name, pairs in features.items()}
         rows = []
         for kind in cfg.learners:
-            for name, pairs in features.items():
-                vals = np.array([evalx.pehe(_fit_predict(cfg, kind, zt, train, zs), test.tau)
-                                 for zt, zs in pairs])
+            for name, runs in scores.items():
+                vals = np.array([run[kind] for run in runs])
                 rows.append([kind, name, float(vals.mean()), float(vals.std()),
                              float(np.mean(np.sqrt(vals)))])
 

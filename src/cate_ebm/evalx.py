@@ -5,7 +5,6 @@ the CATE standard-deviation experiment. Report files are byte-deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 import numpy as np
@@ -13,7 +12,7 @@ import numpy as np
 from .cate import BaseSpec, ae_fit, fit_learner
 from .dgp import Dataset
 from .errors import DegenerateColumnError, DimensionError, IllConditionedError
-from .nce import TrainConfig, train_ebm
+from .nce import TrainConfig, train_ebms
 
 _FMT = "%.10g"
 
@@ -53,17 +52,23 @@ def mcc(r1, r2) -> float:
     return total / r1.shape[1]
 
 
-def fit_reducer(name: str, x, config: TrainConfig, seed: int, b_matrix=None):
-    """The fitted map x -> z of reducer 'ebm' or 'ae', trained on x with init
-    seed `seed` and config's k, widths, epochs, batch size and learning rate;
-    the EBM keeps b_matrix (None draws B from config.seed)."""
+def fit_reducers(name: str, x, config: TrainConfig, seeds, b_matrix=None) -> list:
+    """The fitted maps x -> z of reducer 'ebm' or 'ae', one per init seed in
+    seeds, trained on x with config's k, widths, epochs, batch size and
+    learning rate. The EBM runs train together and keep b_matrix (None draws
+    B from config.seed); the autoencoders train one by one."""
     if name == "ebm":
-        return train_ebm(x, dataclasses.replace(config, init_seed=seed),
-                         b_matrix=b_matrix).represent
+        return [m.represent for m in train_ebms(x, config, seeds, b_matrix=b_matrix)]
     if name == "ae":
-        return ae_fit(x, config.k, hidden=config.hidden, epochs=config.epochs,
-                      batch_size=config.batch_size, lr=config.lr, seed=seed).transform
+        return [ae_fit(x, config.k, hidden=config.hidden, epochs=config.epochs,
+                       batch_size=config.batch_size, lr=config.lr, seed=seed).transform
+                for seed in seeds]
     raise ValueError(f"unknown reducer {name!r}")
+
+
+def fit_reducer(name: str, x, config: TrainConfig, seed: int, b_matrix=None):
+    """fit_reducers with the one init seed `seed`."""
+    return fit_reducers(name, x, config, [seed], b_matrix=b_matrix)[0]
 
 
 def cate_std_experiment(train: Dataset, test: Dataset, reducer: str, learner: str,
@@ -79,8 +84,7 @@ def cate_std_experiment(train: Dataset, test: Dataset, reducer: str, learner: st
         raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
     base_spec = base_spec or BaseSpec()
     preds = []
-    for seed in seeds:
-        reduce = fit_reducer(reducer, train.x, config, seed, b_matrix=b_matrix)
+    for reduce in fit_reducers(reducer, train.x, config, seeds, b_matrix=b_matrix):
         fitted = fit_learner(learner, Dataset(x=reduce(train.x), a=train.a, y=train.y),
                              base_spec)
         preds.append(fitted.predict(reduce(test.x)))

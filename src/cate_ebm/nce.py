@@ -23,6 +23,7 @@ makes; it is exact for symmetric kernels.
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from dataclasses import dataclass
 
@@ -191,11 +192,11 @@ def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
     m = len(batch)
     if m == 0:
         raise ValueError("batch must be non-empty")
-    _, cache = model.net.forward_cache(batch.values.reshape(-1, model.d))
     # the output bias adds one constant to all candidates of a set and cancels
-    # from its softmax; scoring from the last hidden layer leaves it out, so the
-    # loss does not move with the bias even by round-off
-    scores = _scores(model, cache[-2] @ model.net.params[-2], batch.subset)
+    # from its softmax; scoring without it keeps the loss from moving with the
+    # bias even by round-off
+    out, cache = model.net.forward_cache(batch.values.reshape(-1, model.d), out_bias=False)
+    scores = _scores(model, out, batch.subset)
     counts = np.bincount(batch.subset)  # the labels are checked by _scores
     weight = 1.0 / (counts[batch.subset] * np.count_nonzero(counts))
     if not np.all(np.isfinite(scores)):
@@ -231,13 +232,60 @@ def _stratified_batches(labels, batch_size, rng):
     return [b for b in batches if len(b)]
 
 
-def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
-    """Fit partition, freeze B, then optimize the network on the ranking loss.
+class _Run:
+    """One init seed's net, optimizer and early-stopping state."""
 
-    20% of the rows (config.val_fraction) are held out; the parameters with
-    the best validation loss are kept. Candidate sets are re-drawn every
-    epoch. Standardization statistics come from the full training matrix.
+    def __init__(self, seed, widths, lr, b_matrix, partition):
+        self.seed = seed
+        self.net = Mlp(widths, rng=make_rng(seed))
+        self.opt = Adam(self.net.flat, lr=lr)
+        self.model = EbmModel(net=self.net, b_matrix=b_matrix, partition=partition)
+        self.best = self.net.flat.copy()
+        self.best_val = np.inf
+        self.best_epoch = -1
+        self.since_best = 0
+        self.history = []
+        self.epoch_loss = 0.0
+
+    def step(self, batch) -> None:
+        loss, grad = nce_loss(self.model, batch)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError("training loss became non-finite")
+        self.opt.step(self.net.flat, grad)
+        self.epoch_loss += loss * len(batch)
+
+    def end_epoch(self, epoch, val_sets, n_train, patience) -> bool:
+        """Score val_sets and keep the best snapshot; False once patience runs out."""
+        val_loss = nce_loss(self.model, val_sets, with_grads=False)
+        self.history.append((epoch, self.epoch_loss / n_train, val_loss))
+        self.epoch_loss = 0.0
+        if val_loss < self.best_val:
+            self.best_val = val_loss
+            self.best = self.net.flat.copy()
+            self.best_epoch = epoch
+            self.since_best = 0
+        else:
+            self.since_best += 1
+        return self.since_best < patience
+
+
+def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
+    """Fit partition, freeze B, then optimize one network per init seed on the
+    ranking loss; one EbmModel per seed, in the order of init_seeds.
+
+    Everything but the network init comes from config.seed and is shared by
+    the runs: the partition, B, the split and every epoch's candidates and
+    batches, each drawn once. 20% of the rows (config.val_fraction) are held
+    out; each run keeps its parameters with the best validation loss and
+    freezes after config.patience epochs without improvement, so every model
+    equals the one a separate training with that init seed gives.
+    Standardization statistics come from the full training matrix. A run
+    whose training turns non-finite raises TrainingDivergedError naming its
+    init seed and epoch.
     """
+    init_seeds = [dataclasses.replace(config, init_seed=s).init_seed for s in init_seeds]
+    if not init_seeds:
+        raise ConfigError("init_seeds must name at least one seed")
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     k = config.k
@@ -263,58 +311,54 @@ def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
     kinds = config.kinds if config.kinds is not None else [None] * d
     spec = CorruptionSpec(rho=config.rho, kinds=list(kinds), b=config.b)
 
-    init_seed = config.init_seed if config.init_seed is not None else config.seed + 1
-    net = Mlp([d, *config.hidden, k], rng=make_rng(init_seed))
-    opt = Adam(net.flat, lr=config.lr)
-
     n_val = max(1, int(round(n * config.val_fraction)))
     perm = split_rng.permutation(n)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
 
-    model = EbmModel(net=net, b_matrix=b_matrix, partition=partition)
-    best_val = np.inf
-    best = net.flat.copy()
-    best_epoch = -1
-    since_best = 0
-    history = []
+    runs = [_Run(s, [d, *config.hidden, k], config.lr, b_matrix, partition)
+            for s in init_seeds]
+    live = runs
     for epoch in range(config.epochs):
+        if not live:
+            break
         rng_e = make_rng(corrupt_base + epoch)
         train_sets = build_candidates(x[train_idx], labels[train_idx], spec, rng_e)
-        epoch_loss = 0.0
-        for ids in _stratified_batches(train_sets.subset, config.batch_size, rng_e):
-            batch = train_sets[ids]
-            loss, grad = nce_loss(model, batch)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"training loss became non-finite at epoch {epoch}"
-                )
-            opt.step(net.flat, grad)
-            epoch_loss += loss * len(batch)
-        epoch_loss /= len(train_idx)
+        try:
+            for ids in _stratified_batches(train_sets.subset, config.batch_size, rng_e):
+                batch = train_sets[ids]
+                for run in live:
+                    run.step(batch)
+            val_sets = build_candidates(x[val_idx], labels[val_idx], spec, rng_e)
+            still = []
+            for run in live:
+                if run.end_epoch(epoch, val_sets, len(train_idx), config.patience):
+                    still.append(run)
+        except TrainingDivergedError as exc:
+            # the message gains the run; the type, and with it the exit code, stays
+            exc.args = (f"run with init seed {run.seed} diverged at epoch {epoch}: {exc}",)
+            raise
+        live = still
 
-        val_sets = build_candidates(x[val_idx], labels[val_idx], spec, rng_e)
-        val_loss = nce_loss(model, val_sets, with_grads=False)
-        history.append((epoch, epoch_loss, val_loss))
-        if val_loss < best_val:
-            best_val = val_loss
-            best = net.flat.copy()
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
-
-    net.flat[:] = best
-    raw = net.forward(x)
-    _, mean, std = standardize_columns(raw)
     # b_crc identifies the fixed B, so models sharing B compare equal
     b_crc = zlib.crc32(np.ascontiguousarray(b_matrix, dtype="<f8").tobytes())
-    fp = ModelFingerprint(d=d, k=k, corruption_hash=spec.fingerprint_hash(), b_crc=b_crc)
-    final = EbmModel(net=net, b_matrix=b_matrix, partition=partition,
-                     repr_mean=mean, repr_std=std, fingerprint=fp)
-    final.history = history
-    final.best_epoch = best_epoch
-    final.best_val_loss = best_val
-    return final
+    corruption_hash = spec.fingerprint_hash()
+    models = []
+    for run in runs:
+        run.net.flat[:] = run.best
+        _, mean, std = standardize_columns(run.net.forward(x))
+        fp = ModelFingerprint(d=d, k=k, corruption_hash=corruption_hash, b_crc=b_crc)
+        final = EbmModel(net=run.net, b_matrix=b_matrix, partition=partition,
+                         repr_mean=mean, repr_std=std, fingerprint=fp)
+        final.history = run.history
+        final.best_epoch = run.best_epoch
+        final.best_val_loss = run.best_val
+        models.append(final)
+    return models
+
+
+def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
+    """train_ebms with the one init seed config.init_seed (config.seed + 1
+    when it is None)."""
+    init_seed = config.init_seed if config.init_seed is not None else config.seed + 1
+    return train_ebms(x, config, [init_seed], b_matrix=b_matrix)[0]

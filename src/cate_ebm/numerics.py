@@ -98,15 +98,18 @@ class Mlp:
             )
         return x, single
 
-    def _layers(self, h, cache=None):
-        """Run the layers on h; appends every activation to cache if given."""
+    def _layers(self, h, cache=None, out_bias=True):
+        """Run the layers on h; appends every activation to cache if given.
+        out_bias=False leaves the output layer's bias out."""
         last = len(self.widths) - 2
         for layer, (w, b) in enumerate(zip(self.params[::2], self.params[1::2])):
             # one fresh array per layer; the bias and the ReLU act on it in place
             h = h @ w
-            h += b
             if layer < last:
+                h += b
                 np.maximum(h, 0.0, out=h)
+            elif out_bias:
+                h += b
             if cache is not None:
                 cache.append(h)
         return h
@@ -116,11 +119,15 @@ class Mlp:
         h = self._layers(x)
         return h[0] if single else h
 
-    def forward_cache(self, x):
-        """Forward pass keeping every layer's activation for backward."""
+    def forward_cache(self, x, out_bias=True):
+        """Forward pass keeping every layer's activation for backward.
+
+        With out_bias=False the output, and the cache's last entry, leave the
+        output bias out; backward's gradients are the same either way.
+        """
         x, _ = self._check_input(x)
         cache = [x]
-        return self._layers(x, cache), cache
+        return self._layers(x, cache, out_bias), cache
 
     def backward(self, cache, upstream, input_grad=True):
         """Reverse-mode gradients of the forward map.

@@ -33,6 +33,7 @@ from cate_ebm import (
     random_orthogonal,
     sample,
     train_ebm,
+    train_ebms,
 )
 from cate_ebm.cate import fit_base
 from cate_ebm.cli import main as cli_main
@@ -124,10 +125,8 @@ def _mean_mcc(n, data_seed, cfg, b_matrix, n_init=5):
     dgp = gen_dgp(data_seed, d=20)
     train = sample(dgp, n, data_seed + 1)
     test = sample(dgp, 2000, data_seed + 2)
-    reps = []
-    for i in range(n_init):
-        c = dataclasses.replace(cfg, init_seed=1000 + i)
-        reps.append(train_ebm(train.x, c, b_matrix=b_matrix).represent(test.x))
+    models = train_ebms(train.x, cfg, [1000 + i for i in range(n_init)], b_matrix=b_matrix)
+    reps = [m.represent(test.x) for m in models]
     return float(np.mean([mcc(a, b) for a, b in itertools.combinations(reps, 2)]))
 
 

@@ -10,6 +10,7 @@ from cate_ebm import (
     dr_learner,
     dr_pseudo_outcome,
     fit_learner,
+    fit_learners,
     make_rng,
     median_gamma,
     pca_fit,
@@ -408,6 +409,47 @@ class TestSharedKernelRows:
             cate.fit_base(x.copy(), y, spec, rows)
         with pytest.raises(ValueError):
             cate.fit_base(x, y, BaseSpec(kind="kernel", cv=True, cv_seed=1), rows)
+
+
+class TestFitLearners:
+    SPEC = BaseSpec(kind="kernel", cv=True)
+
+    @pytest.mark.parametrize("kinds", [("t",), ("x", "t"), ("dr", "r"), ("t", "x", "dr", "r")])
+    def test_matches_fit_learner_per_kind(self, kinds):
+        ds, _ = _linear_effect_data(n=160, seed=19, noise=0.1)
+        x_new = make_rng(20).standard_normal((30, 3))
+        models = fit_learners(kinds, ds, self.SPEC, split_seed=3)
+        assert list(models) == list(kinds)
+        for kind, model in models.items():
+            want = fit_learner(kind, ds, self.SPEC, split_seed=3)
+            assert model.kind == kind
+            assert np.array_equal(model.predict(x_new), want.predict(x_new))
+
+    @pytest.mark.parametrize("kinds, keep, n_eigh", [
+        (("t",), [False, False], 6), (("t", "x"), [True, True], 6)])
+    def test_t_shares_the_x_arms(self, monkeypatch, kinds, keep, n_eigh):
+        # alone, T frees each basis once scored; beside X it costs no eigh
+        from cate_ebm import cate
+        made = []
+
+        class Recorded(cate.KernelRows):
+            def __init__(self, x, spec, keep_bases=True):
+                made.append(keep_bases)
+                super().__init__(x, spec, keep_bases)
+
+        monkeypatch.setattr(cate, "KernelRows", Recorded)
+        eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+        ds, _ = _linear_effect_data(n=160, seed=19, noise=0.1)
+        fit_learners(kinds, ds, self.SPEC)
+        assert (made, len(eighs)) == (keep, n_eigh)
+
+    def test_unknown_kind_raises_before_any_fit(self, monkeypatch):
+        from cate_ebm import cate
+        fits = _count_calls(monkeypatch, cate, "fit_base")
+        ds, _ = _linear_effect_data(seed=4)
+        with pytest.raises(ValueError, match="unknown learner 's'"):
+            fit_learners(("t", "x", "s"), ds, self.SPEC)
+        assert fits == []
 
 
 class TestReductionBaselines:

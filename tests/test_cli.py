@@ -7,6 +7,7 @@ import pytest
 
 from cate_ebm import (
     Dataset,
+    Mlp,
     TrainConfig,
     cli,
     fit_learner,
@@ -14,6 +15,7 @@ from cate_ebm import (
     load_model,
     make_rng,
     pehe,
+    random_orthogonal,
     save_csv,
     save_model,
     train_ebm,
@@ -208,6 +210,35 @@ class TestCommands:
                                          ("repr.csv", "repr_test_run0.csv")):
             assert (out / step_file).read_bytes() == (exp_dir / pipeline_file).read_bytes()
 
+    def test_pipeline_models_match_separate_trainings(self, tmp_path):
+        # the runs train together; each model file is the one its own training writes
+        cfg_path = _write_cfg(tmp_path)
+        assert main(["pipeline", "--config", cfg_path]) == 0
+        cfg = load_config(path=cfg_path)
+        exp_dir = next((tmp_path / "results").iterdir())
+        train = load_csv(exp_dir / "train.csv")
+        b = random_orthogonal(cfg.k, make_rng(cfg.b_seed))
+        for r in range(cfg.runs):
+            model = train_ebm(train.x, cfg.train_config(cfg.seed + 101 * (r + 1)), b_matrix=b)
+            save_model(model, tmp_path / "alone.preb")
+            assert ((tmp_path / "alone.preb").read_bytes()
+                    == (exp_dir / f"model_run{r}.preb").read_bytes())
+
+    def test_fit_cate_matches_fit_learner(self, tmp_path):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(FAST_CONFIG.format(out=tmp_path / "results")
+                            .replace("kinds = t", "kinds = x,t,r"))
+        out = tmp_path / "work"
+        assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["fit-cate", "--config", str(cfg_path), "--out", str(out),
+                     "--data", str(out / "train.csv")]) == 0
+        cfg, ds = load_config(path=cfg_path), load_csv(out / "train.csv")
+        for kind in ("x", "t", "r"):
+            want = fit_learner(kind, Dataset(x=ds.x, a=ds.a, y=ds.y), cfg.base_spec(),
+                               split_seed=cfg.seed).predict(ds.x)
+            got = np.loadtxt(out / f"predictions_{kind}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(got[:, 1], want)
+
     def test_pipeline_report_rebuilt_from_artifacts(self, tmp_path):
         # every report row is the PEHE of one learner refitted on the feature
         # files the pipeline wrote: raw covariates, then each run's representation
@@ -379,13 +410,32 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "train_ebm", fail)
+        monkeypatch.setattr(cli, "train_ebms", fail)
         cfg_path = _write_cfg(tmp_path)
         with pytest.raises(error, match=r"^pipeline stage 'fit-ebm' failed \(seed 5\): boom$"):
             cli.cmd_pipeline(load_config(path=cfg_path))
         capsys.readouterr()
         assert main(["pipeline", "--config", cfg_path]) == code
         assert capsys.readouterr().err == f"{prefix}pipeline stage 'fit-ebm' failed (seed 5): boom\n"
+
+
+    def test_diverged_run_names_its_init_seed(self, tmp_path, capsys, monkeypatch):
+        from cate_ebm import nce
+        made = []
+
+        def mlp(widths, rng=None):
+            net = Mlp(widths, rng=rng)
+            made.append(net)
+            if len(made) == 2:  # run 1 of the pipeline
+                net.flat[:] = np.nan
+            return net
+
+        monkeypatch.setattr(nce, "Mlp", mlp)
+        assert main(["pipeline", "--config", _write_cfg(tmp_path)]) == 3
+        # run r trains with init seed seed + 101 * (r + 1); the seed is 5
+        assert ("numeric failure: pipeline stage 'fit-ebm' failed (seed 5): "
+                "run with init seed 207 diverged at epoch 0: non-finite"
+                in capsys.readouterr().err)
 
 
 class TestHugeWeights:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,10 +17,17 @@ from cate_ebm import (
     posterior,
     random_orthogonal,
     train_ebm,
+    train_ebms,
 )
 from cate_ebm.dgp import gen_dgp, sample
 from cate_ebm.ebm import ModelFingerprint
-from cate_ebm.errors import ConfigError, DimensionError, TooFewSamplesError
+from cate_ebm import nce
+from cate_ebm.errors import (
+    ConfigError,
+    DimensionError,
+    TooFewSamplesError,
+    TrainingDivergedError,
+)
 from cate_ebm.nce import CandidateSet, _stratified_batches
 
 
@@ -442,6 +450,54 @@ class TestTrainEbm:
         m1 = train_ebm(x, cfg1, b_matrix=b)
         m2 = train_ebm(x, cfg2, b_matrix=b)
         assert m1.fingerprint.compatible_with(m2.fingerprint)
+
+
+class TestTrainEbms:
+    X = sample(gen_dgp(0, d=5), 200, 1).x
+    CFG = TrainConfig(k=2, b=3, hidden=(8, 8), epochs=12, patience=5, seed=3)
+    SEEDS = [4, 3, 5, 6]
+
+    @staticmethod
+    def _assert_same(model, want):
+        assert np.array_equal(model.net.flat, want.net.flat)
+        assert np.array_equal(np.array(model.history), np.array(want.history))
+        assert model.best_epoch == want.best_epoch
+        assert model.best_val_loss == want.best_val_loss
+        assert np.array_equal(model.repr_mean, want.repr_mean)
+        assert np.array_equal(model.repr_std, want.repr_std)
+
+    def test_matches_separate_trainings(self):
+        b = random_orthogonal(2, make_rng(42))
+        models = train_ebms(self.X, self.CFG, self.SEEDS, b_matrix=b)
+        # patience 5 freezes three runs at different epochs; one runs to the cap
+        assert [len(m.history) for m in models] == [12, 7, 9, 6]
+        for seed, model in zip(self.SEEDS, models):
+            want = train_ebm(self.X, dataclasses.replace(self.CFG, init_seed=seed), b_matrix=b)
+            self._assert_same(model, want)
+
+    def test_one_seed_is_train_ebm(self):
+        (model,) = train_ebms(self.X, self.CFG, [self.CFG.seed + 1])
+        self._assert_same(model, train_ebm(self.X, self.CFG))
+
+    @pytest.mark.parametrize("seeds", [[], [4, -1]])
+    def test_bad_seed_lists_rejected(self, seeds):
+        with pytest.raises(ConfigError):
+            train_ebms(self.X, self.CFG, seeds)
+
+    def test_divergence_names_the_run(self, monkeypatch):
+        made = []
+
+        def mlp(widths, rng=None):
+            net = Mlp(widths, rng=rng)
+            made.append(net)
+            if len(made) == 2:  # the second run's net, init seed 3
+                net.flat[:] = np.nan
+            return net
+
+        monkeypatch.setattr(nce, "Mlp", mlp)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^run with init seed 3 diverged at epoch 0: non-finite"):
+            train_ebms(self.X, self.CFG, self.SEEDS)
 
 
 @pytest.mark.slow

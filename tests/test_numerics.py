@@ -284,6 +284,19 @@ class TestMlpFlatLayout:
         assert len(cache) == 4 and cache[-1] is out
 
 
+    def test_forward_cache_without_output_bias(self):
+        net = Mlp([3, 5, 5, 2], rng=make_rng(7))
+        net.params[-1][:] = [0.5, -2.0]
+        x = make_rng(8).standard_normal((6, 3))
+        out, cache = net.forward_cache(x, out_bias=False)
+        full, full_cache = net.forward_cache(x)
+        assert cache[-1] is out and np.array_equal(out, cache[-2] @ net.params[-2])
+        assert np.allclose(out + net.params[-1], full)
+        upstream = make_rng(9).standard_normal(out.shape)
+        assert np.array_equal(net.backward(cache, upstream)[0],
+                              net.backward(full_cache, upstream)[0])
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         theta = np.array([1.0, -2.0, 0.5])
