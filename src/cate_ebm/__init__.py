@@ -31,7 +31,6 @@ from .nce import (
     build_candidates,
     corrupt,
     nce_loss,
-    posterior,
     train_ebm,
     train_ebms,
 )

@@ -314,13 +314,9 @@ def fit_base(x, y, spec: BaseSpec, rows: KernelRows | None = None):
 class PropensityModel:
     """L2 logistic regression by Newton iterations, predictions clipped."""
 
-    def __init__(self, l2: float = 1e-3, clip: float = 0.01,
-                 max_iter: int = 100, tol: float = 1e-8):
-        self.l2 = l2
-        self.clip = clip
-        self.max_iter = max_iter
-        self.tol = tol
-        self.w = None
+    # ridge penalty, clip of the predicted propensities, Newton iteration limits
+    l2, clip, max_iter, tol = 1e-3, 0.01, 100, 1e-8
+    w = None  # set by fit
 
     def fit(self, x, a):
         x = np.asarray(x, dtype=float)
@@ -350,8 +346,8 @@ class PropensityModel:
         return np.clip(_sigmoid(z), self.clip, 1.0 - self.clip)
 
 
-def propensity_fit(x, a, **kwargs) -> PropensityModel:
-    return PropensityModel(**kwargs).fit(x, a)
+def propensity_fit(x, a) -> PropensityModel:
+    return PropensityModel().fit(x, a)
 
 
 # ---------------------------------------------------------------------------
@@ -499,31 +495,28 @@ def fit_learner(kind: str, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> 
 
 
 def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dict:
-    """{kind: fit_learner(kind, ...)} for every kind, each model the same.
+    """{kind: fit_learner(kind, ...)} for every kind, in kinds order, each model
+    the same.
 
     With both 't' and 'x' asked for, the T-learner is the X-learner's first
     stage: each arm's outcome model is fitted once, on one KernelRows, and
-    shared; the arms are freed once both are built. Every kind is checked
-    before any fit.
+    shared; the arms are freed before the other kinds are fitted. Every kind
+    is checked before any fit.
     """
     kinds = list(kinds)
     bad = [kind for kind in kinds if kind not in LEARNERS]
     if bad:
         raise ValueError(f"unknown learner {bad[0]!r}; valid kinds: {sorted(LEARNERS)}")
-    shared = [kind for kind in kinds if kind in ("t", "x")] if {"t", "x"} <= set(kinds) else []
-    arms = None
     models = {}
+    if {"t", "x"} <= set(kinds):
+        arms = _fit_arms(ds, spec, keep_bases=True)
+        models["t"] = _t_from_arms(ds, arms)
+        models["x"] = _x_from_arms(ds, spec, arms)
+        del arms  # frees both arms' kernel bases
     for kind in kinds:
-        if kind not in shared:
+        if kind not in models:
             models[kind] = fit_learner(kind, ds, spec, split_seed=split_seed)
-            continue
-        if arms is None:
-            arms = _fit_arms(ds, spec, keep_bases=True)
-        models[kind] = _t_from_arms(ds, arms) if kind == "t" else _x_from_arms(ds, spec, arms)
-        shared.remove(kind)
-        if not shared:
-            arms = None  # frees both arms' kernel bases
-    return models
+    return {kind: models[kind] for kind in kinds}
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ def _exp_dir(cfg: ExperimentConfig) -> str:
 
 def _read_repr(path) -> np.ndarray:
     def z_columns(header):
-        if not header or not header[0].startswith("z"):
-            raise CsvFormatError(f"{path}: not a representation file (header {header[:3]})")
+        if not header or header != [f"z{i}" for i in range(len(header))]:
+            raise CsvFormatError(f"{path}: a representation file's header is z0..z{{m-1}} "
+                                 f"in order, got {','.join(header)!r}")
         return header
 
     return read_csv(path, z_columns)[2]

@@ -35,7 +35,6 @@ class DgpSpec:
     mu1_b: float
     pi_w: np.ndarray
     pi_b: float
-    literal_outcome: bool = False  # attach mu0 to the treated arm (fidelity mode)
 
     def mu0(self, u):
         return np.exp(u @ self.mu0_w + self.mu0_b)
@@ -46,9 +45,6 @@ class DgpSpec:
     def pi(self, u):
         z = u @ self.pi_w + self.pi_b
         return 1.0 / (1.0 + np.exp(-z))
-
-    def tau(self, u):
-        return self.mu1(u) - self.mu0(u)
 
 
 @dataclass
@@ -79,10 +75,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def has_oracle(self) -> bool:
-        return self.tau is not None
 
 
 def gen_dgp(seed: int, d: int) -> DgpSpec:
@@ -115,7 +107,7 @@ def gen_dgp(seed: int, d: int) -> DgpSpec:
     raise RuntimeError(f"no seed with acceptable overlap after {max_tries} tries")
 
 
-def sample(dgp: DgpSpec, n: int, seed: int, return_noise: bool = False):
+def sample(dgp: DgpSpec, n: int, seed: int) -> Dataset:
     """Draw n rows; oracle columns (tau, mu0, mu1, pi, u) ride along.
 
     Retries up to 5 derived seeds if a draw comes out all-treated or
@@ -133,14 +125,8 @@ def sample(dgp: DgpSpec, n: int, seed: int, return_noise: bool = False):
             continue
         mu0 = dgp.mu0(u)
         mu1 = dgp.mu1(u)
-        eps = rng.standard_normal(n)
-        if dgp.literal_outcome:
-            mean = a * mu0 + (1 - a) * mu1
-        else:
-            mean = a * mu1 + (1 - a) * mu0
-        y = mean + eps
-        ds = Dataset(x=x, a=a, y=y, tau=mu1 - mu0, mu0=mu0, mu1=mu1, pi=pi, u=u)
-        return (ds, eps) if return_noise else ds
+        y = a * mu1 + (1 - a) * mu0 + rng.standard_normal(n)
+        return Dataset(x=x, a=a, y=y, tau=mu1 - mu0, mu0=mu0, mu1=mu1, pi=pi, u=u)
     raise TooFewSamplesError("degenerate draw: one treatment arm empty after 5 attempts")
 
 

@@ -77,15 +77,6 @@ class EbmModel:
     def d(self) -> int:
         return self.net.in_dim
 
-    def energy(self, x, j: int) -> float:
-        """Per-subset score: inner product of B column j with the net output."""
-        if not 0 <= j < self.k:
-            raise DimensionError(f"subset index {j} out of range [0, {self.k})")
-        out = self.net.forward(np.asarray(x, dtype=float))
-        if out.ndim != 1:
-            raise DimensionError("energy takes a single covariate vector")
-        return float(self.b_matrix[:, j] @ out)
-
     def represent(self, x) -> np.ndarray:
         """Network outputs standardized with the training statistics; an
         output that is not finite raises IllConditionedError."""

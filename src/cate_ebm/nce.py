@@ -13,12 +13,11 @@ candidates of all training rows in one call, minibatches are row slices of
 it, and the loss of a minibatch is one forward and one backward pass with a
 per-row weight that reproduces the per-subset averaging.
 
-The corruption kernel (additive standard Gaussian on continuous features,
-uniform resampling on categorical ones, each feature flipped independently
-with probability rho) is symmetric, so the noise-density terms in the
-posterior cancel between candidates and the softmax runs over the raw
-scores alone. This cancellation is the one reconstruction this module
-makes; it is exact for symmetric kernels.
+The corruption kernel (additive standard Gaussian noise on each feature,
+selected independently with probability rho) is symmetric, so the
+noise-density terms in the posterior cancel between candidates and the
+softmax runs over the raw scores alone. This cancellation is the one
+reconstruction this module makes; it is exact for symmetric kernels.
 """
 
 from __future__ import annotations
@@ -43,33 +42,18 @@ def _check_corruption(rho, b) -> None:
 
 @dataclass
 class CorruptionSpec:
-    """Per-feature corruption policy.
-
-    kinds[f] is None for a continuous feature or an array of admissible
-    values for a categorical one.
-    """
+    """Corruption of d continuous features into b copies per clean sample."""
 
     rho: float
-    kinds: list
     b: int
+    d: int
 
     def __post_init__(self):
         _check_corruption(self.rho, self.b)
-        for f, kind in enumerate(self.kinds):
-            if kind is not None and len(kind) == 0:
-                raise ValueError(f"categorical feature {f} has an empty value set")
-
-    @property
-    def d(self) -> int:
-        return len(self.kinds)
 
     def fingerprint_hash(self) -> int:
-        parts = [f"rho={self.rho!r}", f"b={self.b}"]
-        for kind in self.kinds:
-            if kind is None:
-                parts.append("c")
-            else:
-                parts.append("g:" + ",".join(repr(float(v)) for v in kind))
+        # one "c" (continuous) per feature: the string .preb files were written with
+        parts = [f"rho={self.rho!r}", f"b={self.b}", *["c"] * self.d]
         return zlib.crc32(";".join(parts).encode())
 
 
@@ -101,7 +85,6 @@ class TrainConfig:
     init_seed: int | None = None
     patience: int = 30
     val_fraction: float = 0.2
-    kinds: list | None = None  # None means all-continuous
 
     def __post_init__(self):
         _check_corruption(self.rho, self.b)
@@ -120,8 +103,7 @@ def corrupt(x, spec: CorruptionSpec, rng) -> np.ndarray:
     """One corrupted copy of every row of x, an array of shape (..., d).
 
     Every feature of every row is selected independently with probability
-    rho; a selected continuous feature gets standard Gaussian noise added, a
-    selected categorical one is replaced by a uniform draw from its values.
+    rho; a selected feature gets standard Gaussian noise added.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != spec.d:
@@ -130,10 +112,6 @@ def corrupt(x, spec: CorruptionSpec, rng) -> np.ndarray:
     out = rng.standard_normal(x.shape)
     out *= selected
     out += x
-    for f, kind in enumerate(spec.kinds):
-        if kind is not None:
-            draw = np.asarray(kind, dtype=float)[rng.integers(len(kind), size=x.shape[:-1])]
-            out[..., f] = np.where(selected[..., f], draw, x[..., f])
     return out
 
 
@@ -167,16 +145,6 @@ def _scores(model: EbmModel, out: np.ndarray, subset: np.ndarray) -> np.ndarray:
     if m and not (subset.dtype.kind in "iu" and 0 <= subset.min() and subset.max() < model.k):
         raise DimensionError(f"subset labels must be integers in [0, {model.k})")
     return np.einsum("mck,km->mc", out.reshape(m, -1, model.k), model.b_matrix[:, subset])
-
-
-def posterior(model: EbmModel, batch: CandidateSet) -> np.ndarray:
-    """Softmax over each set's candidate scores, max-subtracted for overflow
-    safety; one row of probabilities per set."""
-    s = _scores(model, model.net.forward(batch.values.reshape(-1, model.d)), batch.subset)
-    if not np.all(np.isfinite(s)):
-        raise TrainingDivergedError("non-finite network output in posterior")
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
@@ -308,8 +276,7 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
         if b_matrix.shape != (k, k):
             raise DimensionError("provided B has the wrong shape")
 
-    kinds = config.kinds if config.kinds is not None else [None] * d
-    spec = CorruptionSpec(rho=config.rho, kinds=list(kinds), b=config.b)
+    spec = CorruptionSpec(rho=config.rho, b=config.b, d=d)
 
     n_val = max(1, int(round(n * config.val_fraction)))
     perm = split_rng.permutation(n)

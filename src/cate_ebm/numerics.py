@@ -52,7 +52,7 @@ class Mlp:
 
     One float64 vector, flat, holds [W0, b0, W1, b1, ...] (W of shape
     (fan_in, fan_out), row-major); params are reshaped views into it, so
-    parameters change in place. Forward accepts a vector or a batch (n, d).
+    parameters change in place. Inputs are (n, d) matrices, one row per sample.
     """
 
     def __init__(self, widths, rng=None):
@@ -89,14 +89,9 @@ class Mlp:
 
     def _check_input(self, x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise DimensionError(
-                f"input width {x.shape[-1]} does not match net input {self.in_dim}"
-            )
-        return x, single
+            raise DimensionError(f"input of shape {x.shape} is not an (n, {self.in_dim}) matrix")
+        return x
 
     def _layers(self, h, cache=None, out_bias=True):
         """Run the layers on h; appends every activation to cache if given.
@@ -115,9 +110,7 @@ class Mlp:
         return h
 
     def forward(self, x):
-        x, single = self._check_input(x)
-        h = self._layers(x)
-        return h[0] if single else h
+        return self._layers(self._check_input(x))
 
     def forward_cache(self, x, out_bias=True):
         """Forward pass keeping every layer's activation for backward.
@@ -125,7 +118,7 @@ class Mlp:
         With out_bias=False the output, and the cache's last entry, leave the
         output bias out; backward's gradients are the same either way.
         """
-        x, _ = self._check_input(x)
+        x = self._check_input(x)
         cache = [x]
         return self._layers(x, cache, out_bias), cache
 
@@ -138,8 +131,6 @@ class Mlp:
         formed and None is returned in its place.
         """
         upstream = np.asarray(upstream, dtype=float)
-        if upstream.ndim == 1:
-            upstream = upstream[None, :]
         if upstream.shape != cache[-1].shape:
             raise DimensionError(
                 f"upstream shape {upstream.shape} != output shape {cache[-1].shape}"

@@ -30,19 +30,13 @@ class PartitionModel:
     def d(self) -> int:
         return self.centroids.shape[1]
 
-    def assign(self, x: np.ndarray) -> np.ndarray | int:
-        """Nearest-centroid index; vector input gives a scalar, matrix a vector."""
+    def assign(self, x: np.ndarray) -> np.ndarray:
+        """Nearest-centroid index of each row of the (n, d) matrix x."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.shape[1] != self.d:
-            raise DimensionError(
-                f"point dimension {x.shape[1]} != centroid dimension {self.d}"
-            )
+        if x.ndim != 2 or x.shape[1] != self.d:
+            raise DimensionError(f"points of shape {x.shape} are not an (n, {self.d}) matrix")
         d2 = _sq_dists(x, self.centroids)
-        labels = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
-        return int(labels[0]) if single else labels
+        return np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
 
 
 def _sq_dists(x, c):

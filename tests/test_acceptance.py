@@ -63,7 +63,7 @@ def test_criterion_02_nce_gradient():
     net = Mlp([2, 3, 2], rng=make_rng(3))
     b = random_orthogonal(2, make_rng(42))
     model = EbmModel(net=net, b_matrix=b, partition=part)
-    spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=2)
+    spec = CorruptionSpec(rho=0.5, b=2, d=2)
     labels = part.assign(x)
     rng = make_rng(13)
     batch = build_candidates(x, labels, spec, rng)
@@ -83,7 +83,7 @@ def test_criterion_03_chance_level():
     worst = 0.0
     for b in (1, 3, 10):
         model = EbmModel(net=Mlp([3, 4, 2]), b_matrix=bmat, partition=part)
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 3, b=b)
+        spec = CorruptionSpec(rho=0.5, b=b, d=3)
         labels = part.assign(x)
         rng = make_rng(b)
         batch = build_candidates(x, labels, spec, rng)

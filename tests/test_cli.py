@@ -307,7 +307,8 @@ class TestExitCodes:
                      str(tmp_path), "--train", str(bad)]) == 2
 
     @pytest.mark.parametrize("body", ["z0,z1\n0.5,oops\n", "z0,z1\n0.5,nan\n",
-                                      "z0,z1\n0.5,1.0\n0.5\n", ""])
+                                      "z0,z1\n0.5,1.0\n0.5\n", "",
+                                      "z0,tau\n0.5,1.0\n", "z1,z0\n0.5,1.0\n"])
     def test_malformed_representation_csv(self, tmp_path, capsys, body):
         cfg_path = _write_cfg(tmp_path)
         data = tmp_path / "d.csv"
@@ -316,9 +317,11 @@ class TestExitCodes:
         feats.write_text(body)
         assert main(["fit-cate", "--config", cfg_path, "--out", str(tmp_path),
                      "--data", str(data), "--features", str(feats)]) == 2
+        err = capsys.readouterr().err
         if "oops" in body or "nan" in body:
-            err = capsys.readouterr().err
             assert "row 2" in err and "'z1'" in err
+        if body.startswith(("z0,tau", "z1")):
+            assert f"header is z0..z{{m-1}} in order, got {body.splitlines()[0]!r}" in err
 
     @pytest.mark.parametrize("body", [
         b"k = 2\n[ebm]\nb = 3\n",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cate_ebm import Dataset, gen_dgp, load_csv, sample, save_csv
+from cate_ebm import Dataset, gen_dgp, load_csv, make_rng, sample, save_csv
 from cate_ebm.errors import CsvFormatError, DimensionError
 
 
@@ -27,8 +27,8 @@ class TestGenDgp:
 
     def test_tau_is_difference(self):
         dgp = gen_dgp(4, d=6)
-        u = np.random.default_rng(2).standard_normal((100, dgp.latent_dim))
-        assert np.array_equal(dgp.tau(u), dgp.mu1(u) - dgp.mu0(u))
+        ds = sample(dgp, 100, 2)
+        assert np.array_equal(ds.tau, dgp.mu1(ds.u) - dgp.mu0(ds.u))
 
     def test_bad_dimension(self):
         with pytest.raises(DimensionError):
@@ -41,26 +41,26 @@ class TestSample:
         ds = sample(dgp, 300, 2)
         assert ds.x.shape == (300, 12)
         assert ds.a.shape == (300,)
-        assert ds.has_oracle
+        assert ds.tau is not None
         assert np.allclose(ds.tau, ds.mu1 - ds.mu0, atol=0, rtol=0)
 
     def test_outcome_mean_uses_treated_surface(self):
         dgp = gen_dgp(1, d=12)
-        ds, eps = sample(dgp, 500, 3, return_noise=True)
-        mean = ds.y - eps
+        ds = sample(dgp, 500, 3)
+        # replay the seed's stream (both arms come out on the first attempt):
+        # u, the covariate noise, the treatment uniforms, then the outcome noise
+        rng = make_rng(3)
+        assert np.array_equal(rng.standard_normal((500, dgp.latent_dim)), ds.u)
+        rng.standard_normal((500, dgp.d))
+        rng.random(500)
+        eps = rng.standard_normal(500)
         expected = ds.a * ds.mu1 + (1 - ds.a) * ds.mu0
-        assert np.abs(mean - expected).max() < 1e-12
-
-    def test_literal_outcome_flag_swaps_surfaces(self):
-        dgp = gen_dgp(1, d=12)
-        dgp.literal_outcome = True
-        ds, eps = sample(dgp, 500, 3, return_noise=True)
-        expected = ds.a * ds.mu0 + (1 - ds.a) * ds.mu1
         assert np.abs((ds.y - eps) - expected).max() < 1e-12
 
     def test_noise_is_standard_normal(self):
         dgp = gen_dgp(5, d=8)
-        ds, eps = sample(dgp, 50_000, 6, return_noise=True)
+        ds = sample(dgp, 50_000, 6)
+        eps = ds.y - (ds.a * ds.mu1 + (1 - ds.a) * ds.mu0)
         assert abs(eps.mean()) < 0.02
         assert abs(eps.var() - 1.0) < 0.02
 
@@ -114,7 +114,7 @@ class TestCsv:
         path = tmp_path / "d.csv"
         save_csv(ds, path)
         back = load_csv(path)
-        assert not back.has_oracle
+        assert back.tau is None
         assert np.array_equal(back.x, ds.x)
 
     def test_empty_file(self, tmp_path):
@@ -176,7 +176,7 @@ class TestCsv:
         assert np.array_equal(ds.x, [[1.5], [-3.0]])
         assert np.array_equal(ds.a, [0, 1])
         assert np.array_equal(ds.y, [2.0, 4.5])
-        assert not ds.has_oracle
+        assert ds.tau is None
 
     def test_first_bad_row_named(self, tmp_path):
         path = tmp_path / "n.csv"

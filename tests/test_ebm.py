@@ -16,6 +16,7 @@ from cate_ebm import (
     train_ebm,
 )
 from cate_ebm.ebm import ModelFingerprint
+from cate_ebm.nce import _scores
 from cate_ebm.errors import (
     ChecksumError,
     IllConditionedError,
@@ -40,12 +41,18 @@ def _trained_model(seed=21, n=200, d=4, k=2):
     return train_ebm(x, cfg), x
 
 
+def _energy(model, x, j):
+    """Per-subset score of one covariate vector: B column j against the net
+    output, the score nce_loss softmaxes over each candidate set."""
+    return float(model.b_matrix[:, j] @ model.net.forward(x[None, :])[0])
+
+
 class TestEnergy:
     def test_zero_net_energy_zero(self):
         model, x = _untrained_model()
         model.net = Mlp(model.net.widths)  # zero parameters
         for j in range(model.k):
-            assert model.energy(x[0], j) == 0.0
+            assert _energy(model, x[0], j) == 0.0
 
     def test_constant_net_k1(self):
         x = make_rng(1).standard_normal((10, 2))
@@ -53,24 +60,26 @@ class TestEnergy:
         net = Mlp([2, 1])
         net.params[1][...] = 3.5  # constant output via output bias
         model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
-        assert model.energy(x[3], 0) == 3.5
-        assert model.energy(x[7], 0) == 3.5
+        assert _energy(model, x[3], 0) == 3.5
+        assert _energy(model, x[7], 0) == 3.5
 
     def test_two_path_evaluation(self):
+        # the batched scores nce_loss softmaxes equal the one-vector form
         model, x = _untrained_model(seed_net=3, seed_b=42)
-        out = model.net.forward(np.array([1.0, 0.0]))
-        expected = float(model.b_matrix[:, 0] @ out)
-        assert model.energy(np.array([1.0, 0.0]), 0) == expected
+        subset = model.partition.assign(x[:6])
+        scores = _scores(model, model.net.forward(x[:6]), subset)  # 6 sets of 1
+        for i in range(6):
+            assert abs(scores[i, 0] - _energy(model, x[i], subset[i])) < 1e-14
 
     def test_linear_in_beta_column(self):
         model, x = _untrained_model()
-        e = model.energy(x[0], 1)
+        e = _energy(model, x[0], 1)
         scaled = EbmModel.__new__(EbmModel)
         scaled.__dict__.update(model.__dict__)
         b2 = model.b_matrix.copy()
         b2[:, 1] *= 2.5
         scaled.b_matrix = b2  # bypasses orthogonality check on purpose
-        assert abs(scaled.energy(x[0], 1) - 2.5 * e) < 1e-12
+        assert abs(_energy(scaled, x[0], 1) - 2.5 * e) < 1e-12
 
 
 class TestRepresent:

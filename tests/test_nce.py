@@ -14,7 +14,6 @@ from cate_ebm import (
     kmeans_fit,
     make_rng,
     nce_loss,
-    posterior,
     random_orthogonal,
     train_ebm,
     train_ebms,
@@ -28,7 +27,7 @@ from cate_ebm.errors import (
     TooFewSamplesError,
     TrainingDivergedError,
 )
-from cate_ebm.nce import CandidateSet, _stratified_batches
+from cate_ebm.nce import CandidateSet, _scores, _stratified_batches
 
 
 def _toy_model(d=2, k=2, hidden=(3,), net_seed=3, b_seed=42, n=30):
@@ -41,55 +40,37 @@ def _toy_model(d=2, k=2, hidden=(3,), net_seed=3, b_seed=42, n=30):
 
 class TestCorrupt:
     def test_tiny_rho_keeps_vector(self):
-        spec = CorruptionSpec(rho=1e-15, kinds=[None] * 3, b=1)
+        spec = CorruptionSpec(rho=1e-15, b=1, d=3)
         x = np.array([1.0, 2.0, 3.0])
         out = corrupt(x, spec, make_rng(0))
         assert np.array_equal(out, x)
         rows = np.arange(12.0).reshape(2, 2, 3)
         assert np.array_equal(corrupt(rows, spec, make_rng(0)), rows)
 
-    def test_categorical_uniform_frequency(self):
-        spec = CorruptionSpec(rho=1.0, kinds=[np.array([0.0, 1.0])], b=1)
-        draws = corrupt(np.zeros((10_000, 1)), spec, make_rng(1))[:, 0]
-        assert set(np.unique(draws)) <= {0.0, 1.0}
-        assert abs(draws.mean() - 0.5) < 0.02
-
     def test_continuous_standard_normal_moments(self):
-        spec = CorruptionSpec(rho=1.0, kinds=[None], b=1)
+        spec = CorruptionSpec(rho=1.0, b=1, d=1)
         deltas = corrupt(np.full((100_000, 1), 5.0), spec, make_rng(2))[:, 0] - 5.0
         assert abs(deltas.mean()) < 0.02
         assert abs(deltas.var() - 1.0) < 0.02
 
-    def test_mixed_kinds_over_leading_axes(self):
-        levels = np.array([-1.0, 0.0, 2.0])
-        spec = CorruptionSpec(rho=0.3, kinds=[None, levels, None, np.array([5.0, 7.0])], b=1)
-        x = np.zeros((4_000, 5, 4))  # column 1 starts at its level 0.0
-        x[..., 3] = 5.0
-        out = corrupt(x, spec, make_rng(3))
-        assert out.shape == x.shape
-        assert set(np.unique(out[..., 1])) <= set(levels)
-        assert set(np.unique(out[..., 3])) <= {5.0, 7.0}
-        changed = (out != x).reshape(-1, 4).mean(axis=0)
-        # a selected categorical cell keeps its value when the draw repeats it
-        assert np.abs(changed - 0.3 * np.array([1.0, 2.0 / 3.0, 1.0, 0.5])).max() < 0.01
-        # with every cell selected, each categorical value is equally likely
-        full = corrupt(x, CorruptionSpec(rho=1.0, kinds=spec.kinds, b=1), make_rng(4))
-        shares = [(full[..., 1] == v).mean() for v in levels]
-        assert np.abs(np.array(shares) - 1.0 / 3.0).max() < 0.01
-        assert abs((full[..., 3] == 7.0).mean() - 0.5) < 0.01
-
     def test_width_mismatch_rejected(self):
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 3, b=1)
+        spec = CorruptionSpec(rho=0.5, b=1, d=3)
         with pytest.raises(DimensionError):
             corrupt(np.zeros((4, 2)), spec, make_rng(0))
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            CorruptionSpec(rho=0.0, kinds=[None], b=1)
+            CorruptionSpec(rho=0.0, b=1, d=1)
         with pytest.raises(ValueError):
-            CorruptionSpec(rho=0.5, kinds=[None], b=0)
-        with pytest.raises(ValueError):
-            CorruptionSpec(rho=0.5, kinds=[np.array([])], b=1)
+            CorruptionSpec(rho=0.5, b=0, d=1)
+
+    @pytest.mark.parametrize("spec, crc", [
+        (CorruptionSpec(rho=0.5, b=5, d=20), 83871335),
+        (CorruptionSpec(rho=0.2, b=5, d=150), 2125972250),
+    ])
+    def test_fingerprint_hash_pinned(self, spec, crc):
+        # every .preb file stores this value: a change breaks byte-identical models
+        assert spec.fingerprint_hash() == crc
 
 
 def _rows(x, spec, seed, labels=None):
@@ -99,27 +80,27 @@ def _rows(x, spec, seed, labels=None):
 
 class TestBuildCandidates:
     def test_true_index_uniform_b1(self):
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=1)
+        spec = CorruptionSpec(rho=0.5, b=1, d=2)
         firsts = _rows(np.zeros((10_000, 2)), spec, 3).true_index
         assert abs(np.mean(firsts) - 0.5) < 0.02
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=3)
+        spec = CorruptionSpec(rho=0.5, b=3, d=2)
         slots = np.bincount(_rows(np.zeros((20_000, 2)), spec, 4).true_index, minlength=4)
         assert np.abs(slots / 20_000 - 0.25).max() < 0.015
 
     def test_no_corruption_gives_identical_candidates(self):
-        spec = CorruptionSpec(rho=1e-15, kinds=[None] * 2, b=3)
+        spec = CorruptionSpec(rho=1e-15, b=3, d=2)
         cs = _rows(np.array([[1.0, -1.0], [2.0, 0.5]]), spec, 4)
         assert np.abs(cs.values - cs.values[:, :1]).max() == 0.0
 
     def test_candidate_count(self):
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=3)
+        spec = CorruptionSpec(rho=0.5, b=3, d=2)
         cs = _rows(np.zeros((3, 2)), spec, 5, labels=np.array([1, 0, 1]))
         assert cs.values.shape == (3, 4, 2)
         assert cs.subset.tolist() == [1, 0, 1]
         assert len(cs) == 3 and len(cs[1:]) == 2 and cs[1:].subset.tolist() == [0, 1]
 
     def test_clean_row_at_true_index(self):
-        spec = CorruptionSpec(rho=1.0, kinds=[None] * 3, b=4)
+        spec = CorruptionSpec(rho=1.0, b=4, d=3)
         x = make_rng(6).standard_normal((50, 3))
         cs = _rows(x, spec, 7)
         assert np.array_equal(cs.values[np.arange(50), cs.true_index], x)
@@ -137,10 +118,6 @@ def _reference_build_candidates(rows, labels, spec, rng):
     x = np.broadcast_to(rows[:, None, :], (m, spec.b, d))
     selected = rng.random(x.shape) < spec.rho
     corrupted = x + selected * rng.standard_normal(x.shape)
-    for f, kind in enumerate(spec.kinds):
-        if kind is not None:
-            draw = np.asarray(kind, dtype=float)[rng.integers(len(kind), size=x.shape[:-1])]
-            corrupted[..., f] = np.where(selected[..., f], draw, x[..., f])
     stacked = np.concatenate([rows[:, None, :], corrupted], axis=1)
     perm = np.argsort(rng.random((m, spec.b + 1)), axis=1)
     values = np.take_along_axis(stacked, perm[:, :, None], axis=1)
@@ -148,19 +125,18 @@ def _reference_build_candidates(rows, labels, spec, rng):
                         subset=np.asarray(labels, dtype=int))
 
 
-_KINDS = {
-    "continuous": [None] * 5,
-    "mixed": [None, np.array([-1.0, 0.0, 2.0]), None, np.array([5.0, 7.0]), None],
+_SPECS = {
+    "continuous": CorruptionSpec(rho=0.4, b=5, d=5),
+    "b1-every-cell": CorruptionSpec(rho=1.0, b=1, d=5),
 }
 
 
 class TestBuildCandidatesMatchesReference:
-    @pytest.mark.parametrize("kinds", list(_KINDS), ids=list(_KINDS))
+    @pytest.mark.parametrize("spec", list(_SPECS), ids=list(_SPECS))
     @pytest.mark.parametrize("seed", range(5))
-    def test_same_sets_and_stream(self, kinds, seed):
-        spec = CorruptionSpec(rho=0.4, kinds=_KINDS[kinds], b=5)
+    def test_same_sets_and_stream(self, spec, seed):
+        spec = _SPECS[spec]
         x = make_rng(100 + seed).standard_normal((37, 5))
-        x[:, 3] = 5.0  # a valid level of the categorical column in "mixed"
         labels = make_rng(200 + seed).integers(0, 3, size=37)
         rng, ref_rng = make_rng(seed), make_rng(seed)
         got = build_candidates(x, labels, spec, rng)
@@ -210,14 +186,14 @@ class TestSubsetLabels:
     """A subset label must be an integer in [0, k): B has one column per subset."""
 
     def test_fractional_label_rejected(self):
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=1)
+        spec = CorruptionSpec(rho=0.5, b=1, d=2)
         with pytest.raises(DimensionError):
             _rows(np.zeros((3, 2)), spec, 0, labels=np.array([0.0, 0.7, 1.0]))
         with pytest.raises(DimensionError):
             _rows(np.zeros((3, 2)), spec, 0, labels=np.array([0.0, np.nan, 1.0]))
 
     def test_integral_floats_and_length(self):
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=1)
+        spec = CorruptionSpec(rho=0.5, b=1, d=2)
         cs = _rows(np.zeros((3, 2)), spec, 0, labels=np.array([1.0, 0.0, 1.0]))
         assert cs.subset.dtype.kind == "i" and cs.subset.tolist() == [1, 0, 1]
         with pytest.raises(DimensionError):
@@ -226,7 +202,7 @@ class TestSubsetLabels:
     @pytest.mark.parametrize("label", [-1, 2])
     def test_label_outside_k_rejected(self, label):
         model, x = _toy_model(k=2)
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=2)
+        spec = CorruptionSpec(rho=0.5, b=2, d=2)
         labels = model.partition.assign(x[:6])
         labels[3] = label
         batch = _rows(x[:6], spec, 0, labels=labels)
@@ -234,16 +210,22 @@ class TestSubsetLabels:
             nce_loss(model, batch)
         with pytest.raises(DimensionError):
             nce_loss(model, batch, with_grads=False)
-        with pytest.raises(DimensionError):
-            posterior(model, batch)
+
+
+def _posterior(model, batch):
+    """Softmax over each set's candidate scores, max-subtracted for overflow
+    safety; one row of probabilities per set. Reference for nce_loss."""
+    s = _scores(model, model.net.forward(batch.values.reshape(-1, model.d)), batch.subset)
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 class TestPosterior:
     def test_zero_net_uniform(self):
         model, x = _toy_model()
         model.net = Mlp(model.net.widths)
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=3)
-        p = posterior(model, _rows(x, spec, 6))
+        spec = CorruptionSpec(rho=0.5, b=3, d=2)
+        p = _posterior(model, _rows(x, spec, 6))
         assert p.shape == (x.shape[0], 4)
         assert np.abs(p - 0.25).max() < 1e-15
 
@@ -257,26 +239,27 @@ class TestPosterior:
         s = 0.7
         cs = CandidateSet(values=np.array([[[s], [s + math.log(3.0)]]]),
                           true_index=np.array([0]), subset=np.array([0]))
-        p = posterior(model, cs)
+        p = _posterior(model, cs)
         assert np.abs(p[0] - np.array([0.25, 0.75])).max() < 1e-12
 
     def test_matches_high_precision_oracle(self):
         model, x = _toy_model(net_seed=11)
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=2)
+        spec = CorruptionSpec(rho=0.5, b=2, d=2)
         cs = _rows(x[:8], spec, 11, labels=model.partition.assign(x[:8]))
-        p = posterior(model, cs)
+        p = _posterior(model, cs)
         for i in range(8):
-            scores = np.array([model.energy(v, cs.subset[i]) for v in cs.values[i]],
-                              dtype=np.longdouble)
+            # per candidate: B column of its subset against the net output
+            scores = np.array([model.b_matrix[:, cs.subset[i]] @ model.net.forward(v[None])[0]
+                               for v in cs.values[i]], dtype=np.longdouble)
             exps = np.exp(scores - scores.max())
             oracle = (exps / exps.sum()).astype(float)
             assert np.abs(p[i] - oracle).max() < 1e-12
 
     def test_sums_to_one_and_permutation_equivariant(self):
         model, x = _toy_model(net_seed=13)
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=4)
+        spec = CorruptionSpec(rho=0.5, b=4, d=2)
         cs = _rows(x[:10], spec, 0)
-        p = posterior(model, cs)
+        p = _posterior(model, cs)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
         perm = np.stack([make_rng(seed + 50).permutation(5) for seed in range(10)])
         cs2 = CandidateSet(values=np.take_along_axis(cs.values, perm[:, :, None], axis=1),
@@ -284,7 +267,7 @@ class TestPosterior:
                            subset=cs.subset)
         assert np.array_equal(cs2.values[np.arange(10), cs2.true_index],
                               cs.values[np.arange(10), cs.true_index])
-        assert np.abs(posterior(model, cs2) - np.take_along_axis(p, perm, axis=1)).max() < 1e-14
+        assert np.abs(_posterior(model, cs2) - np.take_along_axis(p, perm, axis=1)).max() < 1e-14
 
 
 def _batch(model, x, spec, seed=13):
@@ -295,7 +278,7 @@ class TestNceLoss:
     def test_zero_net_chance_level(self):
         model, x = _toy_model()
         model.net = Mlp(model.net.widths)
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=3)
+        spec = CorruptionSpec(rho=0.5, b=3, d=2)
         loss = nce_loss(model, _batch(model, x, spec), with_grads=False)
         assert abs(loss - math.log(4.0)) <= 1e-12
 
@@ -313,7 +296,7 @@ class TestNceLoss:
 
     def test_gradient_matches_finite_differences(self):
         model, x = _toy_model(net_seed=3, n=32)
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=2)
+        spec = CorruptionSpec(rho=0.5, b=2, d=2)
         batch = _batch(model, x, spec, seed=13)
 
         def loss_fn(theta):
@@ -324,13 +307,13 @@ class TestNceLoss:
 
     def test_subset_weighting_matches_hand_formula(self):
         model, x = _toy_model(net_seed=17, n=20)
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=2)
+        spec = CorruptionSpec(rho=0.5, b=2, d=2)
         batch = _batch(model, x, spec, seed=29)
         loss = nce_loss(model, batch, with_grads=False)
         # independent recomputation straight from per-set posteriors
         per_subset = {}
         for i in range(len(batch)):
-            p = posterior(model, batch[i : i + 1])[0]
+            p = _posterior(model, batch[i : i + 1])[0]
             per_subset.setdefault(batch.subset[i], []).append(math.log(p[batch.true_index[i]]))
         expected = -np.mean([np.mean(v) for _, v in sorted(per_subset.items())])
         assert abs(loss - expected) < 1e-10
@@ -342,7 +325,7 @@ class TestNceLoss:
         part = kmeans_fit(x, 3, make_rng(42))
         model = EbmModel(net=Mlp([4, 7, 5, 3], rng=make_rng(43)),
                          b_matrix=random_orthogonal(3, make_rng(44)), partition=part)
-        spec = CorruptionSpec(rho=0.5, kinds=[None, np.array([-1.0, 1.0]), None, None], b=3)
+        spec = CorruptionSpec(rho=0.5, b=3, d=4)
         labels = np.repeat([2, 0, 1], [5, 12, 23])  # unequal subset sizes
         batch = build_candidates(x[:40], labels, spec, make_rng(45))
         loss, grad = nce_loss(model, batch)
@@ -353,7 +336,7 @@ class TestNceLoss:
         for i in range(len(batch)):
             j, t = int(batch.subset[i]), int(batch.true_index[i])
             weight = 1.0 / (sizes[j] * len(sizes))
-            p = posterior(model, batch[i : i + 1])[0]
+            p = _posterior(model, batch[i : i + 1])[0]
             ref_loss -= weight * math.log(p[t])
             dscores = p.copy()
             dscores[t] -= 1.0
@@ -370,16 +353,16 @@ class TestNceLoss:
         model = EbmModel(net=Mlp([3, 6, 3], rng=make_rng(52)),
                          b_matrix=random_orthogonal(3, make_rng(53)),
                          partition=kmeans_fit(x, 3, make_rng(54)))
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 3, b=2)
+        spec = CorruptionSpec(rho=0.5, b=2, d=3)
         batch = build_candidates(x, np.repeat([2, 0], [9, 31]), spec, make_rng(55))
-        p = posterior(model, batch)
+        p = _posterior(model, batch)
         logp = np.log(p[np.arange(40), batch.true_index])
         expected = -(logp[:9].mean() + logp[9:].mean()) / 2.0
         assert abs(nce_loss(model, batch, with_grads=False) - expected) < 1e-12
 
     def test_empty_batch_rejected(self):
         model, x = _toy_model()
-        spec = CorruptionSpec(rho=0.5, kinds=[None] * 2, b=1)
+        spec = CorruptionSpec(rho=0.5, b=1, d=2)
         with pytest.raises(ValueError):
             nce_loss(model, _batch(model, x, spec)[:0])
 

@@ -41,14 +41,14 @@ class TestRandomOrthogonal:
 class TestMlpForward:
     def test_zero_net_maps_to_zero(self):
         net = Mlp([3, 4, 2])
-        out = net.forward(np.array([1.0, -2.0, 5.0]))
-        assert np.array_equal(out, np.zeros(2))
+        out = net.forward(np.array([[1.0, -2.0, 5.0]]))
+        assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_identity_single_layer(self):
         net = Mlp([2, 2])
         net.params[0][...] = np.eye(2)
-        out = net.forward(np.array([1.0, -2.0]))
-        assert np.array_equal(out, np.array([1.0, -2.0]))
+        out = net.forward(np.array([[1.0, -2.0]]))
+        assert np.array_equal(out, np.array([[1.0, -2.0]]))
 
     def test_matches_manual_layer_by_layer(self):
         net = Mlp([2, 4, 2], rng=make_rng(3))
@@ -67,7 +67,7 @@ class TestMlpForward:
             for i in range(4):
                 z += hidden[i] * w1[i, j]
             expected.append(z)
-        assert np.allclose(net.forward(x), expected, atol=1e-12, rtol=0)
+        assert np.allclose(net.forward(x[None, :])[0], expected, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("widths", [[3, 2], [20, 64, 64, 3], [4, 7, 5, 2]])
     def test_matches_reference_layer_loop(self, widths):
@@ -89,8 +89,19 @@ class TestMlpForward:
     def test_shape_mismatch_raises(self):
         net = Mlp([3, 2])
         with pytest.raises(DimensionError):
-            net.forward(np.zeros(4))
+            net.forward(np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 1, 3), ()])
+    def test_only_matrices_accepted(self, shape):
+        # one sample is a (1, d) matrix; a bare vector is not promoted
+        net = Mlp([3, 2])
+        with pytest.raises(DimensionError):
+            net.forward(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            net.forward_cache(np.zeros(shape))
+        _, cache = net.forward_cache(np.zeros((1, 3)))
+        with pytest.raises(DimensionError):
+            net.backward(cache, np.zeros(2))
 
 class TestMlpBackward:
     def test_zero_upstream_gives_zero_grads(self):
@@ -267,7 +278,7 @@ class TestMlpFlatLayout:
         assert all(np.shares_memory(p, net.flat) for p in net.params)
         assert np.array_equal(np.concatenate([p.ravel() for p in net.params]), net.flat)
         net.flat[:] = 0.0
-        assert np.array_equal(net.forward(np.ones(3)), np.zeros(2))
+        assert np.array_equal(net.forward(np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_copy_owns_its_buffer(self):
         net = Mlp([3, 4, 2], rng=make_rng(6))

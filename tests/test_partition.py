@@ -5,7 +5,7 @@ import pytest
 
 from cate_ebm import kmeans_fit, make_rng
 from cate_ebm.partition import _sq_dists
-from cate_ebm.errors import TooFewSamplesError
+from cate_ebm.errors import DimensionError, TooFewSamplesError
 
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
@@ -63,25 +63,33 @@ def test_assign_centroid_maps_to_itself():
     x = make_rng(7).standard_normal((60, 4))
     model = kmeans_fit(x, 3, make_rng(8))
     for j in range(3):
-        assert model.assign(model.centroids[j]) == j
+        assert model.assign(model.centroids[j : j + 1]).tolist() == [j]
 
 
 def test_assign_k1_always_zero():
     x = make_rng(9).standard_normal((10, 2))
     model = kmeans_fit(x, 1, make_rng(0))
-    assert model.assign(np.array([100.0, -3.0])) == 0
+    assert model.assign(np.array([[100.0, -3.0], [-2.0, 7.0]])).tolist() == [0, 0]
 
 
 def test_tie_breaks_to_lowest_index():
     model = kmeans_fit(np.array([[0.0], [2.0], [4.0], [0.1], [2.1], [4.1]]),
                        3, make_rng(11))
     cents = np.sort(model.centroids.ravel())
-    midpoint = np.array([(cents[0] + cents[2]) / 2.0])
+    midpoint = np.array([[(cents[0] + cents[2]) / 2.0]])
     j = model.assign(midpoint)
     # equidistant to the extreme centroids only when the middle one is farther;
     # here the middle centroid is closest, so construct an explicit tie instead
     model.centroids = np.array([[0.0], [100.0], [2.0]])
-    assert model.assign(np.array([1.0])) == 0
+    assert model.assign(np.array([[1.0]])).tolist() == [0]
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 3), (1, 1, 2)])
+def test_assign_takes_matrices_only(shape):
+    # one point is a (1, d) matrix; a bare vector is not promoted
+    model = kmeans_fit(make_rng(9).standard_normal((10, 2)), 2, make_rng(0))
+    with pytest.raises(DimensionError):
+        model.assign(np.zeros(shape))
 
 
 def test_inertia_monotone_non_increasing():
