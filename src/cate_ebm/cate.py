@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .dgp import Dataset
 from .errors import ConfigError, DimensionError, IllConditionedError, TooFewSamplesError
-from .numerics import Adam, Mlp, make_rng, sq_dists, standardize_columns
+from .nce import TrainConfig, train_runs
+from .numerics import Mlp, make_rng, sq_dists, standardize_columns
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +441,8 @@ def dr_learner(ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
     else:
         raise TooFewSamplesError("could not find a split with both arms present")
 
-    t1 = ds.a[d1] == 1
-    mu1 = fit_base(ds.x[d1][t1], ds.y[d1][t1], spec)
-    mu0 = fit_base(ds.x[d1][~t1], ds.y[d1][~t1], spec)
+    (_, mu1), (_, mu0) = _fit_arms(Dataset(x=ds.x[d1], a=ds.a[d1], y=ds.y[d1]), spec,
+                                   keep_bases=False)
     prop = propensity_fit(ds.x[d2], ds.a[d2])
 
     x3 = ds.x[d3]
@@ -525,7 +525,7 @@ def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dic
 class PcaProjector:
     """Centred, unscaled projection onto the top-k principal directions: the
     x -> z call shape of the other reducers, but not standardized like them,
-    and not offered by fit_reducer yet."""
+    and not offered by fit_reducers yet."""
 
     def __init__(self, mean, components):
         self.mean = mean
@@ -550,12 +550,13 @@ def pca_fit(x, k: int) -> PcaProjector:
 
 class AeEncoder:
     """Trained encoder half with the same standardization contract as the
-    energy-model representations."""
+    energy-model representations, and its training record."""
 
-    def __init__(self, encoder: Mlp, repr_mean, repr_std):
+    def __init__(self, encoder: Mlp, x, history, best_epoch):
         self.encoder = encoder
-        self.repr_mean = repr_mean
-        self.repr_std = repr_std
+        _, self.repr_mean, self.repr_std = standardize_columns(encoder.forward(x))
+        self.history = history  # (epoch, train_loss, val_loss) rows
+        self.best_epoch = best_epoch
 
     def transform(self, x):
         """Encoder outputs standardized with the training statistics."""
@@ -563,32 +564,37 @@ class AeEncoder:
         return (z - self.repr_mean) / self.repr_std
 
 
-def ae_fit(x, k: int, hidden=(20, 20), epochs=200, batch_size=64,
-           lr=1e-3, seed=0) -> AeEncoder:
-    """Denoising-free autoencoder trained on squared reconstruction error."""
+def _ae_loss(encoder: Mlp, decoder: Mlp, xb, with_grads):
+    """Squared reconstruction error per row, averaged over the batch; with
+    grads, then its gradients over encoder.flat and decoder.flat."""
+    z, enc_cache = encoder.forward_cache(xb)
+    recon, dec_cache = decoder.forward_cache(z)
+    resid = recon - xb
+    loss = float(np.sum(resid * resid)) / len(xb)
+    if not with_grads:
+        return loss
+    dec_grad, gz = decoder.backward(dec_cache, 2.0 * resid / len(xb))
+    enc_grad, _ = encoder.backward(enc_cache, gz, input_grad=False)
+    return loss, enc_grad, dec_grad
+
+
+def ae_fit(x, config: TrainConfig, seeds) -> list:
+    """Denoising-free autoencoders of config's k and widths, one AeEncoder per
+    init seed in seeds, trained together on squared reconstruction error by
+    the EBM's loop, nce.train_runs: one split and batch order from
+    config.seed, early stopping on the held-out rows, best snapshot kept."""
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    if k > d:
-        raise DimensionError(f"k={k} > d={d}")
-    rng = make_rng(seed)
-    encoder = Mlp([d, *hidden, k], rng=rng)
-    decoder = Mlp([k, *reversed(hidden), d], rng=rng)
-    # Adam is elementwise, so one optimizer per net steps exactly like one over both
-    enc_opt = Adam(encoder.flat, lr=lr)
-    dec_opt = Adam(decoder.flat, lr=lr)
-    order_rng = make_rng(seed + 1)
-    for _ in range(epochs):
-        order = order_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            ids = np.sort(order[start : start + batch_size])
-            xb = x[ids]
-            z, enc_cache = encoder.forward_cache(xb)
-            recon, dec_cache = decoder.forward_cache(z)
-            g = 2.0 * (recon - xb) / xb.shape[0]
-            dec_grad, gz = decoder.backward(dec_cache, g)
-            enc_grad, _ = encoder.backward(enc_cache, gz, input_grad=False)
-            enc_opt.step(encoder.flat, enc_grad)
-            dec_opt.step(decoder.flat, dec_grad)
-    z = encoder.forward(x)
-    _, mean, std = standardize_columns(z)
-    return AeEncoder(encoder=encoder, repr_mean=mean, repr_std=std)
+    if config.k > d:
+        raise DimensionError(f"k={config.k} > d={d}")
+
+    def make_run(seed):
+        rng = make_rng(seed)
+        nets = [Mlp([d, *config.hidden, config.k], rng=rng),
+                Mlp([config.k, *reversed(config.hidden), d], rng=rng)]
+        return nets, partial(_ae_loss, *nets)
+
+    master = make_rng(config.seed)
+    runs = train_runs(config, seeds, make_run, np.zeros(n), lambda rows, _: x[rows],
+                      make_rng(master.integers(2**63)), int(master.integers(2**63)))
+    return [AeEncoder(run.nets[0], x, run.history, run.best_epoch) for run in runs]

@@ -250,6 +250,8 @@ def main(argv=None) -> int:
         if args.command == "transform":
             return cmd_transform(args.model, args.data, args.out)
         if args.command == "mcc":
+            if args.out:
+                os.makedirs(args.out, exist_ok=True)
             return cmd_mcc(args.models, args.data, args.out)
 
         cfg = load_config(path=args.config, preset=args.preset,

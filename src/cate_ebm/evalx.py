@@ -54,21 +54,14 @@ def mcc(r1, r2) -> float:
 
 def fit_reducers(name: str, x, config: TrainConfig, seeds, b_matrix=None) -> list:
     """The fitted maps x -> z of reducer 'ebm' or 'ae', one per init seed in
-    seeds, trained on x with config's k, widths, epochs, batch size and
-    learning rate. The EBM runs train together and keep b_matrix (None draws
-    B from config.seed); the autoencoders train one by one."""
+    seeds, trained together on x by nce.train_runs under config (the AE
+    ignores b and rho). The EBM runs keep b_matrix (None draws B from
+    config.seed)."""
     if name == "ebm":
         return [m.represent for m in train_ebms(x, config, seeds, b_matrix=b_matrix)]
     if name == "ae":
-        return [ae_fit(x, config.k, hidden=config.hidden, epochs=config.epochs,
-                       batch_size=config.batch_size, lr=config.lr, seed=seed).transform
-                for seed in seeds]
+        return [enc.transform for enc in ae_fit(x, config, seeds)]
     raise ValueError(f"unknown reducer {name!r}")
-
-
-def fit_reducer(name: str, x, config: TrainConfig, seed: int, b_matrix=None):
-    """fit_reducers with the one init seed `seed`."""
-    return fit_reducers(name, x, config, [seed], b_matrix=b_matrix)[0]
 
 
 def cate_std_experiment(train: Dataset, test: Dataset, reducer: str, learner: str,

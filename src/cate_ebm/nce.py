@@ -23,6 +23,7 @@ reconstruction this module makes; it is exact for symmetric kernels.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -97,6 +98,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.seed < 0 or (self.init_seed or 0) < 0:
             raise ConfigError(f"seed and init_seed must be >= 0, got {self.seed}, {self.init_seed}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
 def corrupt(x, spec: CorruptionSpec, rng) -> np.ndarray:
@@ -201,40 +204,83 @@ def _stratified_batches(labels, batch_size, rng):
 
 
 class _Run:
-    """One init seed's net, optimizer and early-stopping state."""
+    """One init seed's nets, their optimizers and its early-stopping state."""
 
-    def __init__(self, seed, widths, lr, b_matrix, partition):
+    def __init__(self, seed, nets, loss, lr):
         self.seed = seed
-        self.net = Mlp(widths, rng=make_rng(seed))
-        self.opt = Adam(self.net.flat, lr=lr)
-        self.model = EbmModel(net=self.net, b_matrix=b_matrix, partition=partition)
-        self.best = self.net.flat.copy()
+        self.nets = nets
+        self.loss = loss
+        self.opts = [Adam(net.flat, lr=lr) for net in nets]
+        self.best = [net.flat.copy() for net in nets]
         self.best_val = np.inf
         self.best_epoch = -1
-        self.since_best = 0
         self.history = []
         self.epoch_loss = 0.0
 
     def step(self, batch) -> None:
-        loss, grad = nce_loss(self.model, batch)
+        loss, *grads = self.loss(batch, True)
         if not np.isfinite(loss):
             raise TrainingDivergedError("training loss became non-finite")
-        self.opt.step(self.net.flat, grad)
+        for net, opt, grad in zip(self.nets, self.opts, grads):
+            opt.step(net.flat, grad)
         self.epoch_loss += loss * len(batch)
 
-    def end_epoch(self, epoch, val_sets, n_train, patience) -> bool:
-        """Score val_sets and keep the best snapshot; False once patience runs out."""
-        val_loss = nce_loss(self.model, val_sets, with_grads=False)
+    def end_epoch(self, epoch, val_batch, n_train, patience) -> bool:
+        """Score val_batch and keep the best snapshot; False once patience runs out."""
+        val_loss = self.loss(val_batch, False)
         self.history.append((epoch, self.epoch_loss / n_train, val_loss))
         self.epoch_loss = 0.0
         if val_loss < self.best_val:
             self.best_val = val_loss
-            self.best = self.net.flat.copy()
+            self.best = [net.flat.copy() for net in self.nets]
             self.best_epoch = epoch
-            self.since_best = 0
-        else:
-            self.since_best += 1
-        return self.since_best < patience
+        return epoch - self.best_epoch < patience
+
+
+def train_runs(config: TrainConfig, seeds, make_run, labels, draw, split_rng, epoch_base):
+    """Train one run per init seed, make_run(seed) giving its nets and its
+    loss(batch, with_grads): the loss or, with grads, the loss and then one
+    gradient per net. The runs share one split of the rows, held out by
+    split_rng, and epoch e's draws from make_rng(epoch_base + e): draw(train
+    rows, rng), batch positions stratified by labels, then draw(val rows, rng).
+    Returns the runs in the order of seeds, each at its best snapshot."""
+    seeds = [dataclasses.replace(config, init_seed=s).init_seed for s in seeds]
+    if not seeds:
+        raise ConfigError("init_seeds must name at least one seed")
+    n = len(labels)
+    n_val = max(1, int(round(n * config.val_fraction)))
+    if n_val >= n:
+        raise TooFewSamplesError(f"holding out {n_val} of n={n} rows leaves none to train on")
+    perm = split_rng.permutation(n)
+    val_idx = np.sort(perm[:n_val])
+    train_idx = np.sort(perm[n_val:])
+
+    runs = [_Run(s, *make_run(s), config.lr) for s in seeds]
+    live = runs
+    for epoch in range(config.epochs):
+        if not live:
+            break
+        rng_e = make_rng(epoch_base + epoch)
+        train = draw(train_idx, rng_e)
+        try:
+            for ids in _stratified_batches(labels[train_idx], config.batch_size, rng_e):
+                batch = train[ids]
+                for run in live:
+                    run.step(batch)
+            val = draw(val_idx, rng_e)
+            still = []
+            for run in live:
+                if run.end_epoch(epoch, val, len(train_idx), config.patience):
+                    still.append(run)
+        except TrainingDivergedError as exc:
+            # the message gains the run; the type, and with it the exit code, stays
+            exc.args = (f"run with init seed {run.seed} diverged at epoch {epoch}: {exc}",)
+            raise
+        live = still
+    for run in runs:
+        for net, best in zip(run.nets, run.best):
+            net.flat[:] = best
+    return runs
 
 
 def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
@@ -251,9 +297,6 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
     whose training turns non-finite raises TrainingDivergedError naming its
     init seed and epoch.
     """
-    init_seeds = [dataclasses.replace(config, init_seed=s).init_seed for s in init_seeds]
-    if not init_seeds:
-        raise ConfigError("init_seeds must name at least one seed")
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     k = config.k
@@ -278,49 +321,24 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
 
     spec = CorruptionSpec(rho=config.rho, b=config.b, d=d)
 
-    n_val = max(1, int(round(n * config.val_fraction)))
-    perm = split_rng.permutation(n)
-    val_idx = np.sort(perm[:n_val])
-    train_idx = np.sort(perm[n_val:])
-
-    runs = [_Run(s, [d, *config.hidden, k], config.lr, b_matrix, partition)
-            for s in init_seeds]
-    live = runs
-    for epoch in range(config.epochs):
-        if not live:
-            break
-        rng_e = make_rng(corrupt_base + epoch)
-        train_sets = build_candidates(x[train_idx], labels[train_idx], spec, rng_e)
-        try:
-            for ids in _stratified_batches(train_sets.subset, config.batch_size, rng_e):
-                batch = train_sets[ids]
-                for run in live:
-                    run.step(batch)
-            val_sets = build_candidates(x[val_idx], labels[val_idx], spec, rng_e)
-            still = []
-            for run in live:
-                if run.end_epoch(epoch, val_sets, len(train_idx), config.patience):
-                    still.append(run)
-        except TrainingDivergedError as exc:
-            # the message gains the run; the type, and with it the exit code, stays
-            exc.args = (f"run with init seed {run.seed} diverged at epoch {epoch}: {exc}",)
-            raise
-        live = still
-
     # b_crc identifies the fixed B, so models sharing B compare equal
     b_crc = zlib.crc32(np.ascontiguousarray(b_matrix, dtype="<f8").tobytes())
-    corruption_hash = spec.fingerprint_hash()
+    fp = ModelFingerprint(d=d, k=k, corruption_hash=spec.fingerprint_hash(), b_crc=b_crc)
     models = []
-    for run in runs:
-        run.net.flat[:] = run.best
-        _, mean, std = standardize_columns(run.net.forward(x))
-        fp = ModelFingerprint(d=d, k=k, corruption_hash=corruption_hash, b_crc=b_crc)
-        final = EbmModel(net=run.net, b_matrix=b_matrix, partition=partition,
-                         repr_mean=mean, repr_std=std, fingerprint=fp)
-        final.history = run.history
-        final.best_epoch = run.best_epoch
-        final.best_val_loss = run.best_val
-        models.append(final)
+
+    def make_run(seed):
+        models.append(EbmModel(net=Mlp([d, *config.hidden, k], rng=make_rng(seed)),
+                               b_matrix=b_matrix, partition=partition, fingerprint=fp))
+        return [models[-1].net], functools.partial(nce_loss, models[-1])
+
+    runs = train_runs(config, init_seeds, make_run, labels,
+                      lambda rows, rng: build_candidates(x[rows], labels[rows], spec, rng),
+                      split_rng, corrupt_base)
+    for model, run in zip(models, runs):
+        _, model.repr_mean, model.repr_std = standardize_columns(model.net.forward(x))
+        model.history = run.history
+        model.best_epoch = run.best_epoch
+        model.best_val_loss = run.best_val
     return models
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from cate_ebm import (
     Dataset,
     KernelRidge,
     Ridge,
+    TrainConfig,
     ae_fit,
     dr_learner,
     dr_pseudo_outcome,
@@ -19,7 +22,13 @@ from cate_ebm import (
     t_learner,
     x_learner,
 )
-from cate_ebm.errors import ConfigError, DimensionError, IllConditionedError, TooFewSamplesError
+from cate_ebm.errors import (
+    ConfigError,
+    DimensionError,
+    IllConditionedError,
+    TooFewSamplesError,
+    TrainingDivergedError,
+)
 
 
 def _linear_effect_data(n=400, d=3, seed=0, noise=0.0):
@@ -477,7 +486,7 @@ class TestReductionBaselines:
         t = rng.standard_normal((300, 2))
         mix = rng.standard_normal((2, 6))
         x = t @ mix + 0.1 * rng.standard_normal((300, 6))
-        enc = ae_fit(x, 2, hidden=(16,), epochs=60, seed=12)
+        enc = ae_fit(x, TrainConfig(k=2, hidden=(16,), epochs=60, seed=12), [12])[0]
         z = enc.encoder.forward(x)
         # encoder output must carry signal: correlate with the latent factors
         corr = np.corrcoef(np.hstack([z, t]).T)[:2, 2:]
@@ -485,13 +494,44 @@ class TestReductionBaselines:
 
     def test_ae_standardized_output(self):
         x = make_rng(13).standard_normal((200, 5))
-        enc = ae_fit(x, 2, hidden=(8,), epochs=20, seed=13)
+        enc = ae_fit(x, TrainConfig(k=2, hidden=(8,), epochs=20, seed=13), [13])[0]
         z = enc.transform(x)
         assert np.abs(z.mean(axis=0)).max() < 1e-8
         assert np.abs(z.std(axis=0) - 1.0).max() < 1e-8
 
     def test_ae_deterministic(self):
         x = make_rng(14).standard_normal((100, 4))
-        z1 = ae_fit(x, 2, epochs=5, seed=7).transform(x)
-        z2 = ae_fit(x, 2, epochs=5, seed=7).transform(x)
+        cfg = TrainConfig(k=2, hidden=(20, 20), epochs=5, seed=7)
+        z1 = ae_fit(x, cfg, [7])[0].transform(x)
+        z2 = ae_fit(x, cfg, [7])[0].transform(x)
         assert np.array_equal(z1, z2)
+
+    def test_ae_runs_match_separate_trainings(self):
+        x = make_rng(15).standard_normal((120, 4))
+        cfg = TrainConfig(k=2, hidden=(8,), epochs=30, patience=4, seed=15)
+        together = ae_fit(x, cfg, [7, 8])[1]
+        alone = ae_fit(x, cfg, [8])[0]
+        assert np.array_equal(together.encoder.flat, alone.encoder.flat)
+        assert np.array_equal(np.array(together.history), np.array(alone.history))
+        assert np.array_equal(together.transform(x), alone.transform(x))
+
+    def test_ae_early_stops_on_best_snapshot(self):
+        """Patience stops the AE before the epoch cap, and retraining for
+        exactly best_epoch + 1 epochs ends on the same encoder."""
+        x = make_rng(16).standard_normal((120, 4))
+        cfg = TrainConfig(k=2, hidden=(8,), epochs=200, patience=3, lr=3e-2, seed=16)
+        stopped = ae_fit(x, cfg, [5])[0]
+        assert len(stopped.history) == stopped.best_epoch + 1 + cfg.patience < cfg.epochs
+        val = [row[2] for row in stopped.history]
+        assert val[stopped.best_epoch] == min(val)
+        again = ae_fit(x, dataclasses.replace(cfg, epochs=stopped.best_epoch + 1), [5])[0]
+        assert again.best_epoch == stopped.best_epoch
+        assert np.array_equal(stopped.encoder.flat, again.encoder.flat)
+        assert np.array_equal(stopped.transform(x), again.transform(x))
+
+    def test_ae_divergence_names_the_run(self):
+        x = make_rng(17).standard_normal((100, 4))
+        cfg = TrainConfig(k=2, hidden=(8,), epochs=5, lr=1e300, seed=17)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDivergedError, match=r"^run with init seed 3 diverged at epoch 0"):
+            ae_fit(x, cfg, [3])

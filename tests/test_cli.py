@@ -168,9 +168,11 @@ class TestCommands:
                          "--init-seed", str(seed)]) == 0
         m1 = os.path.join(out, "a", "model.preb")
         m2 = os.path.join(out, "b", "model.preb")
+        # a fresh --out directory is created, as the other subcommands do
+        mcc_out = os.path.join(out, "mcc_out")
         assert main(["mcc", "--models", m1, m2, "--data", train_csv,
-                     "--out", out]) == 0
-        assert os.path.exists(os.path.join(out, "mcc.csv"))
+                     "--out", mcc_out]) == 0
+        assert os.path.exists(os.path.join(mcc_out, "mcc.csv"))
 
     def test_pipeline_end_to_end(self, tmp_path):
         cfg_path = _write_cfg(tmp_path)

@@ -10,7 +10,7 @@ from cate_ebm import (
     ae_fit,
     cate_std_experiment,
     fit_learner,
-    fit_reducer,
+    fit_reducers,
     gen_dgp,
     make_rng,
     mcc,
@@ -122,8 +122,7 @@ def _two_branch_std(train, test, reducer, learner, seeds, config, base_spec, b_m
                               b_matrix=b_matrix)
             z_train, z_test = model.represent(train.x), model.represent(test.x)
         else:
-            enc = ae_fit(train.x, config.k, hidden=config.hidden, epochs=config.epochs,
-                         batch_size=config.batch_size, lr=config.lr, seed=seed)
+            enc = ae_fit(train.x, config, [seed])[0]
             z_train, z_test = enc.transform(train.x), enc.transform(test.x)
         fitted = fit_learner(learner, Dataset(x=z_train, a=train.a, y=train.y), base_spec)
         preds.append(fitted.predict(z_test))
@@ -177,4 +176,4 @@ class TestFitReducer:
     def test_unknown_reducer(self):
         x = make_rng(9).standard_normal((40, 4))
         with pytest.raises(ValueError, match="unknown reducer 'umap'"):
-            fit_reducer("umap", x, TrainConfig(k=2), seed=0)
+            fit_reducers("umap", x, TrainConfig(k=2), [0])

@@ -375,7 +375,8 @@ class TestTrainEbm:
     @pytest.mark.parametrize("kwargs", [
         dict(k=0), dict(b=0), dict(rho=0.0), dict(rho=1.5), dict(rho=math.nan), dict(epochs=0),
         dict(batch_size=0), dict(lr=0.0), dict(lr=-1.0), dict(lr=math.nan), dict(lr=math.inf),
-        dict(seed=-1), dict(init_seed=-1),
+        dict(seed=-1), dict(init_seed=-1), dict(val_fraction=0.0), dict(val_fraction=1.0),
+        dict(val_fraction=-0.5), dict(val_fraction=math.nan),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -385,6 +386,12 @@ class TestTrainEbm:
         cfg = TrainConfig(k=4, epochs=1)
         with pytest.raises(TooFewSamplesError):
             train_ebm(make_rng(0).standard_normal((6, 3)), cfg)
+
+    def test_split_leaves_no_training_row(self):
+        # 0.99 of 40 rows rounds to 40 held out
+        cfg = TrainConfig(k=2, epochs=1, val_fraction=0.99)
+        with pytest.raises(TooFewSamplesError, match="leaves none to train on"):
+            train_ebm(make_rng(0).standard_normal((40, 3)), cfg)
 
     def test_beats_chance_on_synthetic(self):
         dgp = gen_dgp(21, d=10)
