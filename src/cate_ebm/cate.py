@@ -45,14 +45,25 @@ def _tri_solve(t, b, lower: bool):
     return z
 
 
+def _add_diag(a, v):
+    """a += v * I in place, without building the n-by-n identity; returns a."""
+    a.flat[:: a.shape[0] + 1] += v
+    return a
+
+
 def _chol_solve(a, b):
+    """Solve a z = b for symmetric positive definite a through its Cholesky
+    factor. While the factorization fails, it retries with a jitter of 1e-10,
+    1e-8, ... on a's diagonal, written in place, so a may be left changed."""
+    diag = a.diagonal().copy()
     jitter = 0.0
     for _ in range(6):
         try:
-            c = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
+            c = np.linalg.cholesky(a)
             return _tri_solve(c.T, _tri_solve(c, b, lower=True), lower=False)
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 100.0
+            a.flat[:: a.shape[0] + 1] = diag + jitter
     raise IllConditionedError("system stayed non-SPD after jitter")
 
 
@@ -81,8 +92,7 @@ class Ridge:
     def fit(self, x, y):
         xa = _augment(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
-        a = xa.T @ xa + self.lam * np.eye(xa.shape[1])
-        self.w = _chol_solve(a, xa.T @ y)
+        self.w = _chol_solve(_add_diag(xa.T @ xa, self.lam), xa.T @ y)
         return self
 
     def predict(self, x):
@@ -100,12 +110,16 @@ def _rbf_kernel(xa, xb, gamma):
 def median_gamma(x):
     """1 / median squared pairwise distance, on a subsample for large n."""
     x = np.asarray(x, dtype=float)
+    if x.shape[0] < 2:
+        raise TooFewSamplesError(f"median heuristic needs >= 2 rows, got {x.shape[0]}")
     cap = 2000  # rows kept: the distances take 32 MB
     if x.shape[0] > cap:
         idx = make_rng(0).choice(x.shape[0], size=cap, replace=False)
         x = x[np.sort(idx)]
     d2 = sq_dists(x, x)
-    upper = d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]
+    # the strict upper triangle, copied row by row; d2 is freed before the median
+    upper = np.concatenate([row[i + 1 :] for i, row in enumerate(d2[:-1])])
+    del d2
     return 1.0 / max(np.median(upper, overwrite_input=True), 1e-12)
 
 
@@ -123,8 +137,7 @@ class KernelRidge:
     def fit(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        k = _rbf_kernel(x, x, self.gamma)
-        self.alpha = _chol_solve(k + self.lam * np.eye(x.shape[0]), y)
+        self.alpha = _chol_solve(_add_diag(_rbf_kernel(x, x, self.gamma), self.lam), y)
         self.x_train = x
         return self
 
@@ -333,8 +346,7 @@ class PropensityModel:
             if np.linalg.norm(grad) < self.tol:
                 break
             s = np.maximum(p * (1.0 - p), 1e-10)
-            h = (xa * s[:, None]).T @ xa + self.l2 * np.eye(xa.shape[1])
-            step = _chol_solve(h, grad)
+            step = _chol_solve(_add_diag((xa * s[:, None]).T @ xa, self.l2), grad)
             if not np.all(np.isfinite(step)):
                 warnings.warn("propensity Newton step not finite; stopping early")
                 break
@@ -471,13 +483,13 @@ def r_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
     # the effect model takes m_hat's family and hyperparameters
     if spec.kind == "ridge":
         xa = _augment(ds.x)
-        lhs = (xa * (a_res * a_res)[:, None]).T @ xa + m_hat.lam * np.eye(xa.shape[1])
+        lhs = _add_diag((xa * (a_res * a_res)[:, None]).T @ xa, m_hat.lam)
         tau = Ridge(m_hat.lam)
         tau.w = _chol_solve(lhs, xa.T @ (a_res * y_res))
     else:
         lhs = _rbf_kernel(ds.x, ds.x, m_hat.gamma)
         lhs *= (a_res * a_res)[:, None]
-        lhs.flat[:: ds.n + 1] += m_hat.lam
+        _add_diag(lhs, m_hat.lam)
         tau = KernelRidge(m_hat.lam, m_hat.gamma)
         tau.x_train, tau.alpha = ds.x.copy(), np.linalg.solve(lhs, a_res * y_res)
     return CateModel("r", tau.predict, ds.d)

@@ -38,12 +38,28 @@ def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     return vecs
 
 
+# elements in one row block of sq_dists' norm sums (512 KB): a narrow result,
+# such as k-means' (n, k) distances at n * k <= this, is a single block
+_DIST_BLOCK = 1 << 16
+
+
 def sq_dists(xa, xb):
-    """Squared distances aa_i + bb_j - 2 xa_i . xb_j, rounded as written (so an
-    entry can be slightly negative), built in two len(xa)-by-len(xb) buffers."""
+    """Squared distances -2 xa_i . xb_j + (aa_i + bb_j), rounded as written (so
+    an entry can be slightly negative).
+
+    Besides the len(xa)-by-len(xb) result it holds one row block of the norm
+    sums aa_i + bb_j, at most _DIST_BLOCK elements (or one row when a row is
+    longer), never a second full-size buffer.
+    """
     d2 = xa @ xb.T
     d2 *= -2.0
-    d2 += np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
+    aa, bb = np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1)
+    rows = max(1, _DIST_BLOCK // max(1, bb.size))
+    block = np.empty((min(rows, aa.size), bb.size))
+    for s in range(0, aa.size, rows):
+        part = block[: min(rows, aa.size - s)]
+        np.add(aa[s : s + rows, None], bb, out=part)
+        d2[s : s + rows] += part
     return d2
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cate_ebm import (
     t_learner,
     x_learner,
 )
+from cate_ebm import cate, numerics
 from cate_ebm.errors import (
     ConfigError,
     DimensionError,
@@ -91,7 +93,6 @@ class TestKernelRidge:
 @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
 def test_chol_solve_matches_general_solve(blocks, extra):
     # sizes on both sides of a substitution block boundary, and several blocks
-    from cate_ebm import cate
     n = blocks * cate._SOLVE_BLOCK + extra
     rng = make_rng(19)
     m = rng.standard_normal((n, n))
@@ -105,6 +106,105 @@ def test_median_gamma_hand_computed():
     x = np.array([[0.0], [1.0], [3.0]])
     # pairwise squared distances: 1, 9, 4 -> median 4
     assert abs(median_gamma(x) - 0.25) < 1e-12
+
+
+def _one_line_median_gamma(x):
+    """The median heuristic from one-buffer distances and a boolean upper-triangle
+    mask, without the subsample."""
+    d2 = -2.0 * (x @ x.T) + np.add.outer(np.sum(x * x, axis=1), np.sum(x * x, axis=1))
+    return 1.0 / max(np.median(d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]), 1e-12)
+
+
+@pytest.mark.parametrize("block", [7, None])
+@pytest.mark.parametrize("n", [2, 3, 10, 257])
+def test_median_gamma_matches_one_line_form(monkeypatch, block, n):
+    if block is not None:
+        monkeypatch.setattr(numerics, "_DIST_BLOCK", block)
+    x = make_rng(n).standard_normal((n, 4)) * 10.0 ** make_rng(n + 1).uniform(-3, 3, size=4)
+    x[n // 2] = x[0]  # one zero distance, as with duplicate rows
+    assert median_gamma(x) == _one_line_median_gamma(x)
+
+
+def test_median_gamma_of_identical_rows_is_floored():
+    assert median_gamma(np.ones((5, 3))) == 1e12
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_median_gamma_needs_two_rows(n):
+    with pytest.raises(TooFewSamplesError, match=">= 2 rows"):
+        median_gamma(np.zeros((n, 3)))
+
+
+def test_kernel_arm_of_one_row_raises():
+    # one treated row: the arm's median heuristic has no pair of rows
+    x = make_rng(11).standard_normal((60, 5))
+    a = np.zeros(60, dtype=int)
+    a[7] = 1
+    with pytest.raises(TooFewSamplesError, match=">= 2 rows, got 1"):
+        t_learner(Dataset(x=x, a=a, y=x[:, 0]), BaseSpec())
+
+
+class TestDirectSolveInPlace:
+    def test_kernel_fit_matches_identity_sum(self):
+        x = make_rng(5).standard_normal((70, 3))
+        y = make_rng(6).standard_normal(70)
+        model = KernelRidge(0.1, 0.5).fit(x, y)
+        k = cate._rbf_kernel(x, x, 0.5)
+        assert np.array_equal(model.alpha, cate._chol_solve(k + 0.1 * np.eye(70), y))
+
+    def test_ridge_fit_matches_identity_sum(self):
+        x = make_rng(7).standard_normal((50, 4))
+        y = make_rng(8).standard_normal(50)
+        xa = np.hstack([x, np.ones((50, 1))])
+        w = cate._chol_solve(xa.T @ xa + 0.3 * np.eye(5), xa.T @ y)
+        assert np.array_equal(Ridge(0.3).fit(x, y).w, w)
+
+    def test_jitter_matches_identity_sum(self):
+        # an indefinite matrix: the factorization first succeeds at jitter 1e-8
+        m = make_rng(9).standard_normal((30, 10))
+        a = m @ m.T - 1e-9 * np.eye(30)
+        b = make_rng(10).standard_normal(30)
+        c = np.linalg.cholesky(a + 1e-8 * np.eye(30))
+        ref = cate._tri_solve(c.T, cate._tri_solve(c, b, lower=True), lower=False)
+        assert np.array_equal(cate._chol_solve(a.copy(), b), ref)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """Kernel builds hold the result plus one row block of sq_dists' norm sums
+    (at most 512 KB), never a second buffer of the result's size."""
+
+    SLACK = 1 << 20  # one block, the row norms and the interpreter's own churn
+
+    def test_sq_dists_holds_no_second_result_buffer(self):
+        rng = make_rng(0)
+        xa, xb = rng.standard_normal((2000, 20)), rng.standard_normal((500, 20))
+        d2, peak = _traced_peak(numerics.sq_dists, xa, xb)
+        assert peak < d2.nbytes + self.SLACK  # 8 MB; a second buffer would make 16
+
+    def test_median_gamma_holds_distances_and_triangle_only(self):
+        n = 1000
+        x = make_rng(1).standard_normal((n, 5))
+        _, peak = _traced_peak(median_gamma, x)
+        # 8 MB of distances and the 4 MB triangle; a second n-by-n buffer would make 16
+        assert peak < n * n * 8 + n * (n - 1) // 2 * 8 + self.SLACK
+
+    def test_direct_kernel_fit_holds_kernel_and_factor_only(self):
+        n = 1000
+        x = make_rng(2).standard_normal((n, 5))
+        y = make_rng(3).standard_normal(n)
+        _, peak = _traced_peak(KernelRidge(0.1, 0.2).fit, x, y)
+        # the 8 MB kernel and its 8 MB Cholesky factor; identity sums would add 16 more
+        assert peak < 2 * n * n * 8 + self.SLACK
 
 
 class TestPropensity:
@@ -221,7 +321,6 @@ class TestMetaLearners:
 def _reference_r_predict(ds, spec, x_new):
     """The R-learner as a closure over its solved weights, with the fallbacks
     for a base model without lam or gamma."""
-    from cate_ebm import cate
     m_hat = cate.fit_base(ds.x, ds.y, spec)
     prop = propensity_fit(ds.x, ds.a)
     y_res = ds.y - m_hat.predict(ds.x)
@@ -272,7 +371,6 @@ class TestCvSelection:
 
     @pytest.mark.parametrize("cv", [True, False])
     def test_ridge_skips_median_gamma(self, monkeypatch, cv):
-        from cate_ebm import cate
 
         def forbidden(x):
             raise AssertionError("median_gamma called for a ridge base")
@@ -330,7 +428,6 @@ def _cv_problems():
 class TestClosedFormKernelCv:
     @pytest.mark.parametrize("name", sorted(_cv_problems()))
     def test_matches_per_fold_refits(self, name):
-        from cate_ebm import cate
         x, y = _cv_problems()[name]
         spec = BaseSpec(kind="kernel", cv=True)
         g0 = median_gamma(x)
@@ -357,7 +454,6 @@ class TestClosedFormKernelCv:
     def test_singular_kernel_stays_finite(self, lam):
         # a duplicated row with different targets makes K singular; its
         # computed eigenvalues reach -3e-15, below -lam at lam=1e-15
-        from cate_ebm import cate
         x, y = _sine_data(n=40, seed=16)
         x[1] = x[0]
         spec = BaseSpec(kind="kernel", cv=True, lam_grid=(lam,))
@@ -380,7 +476,6 @@ def _count_calls(monkeypatch, owner, name):
 
 class TestSharedKernelRows:
     def test_x_learner_factors_each_arm_once(self, monkeypatch):
-        from cate_ebm import cate
         ds, _ = _linear_effect_data(n=160, seed=17, noise=0.1)
         spec = BaseSpec(kind="kernel", cv=True)
         fit_base = cate.fit_base
@@ -403,14 +498,12 @@ class TestSharedKernelRows:
             assert np.array_equal(model.alpha, alone.alpha)
 
     def test_r_learner_still_streams(self, monkeypatch):
-        from cate_ebm import cate
         ds, _ = _linear_effect_data(n=120, seed=18, noise=0.1)
         eighs = _count_calls(monkeypatch, np.linalg, "eigh")
         r_learner(ds, BaseSpec(kind="kernel", cv=True))
         assert len(eighs) == 3
 
     def test_rows_from_other_inputs_rejected(self):
-        from cate_ebm import cate
         x, y = _sine_data()
         spec = BaseSpec(kind="kernel", cv=True)
         rows = cate.KernelRows(x, spec)
@@ -438,7 +531,6 @@ class TestFitLearners:
         (("t",), [False, False], 6), (("t", "x"), [True, True], 6)])
     def test_t_shares_the_x_arms(self, monkeypatch, kinds, keep, n_eigh):
         # alone, T frees each basis once scored; beside X it costs no eigh
-        from cate_ebm import cate
         made = []
 
         class Recorded(cate.KernelRows):
@@ -453,7 +545,6 @@ class TestFitLearners:
         assert (made, len(eighs)) == (keep, n_eigh)
 
     def test_unknown_kind_raises_before_any_fit(self, monkeypatch):
-        from cate_ebm import cate
         fits = _count_calls(monkeypatch, cate, "fit_base")
         ds, _ = _linear_effect_data(seed=4)
         with pytest.raises(ValueError, match="unknown learner 's'"):

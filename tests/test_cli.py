@@ -1,5 +1,6 @@
 import os
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -300,6 +301,23 @@ class TestExitCodes:
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "unknown section or key" in capsys.readouterr().err
         assert not (tmp_path / "train.csv").exists()
+
+    def test_kernel_arm_of_one_row(self, tmp_path, capsys):
+        # one treated row: the arm's median heuristic has no pair of rows, which
+        # must exit 2 with no nan predictions and no RuntimeWarning
+        x = make_rng(0).standard_normal((60, 5))
+        a = np.zeros(60, dtype=int)
+        a[7] = 1
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=a, y=x[:, 0]), data)
+        cfg = tmp_path / "t.ini"
+        cfg.write_text("[learners]\nkinds = t\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["fit-cate", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "median heuristic needs >= 2 rows, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "predictions_t.csv").exists()
 
     def test_malformed_csv(self, tmp_path):
         cfg_path = _write_cfg(tmp_path)

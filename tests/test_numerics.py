@@ -2,7 +2,33 @@ import numpy as np
 import pytest
 
 from cate_ebm import Adam, Mlp, grad_check, make_rng, random_orthogonal, standardize_columns
+from cate_ebm import numerics
 from cate_ebm.errors import DegenerateColumnError, DimensionError, TrainingDivergedError
+
+
+def _one_line_sq_dists(xa, xb):
+    """sq_dists without row blocks: the norm sums in one full-size buffer."""
+    return -2.0 * (xa @ xb.T) + np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
+
+
+class TestSqDists:
+    # (rows of xa, rows of xb): empty on either side, one row, and shapes whose
+    # last row block is ragged at the small block sizes
+    SHAPES = [(0, 3), (3, 0), (0, 0), (1, 1), (7, 3), (13, 5), (40, 40), (200, 1)]
+
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_matches_one_line_form(self, monkeypatch, block, n, m):
+        if block is not None:
+            monkeypatch.setattr(numerics, "_DIST_BLOCK", block)
+        rng = make_rng(n * 100 + m)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(1, 6))
+        xa = rng.standard_normal((n, 6)) * scale + 2.0
+        shared = min(n, m // 2)  # rows of xb equal to rows of xa: distances near 0
+        xb = np.vstack([xa[:shared], rng.standard_normal((m - shared, 6)) * scale])
+        d2 = numerics.sq_dists(xa, xb)
+        assert d2.shape == (n, m)
+        assert np.array_equal(d2, _one_line_sq_dists(xa, xb))
 
 
 class TestRandomOrthogonal:
