@@ -17,8 +17,6 @@ from .cate import (
     pca_fit,
     propensity_fit,
     r_learner,
-    t_learner,
-    x_learner,
 )
 from .config import ExperimentConfig, load_config
 from .dgp import Dataset, DgpSpec, gen_dgp, load_csv, sample, save_csv

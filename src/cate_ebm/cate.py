@@ -146,43 +146,45 @@ class KernelRidge:
         return k @ self.alpha
 
 
+# the CV grid: lam values, multipliers of the median-heuristic gamma (kernel
+# case), the number of folds and the seed of the rows' permutation into them
+LAM_GRID = (1e-3, 1e-2, 1e-1, 1.0)
+GAMMA_MULTS = (0.25, 1.0, 4.0)
+CV_FOLDS = 5
+CV_SEED = 1234
+
+
 @dataclass
 class BaseSpec:
     """Base regression family and its hyperparameters.
 
-    gamma=None means the median heuristic; cv=True selects lam (and the
-    gamma multiplier, kernel case) by 5-fold CV on the fitted targets.
+    The kernel width is the median heuristic; cv=True selects lam (and the
+    gamma multiplier, kernel case) on the grid above by CV on the targets.
     """
 
     kind: str = "kernel"  # "ridge" | "kernel"
     lam: float = 1e-2
-    gamma: float | None = None
     cv: bool = True
-    lam_grid: tuple = (1e-3, 1e-2, 1e-1, 1.0)
-    gamma_mults: tuple = (0.25, 1.0, 4.0)
-    cv_folds: int = 5
-    cv_seed: int = 1234
 
     def __post_init__(self):
         if self.kind not in ("ridge", "kernel"):
             raise ConfigError(f"unknown base regressor kind {self.kind!r}")
         if not 0.0 < self.lam < np.inf:
             raise ConfigError(f"lam must be finite and > 0, got {self.lam}")
-        if self.gamma is not None and not 0.0 < self.gamma < np.inf:
-            raise ConfigError(f"gamma must be None or finite and > 0, got {self.gamma}")
 
 
-def _cv_folds(n: int, spec: BaseSpec) -> np.ndarray:
-    """Fold index of each row: balanced fold sizes, rows permuted by cv_seed."""
-    folds = np.arange(n) % spec.cv_folds
-    return folds[make_rng(spec.cv_seed).permutation(n)]
+def _cv_folds(n: int) -> list:
+    """Each fold's held-out rows, ascending; rows permuted by CV_SEED."""
+    folds = np.arange(n) % CV_FOLDS
+    folds = folds[make_rng(CV_SEED).permutation(n)]
+    return [np.flatnonzero(folds == f) for f in range(CV_FOLDS)]
 
 
-def _ridge_cv_sse(x, y, lam, folds, n_folds) -> float:
+def _ridge_cv_sse(x, y, lam, members) -> float:
     sse = 0.0
-    for f in range(n_folds):
-        tr = folds != f
-        resid = Ridge(lam).fit(x[tr], y[tr]).predict(x[~tr]) - y[~tr]
+    for idx in members:
+        fit = Ridge(lam).fit(np.delete(x, idx, axis=0), np.delete(y, idx))
+        resid = fit.predict(x[idx]) - y[idx]
         sse += float(resid @ resid)
     return sse
 
@@ -236,24 +238,22 @@ class KernelRows:
     base never pays for the kernel width.
     """
 
-    def __init__(self, x, spec: BaseSpec, keep_bases: bool = True):
+    def __init__(self, x, keep_bases: bool = True):
         self.x = np.asarray(x, dtype=float)
-        self.spec = spec
         self._bases = {} if keep_bases else None
 
     @cached_property
     def g0(self) -> float:
-        """spec.gamma, or the median heuristic on the rows when it is None."""
-        return median_gamma(self.x) if self.spec.gamma is None else self.spec.gamma
+        """The median heuristic on the rows."""
+        return median_gamma(self.x)
 
     @cached_property
     def gammas(self) -> list:
-        return [self.g0 * gm for gm in self.spec.gamma_mults]
+        return [self.g0 * gm for gm in GAMMA_MULTS]
 
     @cached_property
     def members(self) -> list:
-        folds = _cv_folds(self.x.shape[0], self.spec)
-        return [np.flatnonzero(folds == f) for f in range(self.spec.cv_folds)]
+        return _cv_folds(self.x.shape[0])
 
     def basis(self, j: int):
         """(s, V) of the kernel at gammas[j]."""
@@ -268,15 +268,14 @@ def _kernel_cv(rows: KernelRows, y):
     """Held-out SSE of every (lam, gamma) and the full-data dual coefficients.
 
     One eigendecomposition per gamma serves every lam and fold (see
-    _score_basis). Returns sse of shape (len(lam_grid), len(gammas)) and
+    _score_basis). Returns sse of shape (len(LAM_GRID), len(gammas)) and
     alphas keyed by (lam index, gamma index).
     """
-    lams = rows.spec.lam_grid
-    sse = np.full((len(lams), len(rows.gammas)), np.nan)
+    sse = np.full((len(LAM_GRID), len(rows.gammas)), np.nan)
     alphas = {}
     for j in range(len(rows.gammas)):
         s, v = rows.basis(j)
-        sse[:, j], fits = _score_basis(s, v, y, lams, rows.members)
+        sse[:, j], fits = _score_basis(s, v, y, LAM_GRID, rows.members)
         alphas.update(((i, j), alpha) for i, alpha in enumerate(fits))
         del s, v  # unless rows keeps it, this gamma's basis is freed here
     return sse, alphas
@@ -287,28 +286,26 @@ def fit_base(x, y, spec: BaseSpec, rows: KernelRows | None = None):
 
     Kernel CV reads every fold's held-out error off one eigendecomposition
     per gamma (see _kernel_cv) and returns the winner's full-data fit; ridge
-    CV refits per fold. rows, when given, must have been built from this x
-    and spec; its kernel width and eigendecompositions are reused. Non-finite
-    inputs raise IllConditionedError.
+    CV refits per fold; both read rows' folds. rows, when given, must have
+    been built from this x; its kernel width, folds and eigendecompositions
+    are reused. Non-finite inputs raise IllConditionedError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if rows is None:
-        rows = KernelRows(x, spec, keep_bases=False)
-    elif rows.x is not x or rows.spec != spec:
-        raise ValueError("rows were built from another x or spec")
+        rows = KernelRows(x, keep_bases=False)
+    elif rows.x is not x:
+        raise ValueError("rows were built from another x")
     if x.shape[0] < 1:
         raise TooFewSamplesError("empty training set")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise IllConditionedError("non-finite value in the regression inputs")
-    if not spec.cv or x.shape[0] < 2 * spec.cv_folds:
+    if not spec.cv or x.shape[0] < 2 * CV_FOLDS:
         model = Ridge(spec.lam) if spec.kind == "ridge" else KernelRidge(spec.lam, rows.g0)
         return model.fit(x, y)
 
     if spec.kind == "ridge":
-        folds = _cv_folds(x.shape[0], spec)
-        sse = np.array([[_ridge_cv_sse(x, y, lam, folds, spec.cv_folds)]
-                        for lam in spec.lam_grid])
+        sse = np.array([[_ridge_cv_sse(x, y, lam, rows.members)] for lam in LAM_GRID])
     else:
         sse, alphas = _kernel_cv(rows, y)
     if not np.isfinite(sse).any():
@@ -316,8 +313,8 @@ def fit_base(x, y, spec: BaseSpec, rows: KernelRows | None = None):
     # the first minimum in lam-major, gamma-minor order; NaN scores never win
     i, j = np.unravel_index(np.nanargmin(sse), sse.shape)
     if spec.kind == "ridge":
-        return Ridge(spec.lam_grid[i]).fit(x, y)
-    model = KernelRidge(spec.lam_grid[i], rows.gammas[j])
+        return Ridge(LAM_GRID[i]).fit(x, y)
+    model = KernelRidge(LAM_GRID[i], rows.gammas[j])
     model.x_train, model.alpha = x, alphas[i, j]
     return model
 
@@ -389,51 +386,37 @@ def _check_arms(ds: Dataset):
 
 
 def _fit_arms(ds: Dataset, spec: BaseSpec, keep_bases: bool):
-    """Each arm's KernelRows and outcome model: ((rows1, mu1), (rows0, mu0)).
-
-    With keep_bases the rows keep their kernel bases for more targets on the
-    same arm; without, each basis is freed once scored.
-    """
+    """Each arm's KernelRows(x, keep_bases) and outcome model:
+    ((rows1, mu1), (rows0, mu0))."""
     _check_arms(ds)
     t = ds.a == 1
     arms = []
     for arm in (t, ~t):
-        rows = KernelRows(ds.x[arm], spec, keep_bases)
+        rows = KernelRows(ds.x[arm], keep_bases)
         arms.append((rows, fit_base(rows.x, ds.y[arm], spec, rows)))
     return tuple(arms)
 
 
-def _t_from_arms(ds: Dataset, arms) -> CateModel:
-    (_, mu1), (_, mu0) = arms
-    return CateModel("t", lambda x: mu1.predict(x) - mu0.predict(x), ds.d)
+def _fit_t_x(kinds, ds: Dataset, spec: BaseSpec) -> dict:
+    """The T-learner, the difference of the arms' outcome models, and the
+    X-learner, whose first stage they are, from one fit of each arm. Each arm
+    keeps its kernel bases only for X's effect targets on the same rows."""
+    (rows1, mu1), (rows0, mu0) = _fit_arms(ds, spec, keep_bases="x" in kinds)
+    models = {"t": CateModel("t", lambda x: mu1.predict(x) - mu0.predict(x), ds.d)}
+    if "x" in kinds:
+        t = ds.a == 1
+        d1 = ds.y[t] - mu0.predict(rows1.x)
+        d0 = mu1.predict(rows0.x) - ds.y[~t]
+        tau1 = fit_base(rows1.x, d1, spec, rows1)
+        tau0 = fit_base(rows0.x, d0, spec, rows0)
+        prop = propensity_fit(ds.x, ds.a)
 
+        def predict(x):
+            g = prop.predict_proba(x)
+            return g * tau0.predict(x) + (1.0 - g) * tau1.predict(x)
 
-def _x_from_arms(ds: Dataset, spec: BaseSpec, arms) -> CateModel:
-    (rows1, mu1), (rows0, mu0) = arms
-    t = ds.a == 1
-    # each arm's outcome and effect targets share one set of kernel bases
-    d1 = ds.y[t] - mu0.predict(rows1.x)
-    d0 = mu1.predict(rows0.x) - ds.y[~t]
-    tau1 = fit_base(rows1.x, d1, spec, rows1)
-    tau0 = fit_base(rows0.x, d0, spec, rows0)
-    prop = propensity_fit(ds.x, ds.a)
-
-    def predict(x):
-        g = prop.predict_proba(x)
-        return g * tau0.predict(x) + (1.0 - g) * tau1.predict(x)
-
-    return CateModel("x", predict, ds.d)
-
-
-def t_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
-    """Separate outcome regressions per arm; effect is their difference."""
-    return _t_from_arms(ds, _fit_arms(ds, spec, keep_bases=False))
-
-
-def x_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
-    """Imputed-effect regressions per arm, combined with propensity weights;
-    its first stage is the T-learner's pair of outcome models."""
-    return _x_from_arms(ds, spec, _fit_arms(ds, spec, keep_bases=True))
+        models["x"] = CateModel("x", predict, ds.d)
+    return models  # the arms' rows, and with them their bases, are freed here
 
 
 def dr_learner(ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
@@ -467,7 +450,7 @@ def dr_learner(ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
 def dr_pseudo_outcome(ds: Dataset, mu0_vals, mu1_vals, pi_vals) -> np.ndarray:
     """Pseudo-outcome with supplied nuisance values (oracle injection path)."""
     a = ds.a.astype(float)
-    p = np.clip(np.asarray(pi_vals, dtype=float), 0.01, 0.99)
+    p = np.clip(np.asarray(pi_vals, dtype=float), PropensityModel.clip, 1.0 - PropensityModel.clip)
     return (a / p * (ds.y - mu1_vals) + mu1_vals
             - (1.0 - a) / (1.0 - p) * (ds.y - mu0_vals) - mu0_vals)
 
@@ -495,40 +478,28 @@ def r_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
     return CateModel("r", tau.predict, ds.d)
 
 
-LEARNERS = {"t": t_learner, "x": x_learner, "dr": dr_learner, "r": r_learner}
-
-
-def fit_learner(kind: str, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
-    if kind not in LEARNERS:
-        raise ValueError(f"unknown learner {kind!r}; valid kinds: {sorted(LEARNERS)}")
-    if kind == "dr":
-        return dr_learner(ds, spec, split_seed=split_seed)
-    return LEARNERS[kind](ds, spec)
+LEARNERS = ("t", "x", "dr", "r")
 
 
 def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dict:
-    """{kind: fit_learner(kind, ...)} for every kind, in kinds order, each model
-    the same.
-
-    With both 't' and 'x' asked for, the T-learner is the X-learner's first
-    stage: each arm's outcome model is fitted once, on one KernelRows, and
-    shared; the arms are freed before the other kinds are fitted. Every kind
-    is checked before any fit.
-    """
+    """{kind: fitted CateModel} for every kind, in kinds order; every kind is
+    checked before any fit. T and X share one _fit_t_x call, whose arms are
+    freed before DR and R are fitted."""
     kinds = list(kinds)
     bad = [kind for kind in kinds if kind not in LEARNERS]
     if bad:
         raise ValueError(f"unknown learner {bad[0]!r}; valid kinds: {sorted(LEARNERS)}")
-    models = {}
-    if {"t", "x"} <= set(kinds):
-        arms = _fit_arms(ds, spec, keep_bases=True)
-        models["t"] = _t_from_arms(ds, arms)
-        models["x"] = _x_from_arms(ds, spec, arms)
-        del arms  # frees both arms' kernel bases
-    for kind in kinds:
-        if kind not in models:
-            models[kind] = fit_learner(kind, ds, spec, split_seed=split_seed)
+    models = _fit_t_x(kinds, ds, spec) if {"t", "x"} & set(kinds) else {}
+    if "dr" in kinds:
+        models["dr"] = dr_learner(ds, spec, split_seed=split_seed)
+    if "r" in kinds:
+        models["r"] = r_learner(ds, spec)
     return {kind: models[kind] for kind in kinds}
+
+
+def fit_learner(kind: str, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
+    """One meta-learner: the one-kind case of fit_learners."""
+    return fit_learners([kind], ds, spec, split_seed)[kind]
 
 
 # ---------------------------------------------------------------------------

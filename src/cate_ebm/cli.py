@@ -271,6 +271,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a path that cannot be read or written is an input error
         print(f"error: {exc}", file=sys.stderr)
         return CateEbmError.exit_code
+    except MemoryError as exc:  # settings too large for this host's memory are an input error
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return CateEbmError.exit_code
     except CateEbmError as exc:
         label = "error" if exc.exit_code == CateEbmError.exit_code else "numeric failure"
         print(f"{label}: {exc}", file=sys.stderr)

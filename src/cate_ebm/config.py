@@ -91,6 +91,8 @@ class ExperimentConfig:
         bad = [l for l in self.learners if l not in LEARNERS]
         if bad:
             raise ConfigError(f"unknown learners {bad}; valid kinds: {', '.join(LEARNERS)}")
+        if len(set(self.learners)) < len(self.learners):
+            raise ConfigError(f"learners repeat a kind: {','.join(self.learners)}")
         return self
 
     def canonical(self) -> str:

@@ -20,8 +20,6 @@ from cate_ebm import (
     pca_fit,
     propensity_fit,
     r_learner,
-    t_learner,
-    x_learner,
 )
 from cate_ebm import cate, numerics
 from cate_ebm.errors import (
@@ -141,7 +139,7 @@ def test_kernel_arm_of_one_row_raises():
     a = np.zeros(60, dtype=int)
     a[7] = 1
     with pytest.raises(TooFewSamplesError, match=">= 2 rows, got 1"):
-        t_learner(Dataset(x=x, a=a, y=x[:, 0]), BaseSpec())
+        fit_learner("t", Dataset(x=x, a=a, y=x[:, 0]), BaseSpec())
 
 
 class TestDirectSolveInPlace:
@@ -236,12 +234,12 @@ class TestMetaLearners:
 
     def test_t_learner_exact_on_linear_noiseless(self):
         ds, tau = _linear_effect_data()
-        model = t_learner(ds, self.SPEC)
+        model = fit_learner("t", ds, self.SPEC)
         assert np.abs(model.predict(ds.x) - tau).max() < 1e-3
 
     def test_x_learner_exact_on_linear_noiseless(self):
         ds, tau = _linear_effect_data(seed=1)
-        model = x_learner(ds, self.SPEC)
+        model = fit_learner("x", ds, self.SPEC)
         assert np.abs(model.predict(ds.x) - tau).max() < 1e-3
 
     def test_dr_learner_close_on_linear(self):
@@ -307,7 +305,7 @@ class TestMetaLearners:
 
     def test_predict_dimension_guard(self):
         ds, _ = _linear_effect_data(seed=5)
-        model = t_learner(ds, self.SPEC)
+        model = fit_learner("t", ds, self.SPEC)
         with pytest.raises(DimensionError):
             model.predict(np.zeros((4, ds.d + 1)))
 
@@ -315,7 +313,7 @@ class TestMetaLearners:
         ds, _ = _linear_effect_data(seed=6)
         ds.a[:] = 1
         with pytest.raises(TooFewSamplesError):
-            t_learner(ds, self.SPEC)
+            fit_learner("t", ds, self.SPEC)
 
 
 def _reference_r_predict(ds, spec, x_new):
@@ -343,7 +341,6 @@ def _reference_r_predict(ds, spec, x_new):
 class TestBaseSpec:
     @pytest.mark.parametrize("kwargs", [
         dict(kind="lasso"), dict(lam=0.0), dict(lam=-1.0), dict(lam=np.nan), dict(lam=np.inf),
-        dict(gamma=0.0), dict(gamma=-2.0), dict(gamma=np.nan), dict(gamma=np.inf),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -351,13 +348,13 @@ class TestBaseSpec:
 
 
 class TestCvSelection:
-    def test_cv_picks_reasonable_lam_under_noise(self):
+    def test_cv_picks_reasonable_lam_under_noise(self, monkeypatch):
         from cate_ebm.cate import fit_base
         rng = make_rng(8)
         x = rng.standard_normal((150, 2))
         y = x @ np.array([1.0, -1.0]) + rng.standard_normal(150)
-        spec = BaseSpec(kind="ridge", cv=True, lam_grid=(1e-8, 1e-2, 1.0))
-        model = fit_base(x, y, spec)
+        monkeypatch.setattr(cate, "LAM_GRID", (1e-8, 1e-2, 1.0))
+        model = fit_base(x, y, BaseSpec(kind="ridge", cv=True))
         assert model.lam > 1e-8  # the interpolating choice loses under noise
 
     def test_cv_deterministic(self):
@@ -431,34 +428,36 @@ class TestClosedFormKernelCv:
         x, y = _cv_problems()[name]
         spec = BaseSpec(kind="kernel", cv=True)
         g0 = median_gamma(x)
-        gammas = [g0 * m for m in spec.gamma_mults]
-        folds = cate._cv_folds(x.shape[0], spec)
-        sse, _ = cate._kernel_cv(cate.KernelRows(x, spec), y)
+        gammas = [g0 * m for m in cate.GAMMA_MULTS]
+        members = cate._cv_folds(x.shape[0])
+        sse, _ = cate._kernel_cv(cate.KernelRows(x), y)
 
         refit = np.zeros_like(sse)
-        for i, lam in enumerate(spec.lam_grid):
+        for i, lam in enumerate(cate.LAM_GRID):
             for j, gamma in enumerate(gammas):
-                for f in range(spec.cv_folds):
-                    tr = folds != f
-                    resid = KernelRidge(lam, gamma).fit(x[tr], y[tr]).predict(x[~tr]) - y[~tr]
+                for idx in members:
+                    tr = np.ones(x.shape[0], dtype=bool)
+                    tr[idx] = False
+                    resid = KernelRidge(lam, gamma).fit(x[tr], y[tr]).predict(x[idx]) - y[idx]
                     refit[i, j] += resid @ resid
         assert np.all(np.abs(sse - refit) <= 1e-8 * refit)
 
         i, j = np.unravel_index(np.argmin(refit), refit.shape)
         model = cate.fit_base(x, y, spec)
-        assert (model.lam, model.gamma) == (spec.lam_grid[i], gammas[j])
+        assert (model.lam, model.gamma) == (cate.LAM_GRID[i], gammas[j])
         direct = KernelRidge(model.lam, model.gamma).fit(x, y).predict(x)
         assert np.abs(model.predict(x) - direct).max() <= 1e-8 * np.abs(direct).max()
 
     @pytest.mark.parametrize("lam", [1e-12, 1e-15])
-    def test_singular_kernel_stays_finite(self, lam):
+    def test_singular_kernel_stays_finite(self, monkeypatch, lam):
         # a duplicated row with different targets makes K singular; its
         # computed eigenvalues reach -3e-15, below -lam at lam=1e-15
         x, y = _sine_data(n=40, seed=16)
         x[1] = x[0]
-        spec = BaseSpec(kind="kernel", cv=True, lam_grid=(lam,))
-        sse, _ = cate._kernel_cv(cate.KernelRows(x, spec), y)
+        monkeypatch.setattr(cate, "LAM_GRID", (lam,))
+        sse, _ = cate._kernel_cv(cate.KernelRows(x), y)
         assert np.isfinite(sse).all()
+        spec = BaseSpec(kind="kernel", cv=True)
         assert np.isfinite(cate.fit_base(x, y, spec).predict(x)).all()
 
 
@@ -488,7 +487,7 @@ class TestSharedKernelRows:
         monkeypatch.setattr(cate, "fit_base", recorded)
         eighs = _count_calls(monkeypatch, np.linalg, "eigh")
         gammas = _count_calls(monkeypatch, cate, "median_gamma")
-        x_learner(ds, spec)
+        fit_learner("x", ds, spec)
         assert (len(eighs), len(gammas), len(fits)) == (6, 2, 4)
 
         # mu1, mu0, tau1, tau0 equal independent fits on the same inputs
@@ -505,18 +504,15 @@ class TestSharedKernelRows:
 
     def test_rows_from_other_inputs_rejected(self):
         x, y = _sine_data()
-        spec = BaseSpec(kind="kernel", cv=True)
-        rows = cate.KernelRows(x, spec)
         with pytest.raises(ValueError):
-            cate.fit_base(x.copy(), y, spec, rows)
-        with pytest.raises(ValueError):
-            cate.fit_base(x, y, BaseSpec(kind="kernel", cv=True, cv_seed=1), rows)
+            cate.fit_base(x.copy(), y, BaseSpec(kind="kernel", cv=True), cate.KernelRows(x))
 
 
 class TestFitLearners:
     SPEC = BaseSpec(kind="kernel", cv=True)
 
-    @pytest.mark.parametrize("kinds", [("t",), ("x", "t"), ("dr", "r"), ("t", "x", "dr", "r")])
+    @pytest.mark.parametrize("kinds", [("t",), ("x", "t"), ("dr", "r"), ("t", "x", "dr", "r"),
+                                       ("x",), ("dr", "t")])
     def test_matches_fit_learner_per_kind(self, kinds):
         ds, _ = _linear_effect_data(n=160, seed=19, noise=0.1)
         x_new = make_rng(20).standard_normal((30, 3))
@@ -528,15 +524,15 @@ class TestFitLearners:
             assert np.array_equal(model.predict(x_new), want.predict(x_new))
 
     @pytest.mark.parametrize("kinds, keep, n_eigh", [
-        (("t",), [False, False], 6), (("t", "x"), [True, True], 6)])
+        (("t",), [False, False], 6), (("t", "x"), [True, True], 6), (("x",), [True, True], 6)])
     def test_t_shares_the_x_arms(self, monkeypatch, kinds, keep, n_eigh):
         # alone, T frees each basis once scored; beside X it costs no eigh
         made = []
 
         class Recorded(cate.KernelRows):
-            def __init__(self, x, spec, keep_bases=True):
+            def __init__(self, x, keep_bases=True):
                 made.append(keep_bases)
-                super().__init__(x, spec, keep_bases)
+                super().__init__(x, keep_bases)
 
         monkeypatch.setattr(cate, "KernelRows", Recorded)
         eighs = _count_calls(monkeypatch, np.linalg, "eigh")

@@ -441,6 +441,25 @@ class TestExitCodes:
         assert main(["pipeline", "--config", cfg_path]) == code
         assert capsys.readouterr().err == f"{prefix}pipeline stage 'fit-ebm' failed (seed 5): boom\n"
 
+    @pytest.mark.parametrize("command, stage", [("fit-ebm", "train_ebm"),
+                                                ("pipeline", "train_ebms")])
+    def test_out_of_memory_is_an_input_error(self, tmp_path, capsys, monkeypatch,
+                                             command, stage):
+        # as numpy raises it for [ebm] b = 100000000; an allocation that large
+        # is not attempted, since a host that overcommits memory may kill the run
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 5.82 TiB for an array")
+
+        monkeypatch.setattr(cli, stage, fail)
+        x = make_rng(0).standard_normal((30, 8))
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=np.arange(30) % 2, y=x[:, 0]), data)
+        extra = ["--train", str(data)] if command == "fit-ebm" else []
+        assert main([command, "--config", _write_cfg(tmp_path), "--out", str(tmp_path / "out"),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 5.82 TiB for an array\n"
+
 
     def test_diverged_run_names_its_init_seed(self, tmp_path, capsys, monkeypatch):
         from cate_ebm import nce
@@ -605,9 +624,11 @@ class TestFuzz:
         (("runs = 2", "runs = 1"), ["pipeline", "--mcc"]),
         (("hidden = 8", "hidden = 0"), ["fit-ebm", "--train"]),
         (("hidden = 8", "hidden = 4,-3"), ["fit-ebm", "--train"]),
+        (("kinds = t", "kinds = t,t,r"), ["pipeline"]),
     ], ids=["lam_0_cv_off", "lam_negative_dr_cv_on", "seed_negative", "b_seed_negative",
             "init_seed_negative", "test_size_1", "test_size_2_one_arm", "lr_negative",
-            "lr_0", "lr_nan", "no_learners", "mcc_one_run", "hidden_0", "hidden_negative"])
+            "lr_0", "lr_nan", "no_learners", "mcc_one_run", "hidden_0", "hidden_negative",
+            "repeated_kinds"])
     def test_invalid_settings(self, tmp_path, capsys, edit, argv):
         # each setting exits 2 with a message, before any model is trained
         text = FAST_CONFIG.format(out=tmp_path / "results")
