@@ -21,7 +21,7 @@ from .cate import (
 from .config import ExperimentConfig, load_config
 from .dgp import Dataset, DgpSpec, gen_dgp, load_csv, sample, save_csv
 from .ebm import EbmModel, ModelFingerprint, load_model, save_model
-from .evalx import cate_std_experiment, fit_reducers, mcc, pehe, write_table
+from .evalx import effect_predictions, fit_reducers, mcc, pehe, write_table
 from .nce import (
     CandidateSet,
     CorruptionSpec,

@@ -61,12 +61,6 @@ def _transform(model, x, path: str) -> np.ndarray:
     return z
 
 
-def _fit_learners(cfg: ExperimentConfig, feats, ds: Dataset) -> dict:
-    """Every configured learner fitted on feats with ds's treatment and outcome."""
-    return fit_learners(cfg.learners, Dataset(x=feats, a=ds.a, y=ds.y), cfg.base_spec(),
-                        split_seed=cfg.seed)
-
-
 def _mcc_pairs(reps) -> list:
     return [(i, j, evalx.mcc(reps[i], reps[j]))
             for i, j in itertools.combinations(range(len(reps)), 2)]
@@ -109,7 +103,8 @@ def cmd_fit_cate(cfg: ExperimentConfig, data_path: str, out_dir: str,
         raise ConfigError(
             f"feature rows ({feats.shape[0]}) != dataset rows ({ds.n})"
         )
-    models = _fit_learners(cfg, feats, ds)
+    models = fit_learners(cfg.learners, Dataset(x=feats, a=ds.a, y=ds.y), cfg.base_spec(),
+                          split_seed=cfg.seed)
     for kind in cfg.learners:
         tau_hat = models[kind].predict(feats)
         path = os.path.join(out_dir, f"predictions_{kind}.csv")
@@ -165,16 +160,12 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
 
         stage = "fit-cate"
         # feature set -> its (train, test) pairs, one per fitted reducer run
-        features = {"raw": [(train.x, test.x)], "ebm": reps}
-        # feature set -> one {kind: PEHE} per pair, every learner fitted at once
-        scores = {name: [{kind: evalx.pehe(m.predict(zs), test.tau)
-                          for kind, m in _fit_learners(cfg, zt, train).items()}
-                         for zt, zs in pairs]
-                  for name, pairs in features.items()}
+        preds = evalx.effect_predictions({"raw": [(train.x, test.x)], "ebm": reps}, train,
+                                         cfg.learners, cfg.base_spec(), split_seed=cfg.seed)
         rows = []
         for kind in cfg.learners:
-            for name, runs in scores.items():
-                vals = np.array([run[kind] for run in runs])
+            for name, runs in preds.items():
+                vals = np.array([evalx.pehe(run[kind], test.tau) for run in runs])
                 rows.append([kind, name, float(vals.mean()), float(vals.std()),
                              float(np.mean(np.sqrt(vals)))])
 

@@ -1,6 +1,8 @@
 """Evaluation: squared-error effect risk, the per-dimension correlation
 metric between representations from independent runs, fitted reducers and
-the CATE standard-deviation experiment. Report files are byte-deterministic.
+the effect predictions of learners on feature sets, which every comparison
+(PEHE per feature set, cross-run spread of the estimates) reduces. Report
+files are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ import os
 
 import numpy as np
 
-from .cate import BaseSpec, ae_fit, fit_learner
+from .cate import BaseSpec, ae_fit, fit_learners
 from .dgp import Dataset
 from .errors import DegenerateColumnError, DimensionError, IllConditionedError
 from .nce import TrainConfig, train_ebms
@@ -64,25 +66,24 @@ def fit_reducers(name: str, x, config: TrainConfig, seeds, b_matrix=None) -> lis
     raise ValueError(f"unknown reducer {name!r}")
 
 
-def cate_std_experiment(train: Dataset, test: Dataset, reducer: str, learner: str,
-                        seeds, config: TrainConfig, base_spec: BaseSpec | None = None,
-                        b_matrix=None):
-    """Per-test-sample standard deviation of effect estimates across reducers
-    fitted with each of `seeds`.
-
-    For the energy model, B stays fixed across runs; only the init seed
-    moves. Returns (std_vector, mean_std).
-    """
-    if len(seeds) < 2:
-        raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
-    base_spec = base_spec or BaseSpec()
-    preds = []
-    for reduce in fit_reducers(reducer, train.x, config, seeds, b_matrix=b_matrix):
-        fitted = fit_learner(learner, Dataset(x=reduce(train.x), a=train.a, y=train.y),
-                             base_spec)
-        preds.append(fitted.predict(reduce(test.x)))
-    std = np.stack(preds).std(axis=0)
-    return std, float(std.mean())
+def effect_predictions(features: dict, train: Dataset, kinds, spec: BaseSpec,
+                       split_seed: int = 0) -> dict:
+    """{name: [{kind: tau_hat on z_test}, ...]} for features {name: [(z_train,
+    z_test), ...]}: the kinds fitted together by cate.fit_learners on each
+    z_train with train's treatment and outcome. Each pair's models are
+    dropped before the next pair is fitted."""
+    kinds = list(kinds)
+    # every prediction's buffer exists before the first fit: predictions kept
+    # across later fits would split the heap's free space and raise peak memory
+    out = {name: [np.empty((len(kinds), len(zs))) for _, zs in pairs]
+           for name, pairs in features.items()}
+    for name, pairs in features.items():
+        for buf, (zt, zs) in zip(out[name], pairs):
+            models = fit_learners(kinds, Dataset(x=zt, a=train.a, y=train.y), spec, split_seed)
+            for row, kind in zip(buf, kinds):
+                row[:] = models[kind].predict(zs)
+            del models
+    return {name: [dict(zip(kinds, buf)) for buf in bufs] for name, bufs in out.items()}
 
 
 def write_table(path, header, rows) -> None:

@@ -127,6 +127,9 @@ def build_candidates(rows, labels, spec: CorruptionSpec, rng) -> CandidateSet:
     labels = np.asarray(labels)
     if labels.shape != (m,) or not np.all(labels % 1 == 0):
         raise DimensionError(f"labels must be {m} integers, one per row")
+    if m * (int(spec.b) + 1) * d > np.iinfo(np.intp).max:  # numpy cannot index it
+        raise ConfigError(f"{m} candidate sets of {spec.b} + 1 rows of {d} features "
+                          "exceed numpy's index range; lower b")
     corrupted = corrupt(np.broadcast_to(rows[:, None, :], (m, spec.b, d)), spec, rng)
     # argsort of i.i.d. uniform keys is a uniform permutation of each set:
     # slot s receives candidate perm[:, s], the clean row being candidate 0

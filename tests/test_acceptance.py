@@ -20,9 +20,10 @@ from cate_ebm import (
     Mlp,
     TrainConfig,
     build_candidates,
-    cate_std_experiment,
     dr_pseudo_outcome,
+    effect_predictions,
     fit_learner,
+    fit_reducers,
     gen_dgp,
     grad_check,
     kmeans_fit,
@@ -158,13 +159,11 @@ def test_criterion_06_pehe_ordering():
         test = sample(dgp, 1000, 700 + run)
         c = dataclasses.replace(cfg, seed=run, init_seed=run)
         model = train_ebm(train.x, c, b_matrix=b)
-        zt, zs = model.represent(train.x), model.represent(test.x)
-        rep_ds = Dataset(x=zt, a=train.a, y=train.y)
-        for kind in ("t", "r"):
-            vals[kind]["raw"].append(
-                pehe(fit_learner(kind, train, spec).predict(test.x), test.tau))
-            vals[kind]["ebm"].append(
-                pehe(fit_learner(kind, rep_ds, spec).predict(zs), test.tau))
+        features = {"raw": [(train.x, test.x)],
+                    "ebm": [(model.represent(train.x), model.represent(test.x))]}
+        for name, [run] in effect_predictions(features, train, ("t", "r"), spec).items():
+            for kind, tau_hat in run.items():
+                vals[kind][name].append(pehe(tau_hat, test.tau))
     means = {k: (float(np.mean(v["ebm"])), float(np.mean(v["raw"])))
              for k, v in vals.items()}
     ok = all(ebm < raw for ebm, raw in means.values())
@@ -183,9 +182,15 @@ def test_criterion_07_cate_variance_ordering():
     spec = BaseSpec(kind="kernel", cv=False, lam=1e-2)
     b = random_orthogonal(3, make_rng(42))
     seeds = [1000 * r for r in range(10)]
-    _, ebm_std = cate_std_experiment(train, test, "ebm", "r", seeds, cfg,
-                                     base_spec=spec, b_matrix=b)
-    _, ae_std = cate_std_experiment(train, test, "ae", "r", seeds, cfg, base_spec=spec)
+
+    def spread(reducer, b_matrix=None):
+        # mean over test rows of the std across runs of each row's R estimate
+        maps = fit_reducers(reducer, train.x, cfg, seeds, b_matrix=b_matrix)
+        runs = effect_predictions({reducer: [(f(train.x), f(test.x)) for f in maps]},
+                                  train, ("r",), spec)[reducer]
+        return float(np.stack([run["r"] for run in runs]).std(axis=0).mean())
+
+    ebm_std, ae_std = spread("ebm", b), spread("ae")
     _report(7, f"R-learner estimate spread (ebm {ebm_std:.4f} < ae {ae_std:.4f})",
             ebm_std < ae_std)
 

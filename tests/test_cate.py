@@ -512,7 +512,7 @@ class TestFitLearners:
     SPEC = BaseSpec(kind="kernel", cv=True)
 
     @pytest.mark.parametrize("kinds", [("t",), ("x", "t"), ("dr", "r"), ("t", "x", "dr", "r"),
-                                       ("x",), ("dr", "t")])
+                                       ("x",), ("dr", "t"), ("t", "r")])
     def test_matches_fit_learner_per_kind(self, kinds):
         ds, _ = _linear_effect_data(n=160, seed=19, noise=0.1)
         x_new = make_rng(20).standard_normal((30, 3))

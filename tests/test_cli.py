@@ -460,6 +460,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 5.82 TiB for an array\n"
 
+    def test_candidates_beyond_index_range(self, tmp_path, capsys):
+        # rejected before the candidate array is allocated
+        x = make_rng(0).standard_normal((96, 8))
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=np.arange(96) % 2, y=x[:, 0]), data)
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(FAST_CONFIG.format(out=tmp_path / "results")
+                       .replace("b = 2\n", "b = 100000000000000000\n"))
+        assert main(["fit-ebm", "--config", str(cfg), "--train", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceed numpy's index range" in err
+
 
     def test_diverged_run_names_its_init_seed(self, tmp_path, capsys, monkeypatch):
         from cate_ebm import nce

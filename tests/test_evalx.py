@@ -8,7 +8,7 @@ from cate_ebm import (
     Dataset,
     TrainConfig,
     ae_fit,
-    cate_std_experiment,
+    effect_predictions,
     fit_learner,
     fit_reducers,
     gen_dgp,
@@ -113,6 +113,34 @@ class TestWriteTable:
         assert "0.3333333333" in p.read_text()
 
 
+class TestEffectPredictions:
+    def test_matches_fit_learner_per_pair_and_kind(self):
+        train = sample(gen_dgp(41, d=4), 60, 42)
+        rng = make_rng(43)
+        z = [(rng.standard_normal((60, k)), rng.standard_normal((25, k))) for k in (2, 3, 2)]
+        features = {"raw": [z[0]], "ebm": z[1:]}
+        kinds = ("t", "x", "dr", "r")
+        spec = BaseSpec(kind="kernel", cv=True)
+        preds = effect_predictions(features, train, kinds, spec, split_seed=5)
+        assert list(preds) == ["raw", "ebm"]
+        assert [len(runs) for runs in preds.values()] == [1, 2]
+        for name, pairs in features.items():
+            for (zt, zs), run in zip(pairs, preds[name]):
+                assert list(run) == list(kinds)
+                for kind in kinds:
+                    want = fit_learner(kind, Dataset(x=zt, a=train.a, y=train.y), spec,
+                                       split_seed=5)
+                    assert np.array_equal(run[kind], want.predict(zs))
+
+
+def _cross_run_std(train, test, reducer, learner, seeds, config, spec, b_matrix=None):
+    """Criterion 7's spread: the std across runs of each test row's estimate."""
+    maps = fit_reducers(reducer, train.x, config, seeds, b_matrix=b_matrix)
+    runs = effect_predictions({reducer: [(f(train.x), f(test.x)) for f in maps]}, train,
+                              (learner,), spec)[reducer]
+    return np.stack([run[learner] for run in runs]).std(axis=0)
+
+
 def _two_branch_std(train, test, reducer, learner, seeds, config, base_spec, b_matrix=None):
     """The experiment's loop written out per reducer, as a reference."""
     preds = []
@@ -130,6 +158,8 @@ def _two_branch_std(train, test, reducer, learner, seeds, config, base_spec, b_m
 
 
 class TestCateStdExperiment:
+    """The cross-run spread of criterion 7, reduced from effect_predictions."""
+
     @staticmethod
     def _data():
         dgp = gen_dgp(31, d=8)
@@ -138,19 +168,17 @@ class TestCateStdExperiment:
     def test_identical_seeds_zero_std(self):
         train, test = self._data()
         cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=31)
-        std, mean_std = cate_std_experiment(
-            train, test, "ebm", "t", [5, 5], cfg, base_spec=BaseSpec(kind="ridge", cv=False),
-        )
+        std = _cross_run_std(train, test, "ebm", "t", [5, 5], cfg,
+                             BaseSpec(kind="ridge", cv=False))
         assert std.shape == (test.n,)
-        assert mean_std == 0.0
+        assert std.mean() == 0.0
 
     def test_different_seeds_positive_std(self):
         train, test = self._data()
         cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=31)
-        _, mean_std = cate_std_experiment(
-            train, test, "ae", "t", [0, 1000], cfg, base_spec=BaseSpec(kind="ridge", cv=False),
-        )
-        assert mean_std > 0.0
+        std = _cross_run_std(train, test, "ae", "t", [0, 1000], cfg,
+                             BaseSpec(kind="ridge", cv=False))
+        assert std.mean() > 0.0
 
     @pytest.mark.parametrize("reducer", ["ebm", "ae"])
     def test_matches_two_branch_loop(self, reducer):
@@ -158,18 +186,10 @@ class TestCateStdExperiment:
         cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=31)
         spec = BaseSpec(kind="ridge", cv=False)
         b = random_orthogonal(2, make_rng(42)) if reducer == "ebm" else None
-        std, mean_std = cate_std_experiment(train, test, reducer, "r", [0, 1000, 2000], cfg,
-                                            base_spec=spec, b_matrix=b)
+        std = _cross_run_std(train, test, reducer, "r", [0, 1000, 2000], cfg, spec, b)
         want = _two_branch_std(train, test, reducer, "r", [0, 1000, 2000], cfg, spec, b)
         assert np.array_equal(std, want)
-        assert mean_std == float(want.mean()) > 0.0
-
-    def test_validation(self):
-        train, test = self._data()
-        cfg = TrainConfig(k=2, b=2, epochs=2, hidden=(8,), seed=31)
-        for seeds in ([], [1]):
-            with pytest.raises(ValueError, match="at least 2 seeds"):
-                cate_std_experiment(train, test, "ebm", "t", seeds, cfg)
+        assert std.mean() > 0.0
 
 
 class TestFitReducer:

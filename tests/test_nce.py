@@ -108,6 +108,12 @@ class TestBuildCandidates:
         decoys[np.arange(50), cs.true_index] = False
         assert not np.any(np.all(cs.values == x[:, None, :], axis=2) & decoys)
 
+    def test_beyond_index_range_rejected(self):
+        # 96 * (1e17 + 1) * 8 entries: numpy's "iterator is too large"; nothing is allocated
+        spec = CorruptionSpec(rho=0.5, b=10**17, d=8)
+        with pytest.raises(ConfigError, match="exceed numpy's index range"):
+            _rows(np.zeros((96, 8)), spec, 8)
+
 
 def _reference_build_candidates(rows, labels, spec, rng):
     """The concatenate + take_along_axis form of build_candidates, with the
