@@ -8,20 +8,18 @@ from .cate import (
     KernelRidge,
     PropensityModel,
     Ridge,
-    ae_fit,
     dr_learner,
     dr_pseudo_outcome,
     fit_learner,
     fit_learners,
     median_gamma,
-    pca_fit,
     propensity_fit,
     r_learner,
 )
 from .config import ExperimentConfig, load_config
 from .dgp import Dataset, DgpSpec, gen_dgp, load_csv, sample, save_csv
-from .ebm import EbmModel, ModelFingerprint, load_model, save_model
-from .evalx import effect_predictions, fit_reducers, mcc, pehe, write_table
+from .ebm import EbmModel, Encoder, ModelFingerprint, load_model, save_model
+from .evalx import ae_fit, effect_predictions, fit_reducers, mcc, pca_fit, pehe, write_table
 from .nce import (
     CandidateSet,
     CorruptionSpec,

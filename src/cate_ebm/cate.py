@@ -1,5 +1,4 @@
-"""Base regressors, a logistic propensity model, the four meta-learners,
-and the PCA / autoencoder reduction baselines.
+"""Base regressors, a logistic propensity model and the four meta-learners.
 
 Learners take a Dataset whose covariate matrix may be raw covariates or a
 standardized representation; nothing here depends on which. Hyperparameters
@@ -11,14 +10,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .dgp import Dataset
 from .errors import ConfigError, DimensionError, IllConditionedError, TooFewSamplesError
-from .nce import TrainConfig, train_runs
-from .numerics import Mlp, make_rng, sq_dists, standardize_columns
+from .numerics import make_rng, sq_dists
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +99,6 @@ class Ridge:
 
 def _rbf_kernel(xa, xb, gamma):
     k = sq_dists(xa, xb)
-    np.maximum(k, 0.0, out=k)
     k *= -gamma
     np.exp(k, out=k)
     return k
@@ -481,14 +478,25 @@ def r_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
 LEARNERS = ("t", "x", "dr", "r")
 
 
-def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dict:
-    """{kind: fitted CateModel} for every kind, in kinds order; every kind is
-    checked before any fit. T and X share one _fit_t_x call, whose arms are
-    freed before DR and R are fitted."""
-    kinds = list(kinds)
+def check_kinds(kinds) -> tuple:
+    """kinds as a tuple, once it names at least one kind, each of LEARNERS
+    and none twice; ConfigError otherwise."""
+    kinds = tuple(kinds)
+    if not kinds:
+        raise ConfigError("learners must name at least one kind")
     bad = [kind for kind in kinds if kind not in LEARNERS]
     if bad:
-        raise ValueError(f"unknown learner {bad[0]!r}; valid kinds: {sorted(LEARNERS)}")
+        raise ConfigError(f"unknown learner {bad[0]!r}; valid kinds: {', '.join(LEARNERS)}")
+    if len(set(kinds)) < len(kinds):
+        raise ConfigError(f"learners repeat a kind: {','.join(kinds)}")
+    return kinds
+
+
+def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dict:
+    """{kind: fitted CateModel} for every kind, in kinds order; the kinds are
+    checked (check_kinds) before any fit. T and X share one _fit_t_x call,
+    whose arms are freed before DR and R are fitted."""
+    kinds = check_kinds(kinds)
     models = _fit_t_x(kinds, ds, spec) if {"t", "x"} & set(kinds) else {}
     if "dr" in kinds:
         models["dr"] = dr_learner(ds, spec, split_seed=split_seed)
@@ -500,84 +508,3 @@ def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dic
 def fit_learner(kind: str, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
     """One meta-learner: the one-kind case of fit_learners."""
     return fit_learners([kind], ds, spec, split_seed)[kind]
-
-
-# ---------------------------------------------------------------------------
-# reduction baselines
-
-class PcaProjector:
-    """Centred, unscaled projection onto the top-k principal directions: the
-    x -> z call shape of the other reducers, but not standardized like them,
-    and not offered by fit_reducers yet."""
-
-    def __init__(self, mean, components):
-        self.mean = mean
-        self.components = components  # (d, k)
-
-    def transform(self, x):
-        return (np.asarray(x, dtype=float) - self.mean) @ self.components
-
-
-def pca_fit(x, k: int) -> PcaProjector:
-    x = np.asarray(x, dtype=float)
-    d = x.shape[1]
-    if k > d:
-        raise DimensionError(f"k={k} > d={d}")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / x.shape[0]
-    vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1][:k]
-    return PcaProjector(mean=mean, components=vecs[:, order])
-
-
-class AeEncoder:
-    """Trained encoder half with the same standardization contract as the
-    energy-model representations, and its training record."""
-
-    def __init__(self, encoder: Mlp, x, history, best_epoch):
-        self.encoder = encoder
-        _, self.repr_mean, self.repr_std = standardize_columns(encoder.forward(x))
-        self.history = history  # (epoch, train_loss, val_loss) rows
-        self.best_epoch = best_epoch
-
-    def transform(self, x):
-        """Encoder outputs standardized with the training statistics."""
-        z = self.encoder.forward(np.asarray(x, dtype=float))
-        return (z - self.repr_mean) / self.repr_std
-
-
-def _ae_loss(encoder: Mlp, decoder: Mlp, xb, with_grads):
-    """Squared reconstruction error per row, averaged over the batch; with
-    grads, then its gradients over encoder.flat and decoder.flat."""
-    z, enc_cache = encoder.forward_cache(xb)
-    recon, dec_cache = decoder.forward_cache(z)
-    resid = recon - xb
-    loss = float(np.sum(resid * resid)) / len(xb)
-    if not with_grads:
-        return loss
-    dec_grad, gz = decoder.backward(dec_cache, 2.0 * resid / len(xb))
-    enc_grad, _ = encoder.backward(enc_cache, gz, input_grad=False)
-    return loss, enc_grad, dec_grad
-
-
-def ae_fit(x, config: TrainConfig, seeds) -> list:
-    """Denoising-free autoencoders of config's k and widths, one AeEncoder per
-    init seed in seeds, trained together on squared reconstruction error by
-    the EBM's loop, nce.train_runs: one split and batch order from
-    config.seed, early stopping on the held-out rows, best snapshot kept."""
-    x = np.asarray(x, dtype=float)
-    n, d = x.shape
-    if config.k > d:
-        raise DimensionError(f"k={config.k} > d={d}")
-
-    def make_run(seed):
-        rng = make_rng(seed)
-        nets = [Mlp([d, *config.hidden, config.k], rng=rng),
-                Mlp([config.k, *reversed(config.hidden), d], rng=rng)]
-        return nets, partial(_ae_loss, *nets)
-
-    master = make_rng(config.seed)
-    runs = train_runs(config, seeds, make_run, np.zeros(n), lambda rows, _: x[rows],
-                      make_rng(master.integers(2**63)), int(master.integers(2**63)))
-    return [AeEncoder(run.nets[0], x, run.history, run.best_epoch) for run in runs]

@@ -9,7 +9,7 @@ import configparser
 import zlib
 from dataclasses import dataclass, fields
 
-from .cate import LEARNERS, BaseSpec
+from .cate import BaseSpec, check_kinds
 from .errors import ConfigError
 from .nce import TrainConfig
 
@@ -75,7 +75,8 @@ class ExperimentConfig:
         return BaseSpec(kind=self.base_kind, lam=self.base_lam, cv=self.base_cv)
 
     def validate(self):
-        """Check via train_config() and base_spec(), then what no library object does."""
+        """Check via train_config(), base_spec() and check_kinds(), then what no
+        library object does."""
         self.train_config()
         self.base_spec()
         # with k >= 1 (TrainConfig) these also give d >= 2 and n >= 2
@@ -86,13 +87,7 @@ class ExperimentConfig:
         for name, least in (("test_size", 2), ("runs", 1), ("b_seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
-        if not self.learners:
-            raise ConfigError("learners must name at least one kind")
-        bad = [l for l in self.learners if l not in LEARNERS]
-        if bad:
-            raise ConfigError(f"unknown learners {bad}; valid kinds: {', '.join(LEARNERS)}")
-        if len(set(self.learners)) < len(self.learners):
-            raise ConfigError(f"learners repeat a kind: {','.join(self.learners)}")
+        check_kinds(self.learners)
         return self
 
     def canonical(self) -> str:

@@ -1,20 +1,24 @@
 """Evaluation: squared-error effect risk, the per-dimension correlation
-metric between representations from independent runs, fitted reducers and
-the effect predictions of learners on feature sets, which every comparison
-(PEHE per feature set, cross-run spread of the estimates) reduces. Report
-files are byte-deterministic.
+metric between representations from independent runs, the reducers (the
+energy model, and the PCA and autoencoder baselines, each fitted to an
+Encoder) and the effect predictions of learners on feature sets, which every
+comparison (PEHE per feature set, cross-run spread of the estimates)
+reduces. Report files are byte-deterministic.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
-from .cate import BaseSpec, ae_fit, fit_learners
+from .cate import BaseSpec, fit_learners
 from .dgp import Dataset
+from .ebm import Encoder
 from .errors import DegenerateColumnError, DimensionError, IllConditionedError
-from .nce import TrainConfig, train_ebms
+from .nce import TrainConfig, train_ebms, train_runs
+from .numerics import Mlp, make_rng
 
 _FMT = "%.10g"
 
@@ -54,16 +58,72 @@ def mcc(r1, r2) -> float:
     return total / r1.shape[1]
 
 
+def pca_fit(x, k: int) -> Encoder:
+    """Projection onto the top-k principal directions of x, standardized on
+    x: a one-layer net whose W holds the directions and b = -mean W."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[1]
+    if k > d:
+        raise DimensionError(f"k={k} > d={d}")
+    mean = x.mean(axis=0)
+    xc = x - mean
+    cov = xc.T @ xc / x.shape[0]
+    vals, vecs = np.linalg.eigh(cov)
+    net = Mlp([d, k])
+    w, b = net.params
+    w[...] = vecs[:, np.argsort(vals)[::-1][:k]]
+    b[...] = -mean @ w
+    return Encoder(net).standardize_on(x)
+
+
+def _ae_loss(encoder: Mlp, decoder: Mlp, xb, with_grads):
+    """Squared reconstruction error per row, averaged over the batch; with
+    grads, then its gradients over encoder.flat and decoder.flat."""
+    z, enc_cache = encoder.forward_cache(xb)
+    recon, dec_cache = decoder.forward_cache(z)
+    resid = recon - xb
+    loss = float(np.sum(resid * resid)) / len(xb)
+    if not with_grads:
+        return loss
+    dec_grad, gz = decoder.backward(dec_cache, 2.0 * resid / len(xb))
+    enc_grad, _ = encoder.backward(enc_cache, gz, input_grad=False)
+    return loss, enc_grad, dec_grad
+
+
+def ae_fit(x, config: TrainConfig, seeds) -> list:
+    """Denoising-free autoencoders of config's k and widths, one Encoder (the
+    encoder half) per init seed in seeds, trained together on squared
+    reconstruction error by the EBM's loop, nce.train_runs: one split and
+    batch order from config.seed, early stopping on the held-out rows, best
+    snapshot kept."""
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    if config.k > d:
+        raise DimensionError(f"k={config.k} > d={d}")
+
+    def make_run(seed):
+        rng = make_rng(seed)
+        nets = [Mlp([d, *config.hidden, config.k], rng=rng),
+                Mlp([config.k, *reversed(config.hidden), d], rng=rng)]
+        return Encoder(nets[0]), nets, partial(_ae_loss, *nets)
+
+    master = make_rng(config.seed)
+    return train_runs(config, seeds, make_run, x, np.zeros(n), lambda rows, _: x[rows],
+                      make_rng(master.integers(2**63)), int(master.integers(2**63)))
+
+
 def fit_reducers(name: str, x, config: TrainConfig, seeds, b_matrix=None) -> list:
-    """The fitted maps x -> z of reducer 'ebm' or 'ae', one per init seed in
-    seeds, trained together on x by nce.train_runs under config (the AE
-    ignores b and rho). The EBM runs keep b_matrix (None draws B from
-    config.seed)."""
+    """The fitted maps x -> z (Encoder.represent) of reducer 'ebm' or 'ae',
+    one per init seed in seeds, trained together on x by nce.train_runs
+    under config (the AE ignores b and rho). The EBM runs keep b_matrix (None
+    draws B from config.seed)."""
     if name == "ebm":
-        return [m.represent for m in train_ebms(x, config, seeds, b_matrix=b_matrix)]
-    if name == "ae":
-        return [enc.transform for enc in ae_fit(x, config, seeds)]
-    raise ValueError(f"unknown reducer {name!r}")
+        encoders = train_ebms(x, config, seeds, b_matrix=b_matrix)
+    elif name == "ae":
+        encoders = ae_fit(x, config, seeds)
+    else:
+        raise ValueError(f"unknown reducer {name!r}")
+    return [enc.represent for enc in encoders]
 
 
 def effect_predictions(features: dict, train: Dataset, kinds, spec: BaseSpec,

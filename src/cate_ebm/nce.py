@@ -31,7 +31,7 @@ import numpy as np
 
 from .ebm import EbmModel, ModelFingerprint
 from .errors import ConfigError, DimensionError, TooFewSamplesError, TrainingDivergedError
-from .numerics import Adam, Mlp, make_rng, random_orthogonal, standardize_columns
+from .numerics import Adam, Mlp, make_rng, random_orthogonal
 from .partition import kmeans_fit
 
 
@@ -207,10 +207,12 @@ def _stratified_batches(labels, batch_size, rng):
 
 
 class _Run:
-    """One init seed's nets, their optimizers and its early-stopping state."""
+    """One init seed's encoder, its nets, their optimizers and its
+    early-stopping state."""
 
-    def __init__(self, seed, nets, loss, lr):
+    def __init__(self, seed, encoder, nets, loss, lr):
         self.seed = seed
+        self.encoder = encoder
         self.nets = nets
         self.loss = loss
         self.opts = [Adam(net.flat, lr=lr) for net in nets]
@@ -240,17 +242,19 @@ class _Run:
         return epoch - self.best_epoch < patience
 
 
-def train_runs(config: TrainConfig, seeds, make_run, labels, draw, split_rng, epoch_base):
-    """Train one run per init seed, make_run(seed) giving its nets and its
+def train_runs(config: TrainConfig, seeds, make_run, x, labels, draw, split_rng, epoch_base):
+    """Train one run per init seed on the rows of x. make_run(seed) gives its
+    Encoder, the nets it trains (the encoder's among them) and its
     loss(batch, with_grads): the loss or, with grads, the loss and then one
     gradient per net. The runs share one split of the rows, held out by
     split_rng, and epoch e's draws from make_rng(epoch_base + e): draw(train
-    rows, rng), batch positions stratified by labels, then draw(val rows, rng).
-    Returns the runs in the order of seeds, each at its best snapshot."""
+    rows, rng), batch positions stratified by labels, then draw(val rows,
+    rng). Returns the encoders in the order of seeds, each at its best
+    snapshot, with its training record and standardized on all of x."""
     seeds = [dataclasses.replace(config, init_seed=s).init_seed for s in seeds]
     if not seeds:
         raise ConfigError("init_seeds must name at least one seed")
-    n = len(labels)
+    n = len(x)
     n_val = max(1, int(round(n * config.val_fraction)))
     if n_val >= n:
         raise TooFewSamplesError(f"holding out {n_val} of n={n} rows leaves none to train on")
@@ -283,7 +287,10 @@ def train_runs(config: TrainConfig, seeds, make_run, labels, draw, split_rng, ep
     for run in runs:
         for net, best in zip(run.nets, run.best):
             net.flat[:] = best
-    return runs
+        enc = run.encoder
+        enc.history, enc.best_epoch, enc.best_val_loss = run.history, run.best_epoch, run.best_val
+        enc.standardize_on(x)
+    return [run.encoder for run in runs]
 
 
 def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
@@ -327,22 +334,15 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
     # b_crc identifies the fixed B, so models sharing B compare equal
     b_crc = zlib.crc32(np.ascontiguousarray(b_matrix, dtype="<f8").tobytes())
     fp = ModelFingerprint(d=d, k=k, corruption_hash=spec.fingerprint_hash(), b_crc=b_crc)
-    models = []
 
     def make_run(seed):
-        models.append(EbmModel(net=Mlp([d, *config.hidden, k], rng=make_rng(seed)),
-                               b_matrix=b_matrix, partition=partition, fingerprint=fp))
-        return [models[-1].net], functools.partial(nce_loss, models[-1])
+        model = EbmModel(net=Mlp([d, *config.hidden, k], rng=make_rng(seed)),
+                         b_matrix=b_matrix, partition=partition, fingerprint=fp)
+        return model, [model.net], functools.partial(nce_loss, model)
 
-    runs = train_runs(config, init_seeds, make_run, labels,
+    return train_runs(config, init_seeds, make_run, x, labels,
                       lambda rows, rng: build_candidates(x[rows], labels[rows], spec, rng),
                       split_rng, corrupt_base)
-    for model, run in zip(models, runs):
-        _, model.repr_mean, model.repr_std = standardize_columns(model.net.forward(x))
-        model.history = run.history
-        model.best_epoch = run.best_epoch
-        model.best_val_loss = run.best_val
-    return models
 
 
 def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:

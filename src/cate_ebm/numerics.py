@@ -44,8 +44,8 @@ _DIST_BLOCK = 1 << 16
 
 
 def sq_dists(xa, xb):
-    """Squared distances -2 xa_i . xb_j + (aa_i + bb_j), rounded as written (so
-    an entry can be slightly negative).
+    """Squared distances -2 xa_i . xb_j + (aa_i + bb_j), rounded as written and
+    clipped at 0: round-off can take that sum below 0, a distance never.
 
     Besides the len(xa)-by-len(xb) result it holds one row block of the norm
     sums aa_i + bb_j, at most _DIST_BLOCK elements (or one row when a row is
@@ -60,6 +60,7 @@ def sq_dists(xa, xb):
         part = block[: min(rows, aa.size - s)]
         np.add(aa[s : s + rows, None], bb, out=part)
         d2[s : s + rows] += part
+        np.maximum(d2[s : s + rows], 0.0, out=d2[s : s + rows])
     return d2
 
 

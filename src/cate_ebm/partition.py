@@ -35,22 +35,15 @@ class PartitionModel:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise DimensionError(f"points of shape {x.shape} are not an (n, {self.d}) matrix")
-        d2 = _sq_dists(x, self.centroids)
+        d2 = sq_dists(x, self.centroids)
         return np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
-
-
-def _sq_dists(x, c):
-    """(n, k) squared distances, clipped at 0."""
-    d2 = sq_dists(x, c)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
 def _kmeanspp_init(x, k, rng):
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
-    d2 = _sq_dists(x, centroids[:1]).ravel()
+    d2 = sq_dists(x, centroids[:1]).ravel()
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -60,7 +53,7 @@ def _kmeanspp_init(x, k, rng):
             probs = d2 / total
             idx = rng.choice(n, p=probs)
         centroids[j] = x[idx]
-        d2 = np.minimum(d2, _sq_dists(x, centroids[j : j + 1]).ravel())
+        d2 = np.minimum(d2, sq_dists(x, centroids[j : j + 1]).ravel())
     return centroids
 
 
@@ -86,7 +79,7 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
     prev_inertia = np.inf
     history = []
     for _ in range(max_iter):
-        d2 = _sq_dists(x, centroids)
+        d2 = sq_dists(x, centroids)
         labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), labels].sum())
         history.append(inertia)
@@ -106,7 +99,7 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
         prev_labels = labels
         prev_inertia = inertia
 
-    d2 = _sq_dists(x, centroids)
+    d2 = sq_dists(x, centroids)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
     return PartitionModel(centroids=centroids, inertia=inertia, history=history)

@@ -547,6 +547,11 @@ class TestFitLearners:
             fit_learners(("t", "x", "s"), ds, self.SPEC)
         assert fits == []
 
+    def test_repeated_kind_raises(self):
+        ds, _ = _linear_effect_data(seed=4)
+        with pytest.raises(ConfigError, match="repeat a kind: t,t"):
+            fit_learners(("t", "t"), ds, self.SPEC)
+
 
 class TestReductionBaselines:
     def test_pca_recovers_dominant_axis(self):
@@ -555,12 +560,12 @@ class TestReductionBaselines:
         direction = np.array([3.0, 4.0]) / 5.0
         x = t[:, None] * direction * 10.0 + 0.01 * rng.standard_normal((500, 2))
         proj = pca_fit(x, 1)
-        axis = proj.components[:, 0]
+        axis = proj.net.params[0][:, 0]
         assert abs(abs(axis @ direction) - 1.0) < 1e-3
 
     def test_pca_transform_centered(self):
         x = make_rng(11).standard_normal((100, 4))
-        z = pca_fit(x, 2).transform(x)
+        z = pca_fit(x, 2).represent(x)
         assert z.shape == (100, 2)
         assert np.abs(z.mean(axis=0)).max() < 1e-10
 
@@ -574,7 +579,7 @@ class TestReductionBaselines:
         mix = rng.standard_normal((2, 6))
         x = t @ mix + 0.1 * rng.standard_normal((300, 6))
         enc = ae_fit(x, TrainConfig(k=2, hidden=(16,), epochs=60, seed=12), [12])[0]
-        z = enc.encoder.forward(x)
+        z = enc.net.forward(x)
         # encoder output must carry signal: correlate with the latent factors
         corr = np.corrcoef(np.hstack([z, t]).T)[:2, 2:]
         assert np.abs(corr).max() > 0.5
@@ -582,15 +587,15 @@ class TestReductionBaselines:
     def test_ae_standardized_output(self):
         x = make_rng(13).standard_normal((200, 5))
         enc = ae_fit(x, TrainConfig(k=2, hidden=(8,), epochs=20, seed=13), [13])[0]
-        z = enc.transform(x)
+        z = enc.represent(x)
         assert np.abs(z.mean(axis=0)).max() < 1e-8
         assert np.abs(z.std(axis=0) - 1.0).max() < 1e-8
 
     def test_ae_deterministic(self):
         x = make_rng(14).standard_normal((100, 4))
         cfg = TrainConfig(k=2, hidden=(20, 20), epochs=5, seed=7)
-        z1 = ae_fit(x, cfg, [7])[0].transform(x)
-        z2 = ae_fit(x, cfg, [7])[0].transform(x)
+        z1 = ae_fit(x, cfg, [7])[0].represent(x)
+        z2 = ae_fit(x, cfg, [7])[0].represent(x)
         assert np.array_equal(z1, z2)
 
     def test_ae_runs_match_separate_trainings(self):
@@ -598,9 +603,9 @@ class TestReductionBaselines:
         cfg = TrainConfig(k=2, hidden=(8,), epochs=30, patience=4, seed=15)
         together = ae_fit(x, cfg, [7, 8])[1]
         alone = ae_fit(x, cfg, [8])[0]
-        assert np.array_equal(together.encoder.flat, alone.encoder.flat)
+        assert np.array_equal(together.net.flat, alone.net.flat)
         assert np.array_equal(np.array(together.history), np.array(alone.history))
-        assert np.array_equal(together.transform(x), alone.transform(x))
+        assert np.array_equal(together.represent(x), alone.represent(x))
 
     def test_ae_early_stops_on_best_snapshot(self):
         """Patience stops the AE before the epoch cap, and retraining for
@@ -613,8 +618,8 @@ class TestReductionBaselines:
         assert val[stopped.best_epoch] == min(val)
         again = ae_fit(x, dataclasses.replace(cfg, epochs=stopped.best_epoch + 1), [5])[0]
         assert again.best_epoch == stopped.best_epoch
-        assert np.array_equal(stopped.encoder.flat, again.encoder.flat)
-        assert np.array_equal(stopped.transform(x), again.transform(x))
+        assert np.array_equal(stopped.net.flat, again.net.flat)
+        assert np.array_equal(stopped.represent(x), again.represent(x))
 
     def test_ae_divergence_names_the_run(self):
         x = make_rng(17).standard_normal((100, 4))

@@ -132,6 +132,8 @@ class TestSerialization:
         assert np.array_equal(model.b_matrix, loaded.b_matrix)
         assert np.array_equal(model.partition.centroids, loaded.partition.centroids)
         assert model.fingerprint == loaded.fingerprint
+        # the training record is not serialized
+        assert (loaded.history, loaded.best_epoch, loaded.best_val_loss) == ([], None, None)
 
     def test_version_flip_detected(self, tmp_path):
         model, _ = _trained_model()

@@ -14,6 +14,7 @@ from cate_ebm import (
     gen_dgp,
     make_rng,
     mcc,
+    pca_fit,
     pehe,
     random_orthogonal,
     sample,
@@ -151,7 +152,7 @@ def _two_branch_std(train, test, reducer, learner, seeds, config, base_spec, b_m
             z_train, z_test = model.represent(train.x), model.represent(test.x)
         else:
             enc = ae_fit(train.x, config, [seed])[0]
-            z_train, z_test = enc.transform(train.x), enc.transform(test.x)
+            z_train, z_test = enc.represent(train.x), enc.represent(test.x)
         fitted = fit_learner(learner, Dataset(x=z_train, a=train.a, y=train.y), base_spec)
         preds.append(fitted.predict(z_test))
     return np.stack(preds).std(axis=0)
@@ -190,6 +191,34 @@ class TestCateStdExperiment:
         want = _two_branch_std(train, test, reducer, "r", [0, 1000, 2000], cfg, spec, b)
         assert np.array_equal(std, want)
         assert std.mean() > 0.0
+
+
+class TestEncoder:
+    """Every reducer fits an Encoder, standardized on its training rows."""
+
+    @staticmethod
+    def _fit(reducer, x):
+        cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=3)
+        if reducer == "ebm":
+            return train_ebm(x, cfg)
+        if reducer == "ae":
+            return ae_fit(x, cfg, [4])[0]
+        return pca_fit(x, 2)
+
+    @pytest.mark.parametrize("reducer", ["ebm", "ae", "pca"])
+    def test_standardized_on_training_rows(self, reducer):
+        x = make_rng(5).standard_normal((120, 4)) * [1.0, 3.0, 0.5, 2.0] + 7.0
+        z = self._fit(reducer, x).represent(x)
+        assert np.abs(z.mean(axis=0)).max() <= 1e-8
+        assert np.abs(z.std(axis=0) - 1.0).max() <= 1e-8
+
+    @pytest.mark.parametrize("reducer", ["ebm", "ae", "pca"])
+    def test_nonfinite_output_raises(self, reducer):
+        x = make_rng(6).standard_normal((120, 4))
+        enc = self._fit(reducer, x)
+        enc.net.params[0][0, 0] = np.nan
+        with pytest.raises(IllConditionedError):
+            enc.represent(x)
 
 
 class TestFitReducer:

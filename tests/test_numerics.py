@@ -8,7 +8,8 @@ from cate_ebm.errors import DegenerateColumnError, DimensionError, TrainingDiver
 
 def _one_line_sq_dists(xa, xb):
     """sq_dists without row blocks: the norm sums in one full-size buffer."""
-    return -2.0 * (xa @ xb.T) + np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
+    d2 = -2.0 * (xa @ xb.T) + np.add.outer(np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1))
+    return np.maximum(d2, 0.0)
 
 
 class TestSqDists:
@@ -29,6 +30,11 @@ class TestSqDists:
         d2 = numerics.sq_dists(xa, xb)
         assert d2.shape == (n, m)
         assert np.array_equal(d2, _one_line_sq_dists(xa, xb))
+
+    def test_never_negative(self):
+        # far from the origin the norm sums cancel, and their round-off goes below 0
+        x = make_rng(0).standard_normal((50, 3)) + 1e4
+        assert (numerics.sq_dists(x, x) >= 0.0).all()
 
 
 class TestRandomOrthogonal:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cate_ebm import kmeans_fit, make_rng
-from cate_ebm.partition import _sq_dists
+from cate_ebm.numerics import sq_dists
 from cate_ebm.errors import DimensionError, TooFewSamplesError
 
 
@@ -129,4 +129,4 @@ def test_sq_dists_match_reference(seed):
     x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5)
     c = x[rng.choice(n, size=min(k, n), replace=False)]  # centroids on data rows
     c = np.vstack([c, rng.standard_normal((k, d))])
-    assert np.array_equal(_sq_dists(x, c), _reference_sq_dists(x, c))
+    assert np.array_equal(sq_dists(x, c), _reference_sq_dists(x, c))
