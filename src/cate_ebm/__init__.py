@@ -22,7 +22,6 @@ from .ebm import EbmModel, Encoder, ModelFingerprint, load_model, save_model
 from .evalx import ae_fit, effect_predictions, fit_reducers, mcc, pca_fit, pehe, write_table
 from .nce import (
     CandidateSet,
-    CorruptionSpec,
     TrainConfig,
     build_candidates,
     corrupt,

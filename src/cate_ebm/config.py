@@ -37,6 +37,7 @@ SECTIONS = {
 
 @dataclass
 class ExperimentConfig:
+    # a setting that TrainConfig or BaseSpec also holds takes its default from there
     # dgp
     d: int = 20
     n: int = 500
@@ -44,19 +45,19 @@ class ExperimentConfig:
     test_size: int = 2000
     # ebm
     k: int = 3
-    b: int = 5
-    rho: float = 0.5
-    hidden: tuple = (20, 20)
-    epochs: int = 100
-    lr: float = 1e-3
-    batch_size: int = 64
+    b: int = TrainConfig.b
+    rho: float = TrainConfig.rho
+    hidden: tuple = TrainConfig.hidden
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.lr
+    batch_size: int = TrainConfig.batch_size
     b_seed: int = 42
-    patience: int = 30
+    patience: int = TrainConfig.patience
     # learners
     learners: tuple = ("t", "x", "dr", "r")
-    base_kind: str = "kernel"
-    base_lam: float = 1e-2
-    base_cv: bool = True
+    base_kind: str = BaseSpec.kind
+    base_lam: float = BaseSpec.lam
+    base_cv: bool = BaseSpec.cv
     # eval
     runs: int = 3
     # io

@@ -162,8 +162,8 @@ def read_csv(path, names):
 
     names(header) lists the columns to parse into block, or raises
     CsvFormatError; cells holds every data cell as text. An empty file, a
-    ragged row and the first named cell (row-major) that parse_cell rejects
-    raise CsvFormatError."""
+    header that repeats a column, a ragged row and the first named cell
+    (row-major) that parse_cell rejects raise CsvFormatError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -172,6 +172,9 @@ def read_csv(path, names):
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
     header, rows = rows[0], rows[1:]
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise CsvFormatError(f"{path}: column {repeated[0]!r} appears more than once")
     wanted = names(header)
     for r, row in enumerate(rows):
         if len(row) != len(header):

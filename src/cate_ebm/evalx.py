@@ -60,7 +60,10 @@ def mcc(r1, r2) -> float:
 
 def pca_fit(x, k: int) -> Encoder:
     """Projection onto the top-k principal directions of x, standardized on
-    x: a one-layer net whose W holds the directions and b = -mean W."""
+    x: a one-layer net whose W holds the directions and b = -mean W.
+
+    A kept direction whose variance is round-off (at most the largest times
+    d * eps, numpy's matrix_rank tolerance) raises DegenerateColumnError."""
     x = np.asarray(x, dtype=float)
     d = x.shape[1]
     if k > d:
@@ -69,9 +72,13 @@ def pca_fit(x, k: int) -> Encoder:
     xc = x - mean
     cov = xc.T @ xc / x.shape[0]
     vals, vecs = np.linalg.eigh(cov)
+    top = np.argsort(vals)[::-1][:k]
+    flat = np.flatnonzero(vals[top] <= vals.max() * d * np.finfo(float).eps)
+    if flat.size:
+        raise DegenerateColumnError(int(flat[0]))
     net = Mlp([d, k])
     w, b = net.params
-    w[...] = vecs[:, np.argsort(vals)[::-1][:k]]
+    w[...] = vecs[:, top]
     b[...] = -mean @ w
     return Encoder(net).standardize_on(x)
 

@@ -36,26 +36,16 @@ from .partition import kmeans_fit
 
 
 def _check_corruption(rho, b) -> None:
-    """The one check of rho and b, made by CorruptionSpec and TrainConfig."""
+    """The one check of rho and b, made by TrainConfig and build_candidates."""
     if not (0.0 < rho <= 1.0 and b >= 1):
         raise ConfigError(f"need rho in (0, 1] and b >= 1, got rho={rho}, b={b}")
 
 
-@dataclass
-class CorruptionSpec:
-    """Corruption of d continuous features into b copies per clean sample."""
-
-    rho: float
-    b: int
-    d: int
-
-    def __post_init__(self):
-        _check_corruption(self.rho, self.b)
-
-    def fingerprint_hash(self) -> int:
-        # one "c" (continuous) per feature: the string .preb files were written with
-        parts = [f"rho={self.rho!r}", f"b={self.b}", *["c"] * self.d]
-        return zlib.crc32(";".join(parts).encode())
+def _corruption_hash(rho, b, d) -> int:
+    """The corruption value of a model fingerprint: one "c" (continuous) per
+    feature, the string .preb files were written with."""
+    parts = [f"rho={rho!r}", f"b={b}", *["c"] * d]
+    return zlib.crc32(";".join(parts).encode())
 
 
 @dataclass
@@ -78,8 +68,8 @@ class TrainConfig:
     k: int
     b: int = 5
     rho: float = 0.5
-    hidden: tuple = (20, 20, 20)
-    epochs: int = 200
+    hidden: tuple = (20, 20)
+    epochs: int = 100
     batch_size: int = 64
     lr: float = 1e-3
     seed: int = 0
@@ -102,40 +92,39 @@ class TrainConfig:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
-def corrupt(x, spec: CorruptionSpec, rng) -> np.ndarray:
+def corrupt(x, rho, rng) -> np.ndarray:
     """One corrupted copy of every row of x, an array of shape (..., d).
 
     Every feature of every row is selected independently with probability
     rho; a selected feature gets standard Gaussian noise added.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != spec.d:
-        raise DimensionError(f"vector length {x.shape[-1]} != spec dimension {spec.d}")
-    selected = rng.random(x.shape) < spec.rho
+    selected = rng.random(x.shape) < rho
     out = rng.standard_normal(x.shape)
     out *= selected
     out += x
     return out
 
 
-def build_candidates(rows, labels, spec: CorruptionSpec, rng) -> CandidateSet:
+def build_candidates(rows, labels, rho, b, rng) -> CandidateSet:
     """For each row, the clean sample plus b corrupted copies in a uniformly
     random order; labels gives each row's partition subset and must hold one
     integral value per row."""
+    _check_corruption(rho, b)
     rows = np.asarray(rows, dtype=float)
     m, d = rows.shape
     labels = np.asarray(labels)
     if labels.shape != (m,) or not np.all(labels % 1 == 0):
         raise DimensionError(f"labels must be {m} integers, one per row")
-    if m * (int(spec.b) + 1) * d > np.iinfo(np.intp).max:  # numpy cannot index it
-        raise ConfigError(f"{m} candidate sets of {spec.b} + 1 rows of {d} features "
+    if m * (int(b) + 1) * d > np.iinfo(np.intp).max:  # numpy cannot index it
+        raise ConfigError(f"{m} candidate sets of {b} + 1 rows of {d} features "
                           "exceed numpy's index range; lower b")
-    corrupted = corrupt(np.broadcast_to(rows[:, None, :], (m, spec.b, d)), spec, rng)
+    corrupted = corrupt(np.broadcast_to(rows[:, None, :], (m, b, d)), rho, rng)
     # argsort of i.i.d. uniform keys is a uniform permutation of each set:
     # slot s receives candidate perm[:, s], the clean row being candidate 0
-    perm = np.argsort(rng.random((m, spec.b + 1)), axis=1)
+    perm = np.argsort(rng.random((m, b + 1)), axis=1)
     slot = np.argsort(perm, axis=1)  # the inverse: slot[:, c] holds candidate c
-    values = np.empty((m, spec.b + 1, d))
+    values = np.empty((m, b + 1, d))
     sets = np.arange(m)
     values[sets, slot[:, 0]] = rows
     values[sets[:, None], slot[:, 1:]] = corrupted
@@ -329,20 +318,20 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
         if b_matrix.shape != (k, k):
             raise DimensionError("provided B has the wrong shape")
 
-    spec = CorruptionSpec(rho=config.rho, b=config.b, d=d)
-
     # b_crc identifies the fixed B, so models sharing B compare equal
     b_crc = zlib.crc32(np.ascontiguousarray(b_matrix, dtype="<f8").tobytes())
-    fp = ModelFingerprint(d=d, k=k, corruption_hash=spec.fingerprint_hash(), b_crc=b_crc)
+    fp = ModelFingerprint(d=d, k=k, corruption_hash=_corruption_hash(config.rho, config.b, d),
+                          b_crc=b_crc)
 
     def make_run(seed):
         model = EbmModel(net=Mlp([d, *config.hidden, k], rng=make_rng(seed)),
                          b_matrix=b_matrix, partition=partition, fingerprint=fp)
         return model, [model.net], functools.partial(nce_loss, model)
 
-    return train_runs(config, init_seeds, make_run, x, labels,
-                      lambda rows, rng: build_candidates(x[rows], labels[rows], spec, rng),
-                      split_rng, corrupt_base)
+    def draw(rows, rng):
+        return build_candidates(x[rows], labels[rows], config.rho, config.b, rng)
+
+    return train_runs(config, init_seeds, make_run, x, labels, draw, split_rng, corrupt_base)
 
 
 def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:

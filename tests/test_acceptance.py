@@ -14,7 +14,6 @@ import pytest
 
 from cate_ebm import (
     BaseSpec,
-    CorruptionSpec,
     Dataset,
     EbmModel,
     Mlp,
@@ -64,10 +63,9 @@ def test_criterion_02_nce_gradient():
     net = Mlp([2, 3, 2], rng=make_rng(3))
     b = random_orthogonal(2, make_rng(42))
     model = EbmModel(net=net, b_matrix=b, partition=part)
-    spec = CorruptionSpec(rho=0.5, b=2, d=2)
     labels = part.assign(x)
     rng = make_rng(13)
-    batch = build_candidates(x, labels, spec, rng)
+    batch = build_candidates(x, labels, 0.5, 2, rng)
 
     def loss_fn(theta):
         return nce_loss(model, batch)
@@ -84,10 +82,9 @@ def test_criterion_03_chance_level():
     worst = 0.0
     for b in (1, 3, 10):
         model = EbmModel(net=Mlp([3, 4, 2]), b_matrix=bmat, partition=part)
-        spec = CorruptionSpec(rho=0.5, b=b, d=3)
         labels = part.assign(x)
         rng = make_rng(b)
-        batch = build_candidates(x, labels, spec, rng)
+        batch = build_candidates(x, labels, 0.5, b, rng)
         loss = nce_loss(model, batch, with_grads=False)
         worst = max(worst, abs(loss - math.log(b + 1)))
     _report(3, f"zero-parameter loss equals ln(b+1) (worst dev {worst:.1e})",

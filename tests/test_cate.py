@@ -24,6 +24,7 @@ from cate_ebm import (
 from cate_ebm import cate, numerics
 from cate_ebm.errors import (
     ConfigError,
+    DegenerateColumnError,
     DimensionError,
     IllConditionedError,
     TooFewSamplesError,
@@ -568,6 +569,15 @@ class TestReductionBaselines:
         z = pca_fit(x, 2).represent(x)
         assert z.shape == (100, 2)
         assert np.abs(z.mean(axis=0)).max() < 1e-10
+
+    def test_pca_k_above_rank(self):
+        # x = [t, 2t, -t] has rank 1: a second column would be round-off scaled to std 1
+        t = make_rng(13).standard_normal(100)
+        x = np.column_stack([t, 2.0 * t, -t])
+        assert np.abs(pca_fit(x, 1).represent(x).std(axis=0) - 1.0).max() <= 1e-12
+        with pytest.raises(DegenerateColumnError) as exc:
+            pca_fit(x, 2)
+        assert exc.value.column == 1
 
     def test_pca_k_too_large(self):
         with pytest.raises(DimensionError):

@@ -23,6 +23,7 @@ from cate_ebm import (
 )
 from cate_ebm.cli import main
 from cate_ebm.config import PRESETS, ExperimentConfig, load_config
+from cate_ebm.dgp import write_csv
 from cate_ebm.errors import ConfigError, DimensionError, TrainingDivergedError
 
 
@@ -325,6 +326,19 @@ class TestExitCodes:
         bad.write_text("x0,a,y\n1.0,7,2.0\n")
         assert main(["fit-ebm", "--config", cfg_path, "--out",
                      str(tmp_path), "--train", str(bad)]) == 2
+
+    def test_repeated_data_column(self, tmp_path, capsys):
+        # a second 'a' holding 1 - a: fit-cate once fitted the flipped treatment, exit 0
+        x = make_rng(0).standard_normal((60, 3))
+        a = np.arange(60) % 2
+        data = tmp_path / "d.csv"
+        write_csv(data, ["x0", "x1", "x2", "a", "y", "a"], [x, a, x[:, 0] + a, 1 - a])
+        cfg = tmp_path / "t.ini"
+        cfg.write_text("[dgp]\nd = 3\nn = 60\n[ebm]\nk = 2\n[learners]\nkinds = t\nbase = ridge\n")
+        assert main(["fit-cate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "column 'a' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "predictions_t.csv").exists()
 
     @pytest.mark.parametrize("body", ["z0,z1\n0.5,oops\n", "z0,z1\n0.5,nan\n",
                                       "z0,z1\n0.5,1.0\n0.5\n", "",

@@ -185,6 +185,13 @@ class TestCsv:
             load_csv(path)
         assert str(exc.value) == f"{path}: non-numeric cell 'oops' at row 3, column 'y'"
 
+    def test_repeated_column_rejected(self, tmp_path):
+        # read by name, a repeated column would silently take its last copy
+        path = tmp_path / "r.csv"
+        path.write_text("x0,a,y,a\n1.0,0,2.0,1\n")
+        with pytest.raises(CsvFormatError, match="column 'a' appears more than once"):
+            load_csv(path)
+
     def test_partial_oracle_block(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("x0,a,y,tau\n1.0,0,2.0,0.5\n")

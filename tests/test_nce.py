@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cate_ebm import (
-    CorruptionSpec,
     EbmModel,
     Mlp,
     TrainConfig,
@@ -40,69 +39,55 @@ def _toy_model(d=2, k=2, hidden=(3,), net_seed=3, b_seed=42, n=30):
 
 class TestCorrupt:
     def test_tiny_rho_keeps_vector(self):
-        spec = CorruptionSpec(rho=1e-15, b=1, d=3)
         x = np.array([1.0, 2.0, 3.0])
-        out = corrupt(x, spec, make_rng(0))
+        out = corrupt(x, 1e-15, make_rng(0))
         assert np.array_equal(out, x)
         rows = np.arange(12.0).reshape(2, 2, 3)
-        assert np.array_equal(corrupt(rows, spec, make_rng(0)), rows)
+        assert np.array_equal(corrupt(rows, 1e-15, make_rng(0)), rows)
 
     def test_continuous_standard_normal_moments(self):
-        spec = CorruptionSpec(rho=1.0, b=1, d=1)
-        deltas = corrupt(np.full((100_000, 1), 5.0), spec, make_rng(2))[:, 0] - 5.0
+        deltas = corrupt(np.full((100_000, 1), 5.0), 1.0, make_rng(2))[:, 0] - 5.0
         assert abs(deltas.mean()) < 0.02
         assert abs(deltas.var() - 1.0) < 0.02
 
-    def test_width_mismatch_rejected(self):
-        spec = CorruptionSpec(rho=0.5, b=1, d=3)
-        with pytest.raises(DimensionError):
-            corrupt(np.zeros((4, 2)), spec, make_rng(0))
-
     def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            CorruptionSpec(rho=0.0, b=1, d=1)
-        with pytest.raises(ValueError):
-            CorruptionSpec(rho=0.5, b=0, d=1)
+        # build_candidates checks rho and b for library callers, as TrainConfig does
+        with pytest.raises(ConfigError):
+            _rows(np.zeros((2, 1)), 0.0, 1, 0)
+        with pytest.raises(ConfigError):
+            _rows(np.zeros((2, 1)), 0.5, 0, 0)
 
-    @pytest.mark.parametrize("spec, crc", [
-        (CorruptionSpec(rho=0.5, b=5, d=20), 83871335),
-        (CorruptionSpec(rho=0.2, b=5, d=150), 2125972250),
-    ])
+    @pytest.mark.parametrize("spec, crc", [((0.5, 5, 20), 83871335), ((0.2, 5, 150), 2125972250)])
     def test_fingerprint_hash_pinned(self, spec, crc):
         # every .preb file stores this value: a change breaks byte-identical models
-        assert spec.fingerprint_hash() == crc
+        assert nce._corruption_hash(*spec) == crc
 
 
-def _rows(x, spec, seed, labels=None):
+def _rows(x, rho, b, seed, labels=None):
     labels = np.zeros(len(x), dtype=int) if labels is None else labels
-    return build_candidates(x, labels, spec, make_rng(seed))
+    return build_candidates(x, labels, rho, b, make_rng(seed))
 
 
 class TestBuildCandidates:
     def test_true_index_uniform_b1(self):
-        spec = CorruptionSpec(rho=0.5, b=1, d=2)
-        firsts = _rows(np.zeros((10_000, 2)), spec, 3).true_index
+        firsts = _rows(np.zeros((10_000, 2)), 0.5, 1, 3).true_index
         assert abs(np.mean(firsts) - 0.5) < 0.02
-        spec = CorruptionSpec(rho=0.5, b=3, d=2)
-        slots = np.bincount(_rows(np.zeros((20_000, 2)), spec, 4).true_index, minlength=4)
+        slots = np.bincount(_rows(np.zeros((20_000, 2)), 0.5, 3, 4).true_index, minlength=4)
         assert np.abs(slots / 20_000 - 0.25).max() < 0.015
 
     def test_no_corruption_gives_identical_candidates(self):
-        spec = CorruptionSpec(rho=1e-15, b=3, d=2)
-        cs = _rows(np.array([[1.0, -1.0], [2.0, 0.5]]), spec, 4)
+        cs = _rows(np.array([[1.0, -1.0], [2.0, 0.5]]), 1e-15, 3, 4)
         assert np.abs(cs.values - cs.values[:, :1]).max() == 0.0
 
     def test_candidate_count(self):
-        spec = CorruptionSpec(rho=0.5, b=3, d=2)
-        cs = _rows(np.zeros((3, 2)), spec, 5, labels=np.array([1, 0, 1]))
+        cs = _rows(np.zeros((3, 2)), 0.5, 3, 5, labels=np.array([1, 0, 1]))
         assert cs.values.shape == (3, 4, 2)
         assert cs.subset.tolist() == [1, 0, 1]
         assert len(cs) == 3 and len(cs[1:]) == 2 and cs[1:].subset.tolist() == [0, 1]
 
     def test_clean_row_at_true_index(self):
-        spec = CorruptionSpec(rho=1.0, b=4, d=3)
         x = make_rng(6).standard_normal((50, 3))
-        cs = _rows(x, spec, 7)
+        cs = _rows(x, 1.0, 4, 7)
         assert np.array_equal(cs.values[np.arange(50), cs.true_index], x)
         decoys = np.ones((50, 5), dtype=bool)
         decoys[np.arange(50), cs.true_index] = False
@@ -110,31 +95,27 @@ class TestBuildCandidates:
 
     def test_beyond_index_range_rejected(self):
         # 96 * (1e17 + 1) * 8 entries: numpy's "iterator is too large"; nothing is allocated
-        spec = CorruptionSpec(rho=0.5, b=10**17, d=8)
         with pytest.raises(ConfigError, match="exceed numpy's index range"):
-            _rows(np.zeros((96, 8)), spec, 8)
+            _rows(np.zeros((96, 8)), 0.5, 10**17, 8)
 
 
-def _reference_build_candidates(rows, labels, spec, rng):
+def _reference_build_candidates(rows, labels, rho, b, rng):
     """The concatenate + take_along_axis form of build_candidates, with the
     corruption written as x + selected * noise: corrupt every copy, stack the
     clean row in front, then gather each set through its permutation."""
     rows = np.asarray(rows, dtype=float)
     m, d = rows.shape
-    x = np.broadcast_to(rows[:, None, :], (m, spec.b, d))
-    selected = rng.random(x.shape) < spec.rho
+    x = np.broadcast_to(rows[:, None, :], (m, b, d))
+    selected = rng.random(x.shape) < rho
     corrupted = x + selected * rng.standard_normal(x.shape)
     stacked = np.concatenate([rows[:, None, :], corrupted], axis=1)
-    perm = np.argsort(rng.random((m, spec.b + 1)), axis=1)
+    perm = np.argsort(rng.random((m, b + 1)), axis=1)
     values = np.take_along_axis(stacked, perm[:, :, None], axis=1)
     return CandidateSet(values=values, true_index=np.argmin(perm, axis=1),
                         subset=np.asarray(labels, dtype=int))
 
 
-_SPECS = {
-    "continuous": CorruptionSpec(rho=0.4, b=5, d=5),
-    "b1-every-cell": CorruptionSpec(rho=1.0, b=1, d=5),
-}
+_SPECS = {"continuous": (0.4, 5), "b1-every-cell": (1.0, 1)}  # (rho, b)
 
 
 class TestBuildCandidatesMatchesReference:
@@ -145,8 +126,8 @@ class TestBuildCandidatesMatchesReference:
         x = make_rng(100 + seed).standard_normal((37, 5))
         labels = make_rng(200 + seed).integers(0, 3, size=37)
         rng, ref_rng = make_rng(seed), make_rng(seed)
-        got = build_candidates(x, labels, spec, rng)
-        ref = _reference_build_candidates(x, labels, spec, ref_rng)
+        got = build_candidates(x, labels, *spec, rng)
+        ref = _reference_build_candidates(x, labels, *spec, ref_rng)
         assert np.array_equal(got.values, ref.values)
         assert np.array_equal(got.true_index, ref.true_index)
         assert np.array_equal(got.subset, ref.subset)
@@ -192,26 +173,23 @@ class TestSubsetLabels:
     """A subset label must be an integer in [0, k): B has one column per subset."""
 
     def test_fractional_label_rejected(self):
-        spec = CorruptionSpec(rho=0.5, b=1, d=2)
         with pytest.raises(DimensionError):
-            _rows(np.zeros((3, 2)), spec, 0, labels=np.array([0.0, 0.7, 1.0]))
+            _rows(np.zeros((3, 2)), 0.5, 1, 0, labels=np.array([0.0, 0.7, 1.0]))
         with pytest.raises(DimensionError):
-            _rows(np.zeros((3, 2)), spec, 0, labels=np.array([0.0, np.nan, 1.0]))
+            _rows(np.zeros((3, 2)), 0.5, 1, 0, labels=np.array([0.0, np.nan, 1.0]))
 
     def test_integral_floats_and_length(self):
-        spec = CorruptionSpec(rho=0.5, b=1, d=2)
-        cs = _rows(np.zeros((3, 2)), spec, 0, labels=np.array([1.0, 0.0, 1.0]))
+        cs = _rows(np.zeros((3, 2)), 0.5, 1, 0, labels=np.array([1.0, 0.0, 1.0]))
         assert cs.subset.dtype.kind == "i" and cs.subset.tolist() == [1, 0, 1]
         with pytest.raises(DimensionError):
-            _rows(np.zeros((3, 2)), spec, 0, labels=np.array([1, 0]))
+            _rows(np.zeros((3, 2)), 0.5, 1, 0, labels=np.array([1, 0]))
 
     @pytest.mark.parametrize("label", [-1, 2])
     def test_label_outside_k_rejected(self, label):
         model, x = _toy_model(k=2)
-        spec = CorruptionSpec(rho=0.5, b=2, d=2)
         labels = model.partition.assign(x[:6])
         labels[3] = label
-        batch = _rows(x[:6], spec, 0, labels=labels)
+        batch = _rows(x[:6], 0.5, 2, 0, labels=labels)
         with pytest.raises(DimensionError):
             nce_loss(model, batch)
         with pytest.raises(DimensionError):
@@ -230,8 +208,7 @@ class TestPosterior:
     def test_zero_net_uniform(self):
         model, x = _toy_model()
         model.net = Mlp(model.net.widths)
-        spec = CorruptionSpec(rho=0.5, b=3, d=2)
-        p = _posterior(model, _rows(x, spec, 6))
+        p = _posterior(model, _rows(x, 0.5, 3, 6))
         assert p.shape == (x.shape[0], 4)
         assert np.abs(p - 0.25).max() < 1e-15
 
@@ -250,8 +227,7 @@ class TestPosterior:
 
     def test_matches_high_precision_oracle(self):
         model, x = _toy_model(net_seed=11)
-        spec = CorruptionSpec(rho=0.5, b=2, d=2)
-        cs = _rows(x[:8], spec, 11, labels=model.partition.assign(x[:8]))
+        cs = _rows(x[:8], 0.5, 2, 11, labels=model.partition.assign(x[:8]))
         p = _posterior(model, cs)
         for i in range(8):
             # per candidate: B column of its subset against the net output
@@ -263,8 +239,7 @@ class TestPosterior:
 
     def test_sums_to_one_and_permutation_equivariant(self):
         model, x = _toy_model(net_seed=13)
-        spec = CorruptionSpec(rho=0.5, b=4, d=2)
-        cs = _rows(x[:10], spec, 0)
+        cs = _rows(x[:10], 0.5, 4, 0)
         p = _posterior(model, cs)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
         perm = np.stack([make_rng(seed + 50).permutation(5) for seed in range(10)])
@@ -276,16 +251,15 @@ class TestPosterior:
         assert np.abs(_posterior(model, cs2) - np.take_along_axis(p, perm, axis=1)).max() < 1e-14
 
 
-def _batch(model, x, spec, seed=13):
-    return build_candidates(x, model.partition.assign(x), spec, make_rng(seed))
+def _batch(model, x, rho, b, seed=13):
+    return build_candidates(x, model.partition.assign(x), rho, b, make_rng(seed))
 
 
 class TestNceLoss:
     def test_zero_net_chance_level(self):
         model, x = _toy_model()
         model.net = Mlp(model.net.widths)
-        spec = CorruptionSpec(rho=0.5, b=3, d=2)
-        loss = nce_loss(model, _batch(model, x, spec), with_grads=False)
+        loss = nce_loss(model, _batch(model, x, 0.5, 3), with_grads=False)
         assert abs(loss - math.log(4.0)) <= 1e-12
 
     def test_perfect_separator_loss_vanishes(self):
@@ -302,8 +276,7 @@ class TestNceLoss:
 
     def test_gradient_matches_finite_differences(self):
         model, x = _toy_model(net_seed=3, n=32)
-        spec = CorruptionSpec(rho=0.5, b=2, d=2)
-        batch = _batch(model, x, spec, seed=13)
+        batch = _batch(model, x, 0.5, 2, seed=13)
 
         def loss_fn(theta):
             return nce_loss(model, batch)
@@ -313,8 +286,7 @@ class TestNceLoss:
 
     def test_subset_weighting_matches_hand_formula(self):
         model, x = _toy_model(net_seed=17, n=20)
-        spec = CorruptionSpec(rho=0.5, b=2, d=2)
-        batch = _batch(model, x, spec, seed=29)
+        batch = _batch(model, x, 0.5, 2, seed=29)
         loss = nce_loss(model, batch, with_grads=False)
         # independent recomputation straight from per-set posteriors
         per_subset = {}
@@ -331,9 +303,8 @@ class TestNceLoss:
         part = kmeans_fit(x, 3, make_rng(42))
         model = EbmModel(net=Mlp([4, 7, 5, 3], rng=make_rng(43)),
                          b_matrix=random_orthogonal(3, make_rng(44)), partition=part)
-        spec = CorruptionSpec(rho=0.5, b=3, d=4)
         labels = np.repeat([2, 0, 1], [5, 12, 23])  # unequal subset sizes
-        batch = build_candidates(x[:40], labels, spec, make_rng(45))
+        batch = build_candidates(x[:40], labels, 0.5, 3, make_rng(45))
         loss, grad = nce_loss(model, batch)
 
         sizes = {j: int(np.sum(labels == j)) for j in range(3)}
@@ -359,8 +330,7 @@ class TestNceLoss:
         model = EbmModel(net=Mlp([3, 6, 3], rng=make_rng(52)),
                          b_matrix=random_orthogonal(3, make_rng(53)),
                          partition=kmeans_fit(x, 3, make_rng(54)))
-        spec = CorruptionSpec(rho=0.5, b=2, d=3)
-        batch = build_candidates(x, np.repeat([2, 0], [9, 31]), spec, make_rng(55))
+        batch = build_candidates(x, np.repeat([2, 0], [9, 31]), 0.5, 2, make_rng(55))
         p = _posterior(model, batch)
         logp = np.log(p[np.arange(40), batch.true_index])
         expected = -(logp[:9].mean() + logp[9:].mean()) / 2.0
@@ -368,9 +338,8 @@ class TestNceLoss:
 
     def test_empty_batch_rejected(self):
         model, x = _toy_model()
-        spec = CorruptionSpec(rho=0.5, b=1, d=2)
         with pytest.raises(ValueError):
-            nce_loss(model, _batch(model, x, spec)[:0])
+            nce_loss(model, _batch(model, x, 0.5, 1)[:0])
 
 
 class TestTrainEbm:
