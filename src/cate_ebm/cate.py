@@ -8,7 +8,6 @@ outcomes only.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,13 +51,20 @@ def _add_diag(a, v):
 def _chol_solve(a, b):
     """Solve a z = b for symmetric positive definite a through its Cholesky
     factor. While the factorization fails, it retries with a jitter of 1e-10,
-    1e-8, ... on a's diagonal, written in place, so a may be left changed."""
+    1e-8, ... on a's diagonal, written in place, so a may be left changed.
+    A non-finite entry in a, b or the solution (an overflowed Gram matrix, say)
+    raises IllConditionedError."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise IllConditionedError("non-finite value in a linear system")
     diag = a.diagonal().copy()
     jitter = 0.0
     for _ in range(6):
         try:
             c = np.linalg.cholesky(a)
-            return _tri_solve(c.T, _tri_solve(c, b, lower=True), lower=False)
+            z = _tri_solve(c.T, _tri_solve(c, b, lower=True), lower=False)
+            if not np.isfinite(z).all():
+                raise IllConditionedError("non-finite solution of a linear system")
+            return z
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 100.0
             a.flat[:: a.shape[0] + 1] = diag + jitter
@@ -340,11 +346,7 @@ class PropensityModel:
             if np.linalg.norm(grad) < self.tol:
                 break
             s = np.maximum(p * (1.0 - p), 1e-10)
-            step = _chol_solve(_add_diag((xa * s[:, None]).T @ xa, self.l2), grad)
-            if not np.all(np.isfinite(step)):
-                warnings.warn("propensity Newton step not finite; stopping early")
-                break
-            w = w - step
+            w = w - _chol_solve(_add_diag((xa * s[:, None]).T @ xa, self.l2), grad)
         self.w = w
         return self
 

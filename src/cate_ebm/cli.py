@@ -61,19 +61,28 @@ def _transform(model, x, path: str) -> np.ndarray:
     return z
 
 
-def _mcc_pairs(reps) -> list:
-    return [(i, j, evalx.mcc(reps[i], reps[j]))
-            for i, j in itertools.combinations(range(len(reps)), 2)]
+def _mcc_report(reps, out_dir) -> None:
+    """Print every pair's MCC and their mean; with out_dir, write mcc.csv and mcc.txt."""
+    pairs = [(i, j, evalx.mcc(reps[i], reps[j]))
+             for i, j in itertools.combinations(range(len(reps)), 2)]
+    vals = np.array([v for _, _, v in pairs])
+    for i, j, v in pairs:
+        print(f"mcc(model{i}, model{j}) = {v:.6f}")
+    print(f"mean mcc = {vals.mean():.6f} +- {vals.std():.6f}")
+    if out_dir:
+        evalx.write_table(os.path.join(out_dir, "mcc.csv"),
+                          ["model_i", "model_j", "mcc"], pairs)
 
 
-def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> int:
+def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> tuple:
+    """Write train.csv and test.csv to out_dir and return the (train, test) datasets."""
     dgp = gen_dgp(cfg.seed, cfg.d)
     train = sample(dgp, cfg.n, cfg.seed + 1)
     test = sample(dgp, cfg.test_size, cfg.seed + 2)
     save_csv(train, os.path.join(out_dir, "train.csv"))
     save_csv(test, os.path.join(out_dir, "test.csv"))
     print(f"wrote train.csv ({train.n} rows) and test.csv ({test.n} rows) to {out_dir}")
-    return EXIT_OK
+    return train, test
 
 
 def cmd_fit_ebm(cfg: ExperimentConfig, train_path: str, out_dir: str, init_seed=None) -> int:
@@ -125,14 +134,7 @@ def cmd_mcc(model_paths, data_path: str, out_dir=None) -> int:
                 "correlations across different B are not comparable"
             )
     ds = load_csv(data_path)
-    pairs = _mcc_pairs([m.represent(ds.x) for m in models])
-    vals = np.array([v for _, _, v in pairs])
-    for i, j, v in pairs:
-        print(f"mcc(model{i}, model{j}) = {v:.6f}")
-    print(f"mean mcc = {vals.mean():.6f} +- {vals.std():.6f}")
-    if out_dir:
-        evalx.write_table(os.path.join(out_dir, "mcc.csv"),
-                          ["model_i", "model_j", "mcc"], pairs)
+    _mcc_report([m.represent(ds.x) for m in models], out_dir)
     return EXIT_OK
 
 
@@ -142,9 +144,7 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
     out_dir = _exp_dir(cfg)
     stage = "gen-data"
     try:
-        cmd_gen_data(cfg, out_dir)
-        train = load_csv(os.path.join(out_dir, "train.csv"))
-        test = load_csv(os.path.join(out_dir, "test.csv"))
+        train, test = cmd_gen_data(cfg, out_dir)
 
         stage = "fit-ebm"
         models = train_ebms(train.x, cfg.train_config(),
@@ -180,11 +180,7 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
             print(f"  {row[0]:>3} {row[1]:>4}  pehe_sq={row[2]:.4f} +- {row[3]:.4f}")
 
         if with_mcc:
-            pairs = _mcc_pairs([zs for _, zs in reps])
-            evalx.write_table(os.path.join(out_dir, "mcc.csv"),
-                              ["run_i", "run_j", "mcc"], pairs)
-            vals = np.array([v for _, _, v in pairs])
-            print(f"mcc over runs: {vals.mean():.4f} +- {vals.std():.4f}")
+            _mcc_report([zs for _, zs in reps], out_dir)
         return EXIT_OK
     except CateEbmError as exc:
         # the message gains the stage; the type, and with it the exit code, stays
@@ -253,7 +249,8 @@ def main(argv=None) -> int:
         out = args.out or _exp_dir(cfg)
         os.makedirs(out, exist_ok=True)
         if args.command == "gen-data":
-            return cmd_gen_data(cfg, out)
+            cmd_gen_data(cfg, out)
+            return EXIT_OK
         if args.command == "fit-ebm":
             return cmd_fit_ebm(cfg, args.train, out, init_seed=args.init_seed)
         if args.command == "fit-cate":

@@ -153,7 +153,7 @@ def _unknown_keys(parser) -> list:
 
 def _apply_file(cfg: ExperimentConfig, path) -> None:
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    read = parser.read(str(path), encoding="utf-8-sig")  # utf-8-sig skips a leading BOM
     if not read:
         raise ConfigError(f"config file not found: {path}")
     unknown = _unknown_keys(parser)

@@ -165,7 +165,7 @@ def read_csv(path, names):
     header that repeats a column, a ragged row and the first named cell
     (row-major) that parse_cell rejects raise CsvFormatError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

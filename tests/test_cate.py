@@ -46,6 +46,14 @@ def _linear_effect_data(n=400, d=3, seed=0, noise=0.0):
     return Dataset(x=x, a=a, y=y), tau
 
 
+def _overflowed_gram_data():
+    """Covariates whose first column is so large that x^T x overflows to inf."""
+    x = make_rng(0).standard_normal((60, 3))
+    x[:, 0] *= 1e200
+    a = np.arange(60) % 2
+    return x, a, x[:, 1] + a
+
+
 class TestRidge:
     def test_matches_normal_equations(self):
         rng = make_rng(1)
@@ -67,6 +75,13 @@ class TestRidge:
     def test_bad_lam(self):
         with pytest.raises(ValueError):
             Ridge(0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gram matrix overflows
+    def test_overflowed_gram_is_ill_conditioned(self):
+        # the Cholesky factor of the inf Gram matrix used to zero that column's weight
+        x, _, y = _overflowed_gram_data()
+        with pytest.raises(IllConditionedError, match="non-finite"):
+            Ridge(1e-2).fit(x, y)
 
 
 class TestKernelRidge:
@@ -228,6 +243,12 @@ class TestPropensity:
     def test_single_class_rejected(self):
         with pytest.raises(TooFewSamplesError):
             propensity_fit(np.zeros((10, 1)), np.ones(10))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Hessian overflows
+    def test_overflowed_hessian_is_ill_conditioned(self):
+        x, a, _ = _overflowed_gram_data()
+        with pytest.raises(IllConditionedError, match="non-finite"):
+            propensity_fit(x, a)
 
 
 class TestMetaLearners:

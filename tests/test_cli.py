@@ -116,6 +116,13 @@ class TestConfig:
         assert (cfg.d, cfg.n, cfg.b) == (100, 250, 10)
         assert (cfg.k, cfg.seed) == (2, 3)  # file keys override the preset
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" and some editors start a UTF-8 file with a BOM
+        plain = _write_cfg(tmp_path)
+        bom = tmp_path / "bom.ini"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "exp.ini").read_bytes())
+        assert load_config(path=str(bom)) == load_config(path=plain)
+
     def test_fingerprint_tracks_content(self):
         a = ExperimentConfig()
         b = ExperimentConfig(seed=1)
@@ -198,7 +205,7 @@ class TestCommands:
 
     def test_pipeline_matches_subcommands(self, tmp_path):
         cfg_path = _write_cfg(tmp_path)
-        assert main(["pipeline", "--config", cfg_path]) == 0
+        assert main(["pipeline", "--config", cfg_path, "--mcc"]) == 0
         exp_dir = next((tmp_path / "results").iterdir())
         out = tmp_path / "steps"
         assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
@@ -208,10 +215,15 @@ class TestCommands:
                      "--train", str(out / "train.csv"), "--init-seed", str(init_seed)]) == 0
         assert main(["transform", "--model", str(out / "model.preb"),
                      "--data", str(out / "test.csv"), "--out", str(out / "repr.csv")]) == 0
+        # the pipeline's MCC table is the mcc subcommand's, on its own model files
+        assert main(["mcc", "--models", str(exp_dir / "model_run0.preb"),
+                     str(exp_dir / "model_run1.preb"), "--data", str(exp_dir / "test.csv"),
+                     "--out", str(out)]) == 0
         for step_file, pipeline_file in (("train.csv", "train.csv"), ("test.csv", "test.csv"),
                                          ("model.preb", "model_run0.preb"),
                                          ("train_log.csv", "train_log_run0.csv"),
-                                         ("repr.csv", "repr_test_run0.csv")):
+                                         ("repr.csv", "repr_test_run0.csv"),
+                                         ("mcc.csv", "mcc.csv"), ("mcc.txt", "mcc.txt")):
             assert (out / step_file).read_bytes() == (exp_dir / pipeline_file).read_bytes()
 
     def test_pipeline_models_match_separate_trainings(self, tmp_path):
@@ -382,6 +394,22 @@ class TestExitCodes:
                      path_flag, str(data)]) == 2
         err = capsys.readouterr().err
         assert "non-finite" in err and "row 6" in err and f"'{column}'" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gram matrix overflows
+    def test_overflowed_ridge_system_is_numeric(self, tmp_path, capsys):
+        x = make_rng(0).standard_normal((60, 3))
+        x[:, 0] *= 1e200  # x^T x overflows to inf
+        a = np.arange(60) % 2
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=a, y=x[:, 1] + a), data)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(FAST_CONFIG.format(out=tmp_path / "results")
+                            .replace("kinds = t", "kinds = t,x,dr,r"))
+        out = tmp_path / "out"
+        assert main(["fit-cate", "--config", str(cfg_path), "--out", str(out),
+                     "--data", str(data)]) == 3
+        assert "non-finite value in a linear system" in capsys.readouterr().err
+        assert not list(out.glob("predictions_*"))
 
     @pytest.mark.parametrize("reader", ["data", "features"])
     def test_non_utf8_csv(self, tmp_path, capsys, reader):

@@ -169,6 +169,16 @@ class TestCsv:
             assert np.array_equal(getattr(a, name), getattr(b, name))
             assert np.array_equal(getattr(b, name), getattr(ds, name))
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 BOM
+        ds = sample(gen_dgp(11, d=5), 40, 12)
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        save_csv(ds, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(plain), load_csv(bom)
+        for name in ("x", "a", "y", "tau", "mu0", "mu1", "pi", "u"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
     def test_columns_outside_schema_ignored(self, tmp_path):
         path = tmp_path / "i.csv"
         path.write_text("id,x0,a,note,y\nr1,1.5,0,first,2.0\nr2,-3.0,1,,4.5\n")
