@@ -499,11 +499,13 @@ def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dic
     checked (check_kinds) before any fit. T and X share one _fit_t_x call,
     whose arms are freed before DR and R are fitted."""
     kinds = check_kinds(kinds)
-    models = _fit_t_x(kinds, ds, spec) if {"t", "x"} & set(kinds) else {}
-    if "dr" in kinds:
-        models["dr"] = dr_learner(ds, spec, split_seed=split_seed)
-    if "r" in kinds:
-        models["r"] = r_learner(ds, spec)
+    # an overflow is reported by the finiteness checks (_chol_solve, fit_base), not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        models = _fit_t_x(kinds, ds, spec) if {"t", "x"} & set(kinds) else {}
+        if "dr" in kinds:
+            models["dr"] = dr_learner(ds, spec, split_seed=split_seed)
+        if "r" in kinds:
+            models["r"] = r_learner(ds, spec)
     return {kind: models[kind] for kind in kinds}
 
 

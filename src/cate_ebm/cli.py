@@ -8,7 +8,6 @@ package error ends in the exit_code of its type.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
@@ -20,8 +19,7 @@ from .config import ExperimentConfig, load_config
 from .dgp import Dataset, gen_dgp, load_csv, read_csv, sample, save_csv, write_csv
 from .ebm import load_model, save_model
 from .errors import CateEbmError, ConfigError, CsvFormatError
-from .nce import train_ebm, train_ebms
-from .numerics import make_rng, random_orthogonal
+from .nce import train_ebm
 
 EXIT_OK = 0
 
@@ -42,11 +40,6 @@ def _read_repr(path) -> np.ndarray:
     return read_csv(path, z_columns)[2]
 
 
-def _b_matrix(cfg: ExperimentConfig) -> np.ndarray:
-    # B is frozen by its own seed so every run of an experiment shares it
-    return random_orthogonal(cfg.k, make_rng(cfg.b_seed))
-
-
 def _save_run(model, out_dir: str, tag: str) -> None:
     """Write model{tag}.preb and train_log{tag}.csv."""
     save_model(model, os.path.join(out_dir, f"model{tag}.preb"))
@@ -54,17 +47,14 @@ def _save_run(model, out_dir: str, tag: str) -> None:
               ["epoch", "train_loss", "val_loss"], [np.array(model.history)])
 
 
-def _transform(model, x, path: str) -> np.ndarray:
-    """Write the standardized representation of x to path and return it."""
-    z = model.represent(x)
+def _write_repr(path: str, z) -> None:
+    """Write the representation z to path, one column z0..z{m-1} per dimension."""
     write_csv(path, [f"z{i}" for i in range(z.shape[1])], [z])
-    return z
 
 
 def _mcc_report(reps, out_dir) -> None:
     """Print every pair's MCC and their mean; with out_dir, write mcc.csv and mcc.txt."""
-    pairs = [(i, j, evalx.mcc(reps[i], reps[j]))
-             for i, j in itertools.combinations(range(len(reps)), 2)]
+    pairs = evalx.mcc_pairs(reps)
     vals = np.array([v for _, _, v in pairs])
     for i, j, v in pairs:
         print(f"mcc(model{i}, model{j}) = {v:.6f}")
@@ -87,7 +77,7 @@ def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> tuple:
 
 def cmd_fit_ebm(cfg: ExperimentConfig, train_path: str, out_dir: str, init_seed=None) -> int:
     model = train_ebm(load_csv(train_path).x, cfg.train_config(init_seed),
-                      b_matrix=_b_matrix(cfg))
+                      b_matrix=cfg.b_matrix())
     _save_run(model, out_dir, "")
     print(f"final validation loss: {model.best_val_loss:.6f} "
           f"(best epoch {model.best_epoch}); wrote model.preb")
@@ -99,7 +89,7 @@ def cmd_transform(model_path: str, data_path: str, out_path: str) -> int:
     ds = load_csv(data_path)
     if ds.d != model.d:
         raise ConfigError(f"model expects d={model.d}, data has d={ds.d}")
-    _transform(model, ds.x, out_path)
+    _write_repr(out_path, model.represent(ds.x))
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -142,50 +132,22 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
     if with_mcc and cfg.runs < 2:
         raise ConfigError(f"pipeline --mcc needs runs >= 2, got runs={cfg.runs}")
     out_dir = _exp_dir(cfg)
-    stage = "gen-data"
-    try:
+    with evalx.stage("gen-data", cfg.seed):
         train, test = cmd_gen_data(cfg, out_dir)
-
-        stage = "fit-ebm"
-        models = train_ebms(train.x, cfg.train_config(),
-                            [cfg.seed + 101 * (r + 1) for r in range(cfg.runs)],
-                            b_matrix=_b_matrix(cfg))
-        for r, model in enumerate(models):
-            _save_run(model, out_dir, f"_run{r}")
-
-        stage = "transform"
-        reps = [(_transform(m, train.x, os.path.join(out_dir, f"repr_train_run{r}.csv")),
-                 _transform(m, test.x, os.path.join(out_dir, f"repr_test_run{r}.csv")))
-                for r, m in enumerate(models)]
-
-        stage = "fit-cate"
-        # feature set -> its (train, test) pairs, one per fitted reducer run
-        preds = evalx.effect_predictions({"raw": [(train.x, test.x)], "ebm": reps}, train,
-                                         cfg.learners, cfg.base_spec(), split_seed=cfg.seed)
-        rows = []
-        for kind in cfg.learners:
-            for name, runs in preds.items():
-                vals = np.array([evalx.pehe(run[kind], test.tau) for run in runs])
-                rows.append([kind, name, float(vals.mean()), float(vals.std()),
-                             float(np.mean(np.sqrt(vals)))])
-
-        stage = "report"
-        evalx.write_table(
-            os.path.join(out_dir, "pehe_report.csv"),
-            ["learner", "features", "pehe_sq_mean", "pehe_sq_std", "pehe_root_mean"],
-            rows,
-        )
-        print(f"report: {os.path.join(out_dir, 'pehe_report.csv')}")
-        for row in rows:
-            print(f"  {row[0]:>3} {row[1]:>4}  pehe_sq={row[2]:.4f} +- {row[3]:.4f}")
-
-        if with_mcc:
-            _mcc_report([zs for _, zs in reps], out_dir)
-        return EXIT_OK
-    except CateEbmError as exc:
-        # the message gains the stage; the type, and with it the exit code, stays
-        exc.args = (f"pipeline stage {stage!r} failed (seed {cfg.seed}): {exc}",)
-        raise
+    models, reps, rows = evalx.run_experiment(cfg, train, test)
+    for r, (model, (z_train, z_test)) in enumerate(zip(models, reps)):
+        _save_run(model, out_dir, f"_run{r}")
+        _write_repr(os.path.join(out_dir, f"repr_train_run{r}.csv"), z_train)
+        _write_repr(os.path.join(out_dir, f"repr_test_run{r}.csv"), z_test)
+    report = os.path.join(out_dir, "pehe_report.csv")
+    evalx.write_table(report, evalx.PEHE_COLUMNS, rows)
+    print(f"report: {report}")
+    for row in rows:
+        print(f"  {row[0]:>3} {row[1]:>4}  pehe_sq={row[2]:.4f} +- {row[3]:.4f}")
+    if with_mcc:
+        with evalx.stage("mcc", cfg.seed):
+            _mcc_report([z_test for _, z_test in reps], out_dir)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 from .cate import BaseSpec, check_kinds
 from .errors import ConfigError
 from .nce import TrainConfig
+from .numerics import make_rng, random_orthogonal
 
 # defaults per synthetic setup: (b, k, hidden widths, rho)
 PRESETS = {
@@ -74,6 +75,10 @@ class ExperimentConfig:
     def base_spec(self) -> BaseSpec:
         """The learners' base regression settings; BaseSpec checks them."""
         return BaseSpec(kind=self.base_kind, lam=self.base_lam, cv=self.base_cv)
+
+    def b_matrix(self):
+        """The frozen k-by-k B, drawn from b_seed alone: every run shares it."""
+        return random_orthogonal(self.k, make_rng(self.b_seed))
 
     def validate(self):
         """Check via train_config(), base_spec() and check_kinds(), then what no

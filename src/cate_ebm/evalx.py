@@ -1,14 +1,17 @@
 """Evaluation: squared-error effect risk, the per-dimension correlation
 metric between representations from independent runs, the reducers (the
 energy model, and the PCA and autoencoder baselines, each fitted to an
-Encoder) and the effect predictions of learners on feature sets, which every
+Encoder), the effect predictions of learners on feature sets, which every
 comparison (PEHE per feature set, cross-run spread of the estimates)
-reduces. Report files are byte-deterministic.
+reduces, and run_experiment, the computation behind the pipeline command.
+Report files are byte-deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from .cate import BaseSpec, fit_learners
 from .dgp import Dataset
 from .ebm import Encoder
-from .errors import DegenerateColumnError, DimensionError, IllConditionedError
+from .errors import CateEbmError, DegenerateColumnError, DimensionError, IllConditionedError
 from .nce import TrainConfig, train_ebms, train_runs
 from .numerics import Mlp, make_rng
 
@@ -56,6 +59,12 @@ def mcc(r1, r2) -> float:
             raise IllConditionedError(f"column {j}: std or correlation is not finite")
         total += corr
     return total / r1.shape[1]
+
+
+def mcc_pairs(reps) -> list:
+    """(i, j, mcc(reps[i], reps[j])) for every pair of representations, i < j."""
+    return [(i, j, mcc(reps[i], reps[j]))
+            for i, j in itertools.combinations(range(len(reps)), 2)]
 
 
 def pca_fit(x, k: int) -> Encoder:
@@ -151,6 +160,44 @@ def effect_predictions(features: dict, train: Dataset, kinds, spec: BaseSpec,
                 row[:] = models[kind].predict(zs)
             del models
     return {name: [dict(zip(kinds, buf)) for buf in bufs] for name, bufs in out.items()}
+
+
+@contextmanager
+def stage(name: str, seed: int):
+    """Prefix a CateEbmError raised inside with the pipeline stage and the
+    experiment seed; its type, and with it the exit code, stays."""
+    try:
+        yield
+    except CateEbmError as exc:
+        exc.args = (f"pipeline stage {name!r} failed (seed {seed}): {exc}",)
+        raise
+
+
+PEHE_COLUMNS = ["learner", "features", "pehe_sq_mean", "pehe_sq_std", "pehe_root_mean"]
+
+
+def run_experiment(cfg, train: Dataset, test: Dataset) -> tuple:
+    """(models, reps, rows) of one config.ExperimentConfig; writes no files.
+    models: cfg.runs EbmModels sharing cfg.b_matrix(), run r from init seed
+    cfg.seed + 101 (r + 1); reps: each model's (z_train, z_test); rows: per
+    learner and feature set (raw, ebm), PEHE_COLUMNS: PEHE's mean and std over
+    the feature set's runs, and the mean of its square root."""
+    with stage("fit-ebm", cfg.seed):
+        models = train_ebms(train.x, cfg.train_config(),
+                            [cfg.seed + 101 * (r + 1) for r in range(cfg.runs)],
+                            b_matrix=cfg.b_matrix())
+    with stage("transform", cfg.seed):
+        reps = [(m.represent(train.x), m.represent(test.x)) for m in models]
+    with stage("fit-cate", cfg.seed):
+        preds = effect_predictions({"raw": [(train.x, test.x)], "ebm": reps}, train,
+                                   cfg.learners, cfg.base_spec(), split_seed=cfg.seed)
+        rows = []
+        for kind in cfg.learners:
+            for name, runs in preds.items():
+                vals = np.array([pehe(run[kind], test.tau) for run in runs])
+                rows.append([kind, name, float(vals.mean()), float(vals.std()),
+                             float(np.mean(np.sqrt(vals)))])
+    return models, reps, rows
 
 
 def write_table(path, header, rows) -> None:

@@ -12,19 +12,27 @@ from cate_ebm import (
     TrainConfig,
     cli,
     fit_learner,
+    gen_dgp,
     load_csv,
     load_model,
     make_rng,
     pehe,
     random_orthogonal,
+    sample,
     save_csv,
     save_model,
     train_ebm,
 )
+from cate_ebm import evalx
 from cate_ebm.cli import main
 from cate_ebm.config import PRESETS, ExperimentConfig, load_config
 from cate_ebm.dgp import write_csv
-from cate_ebm.errors import ConfigError, DimensionError, TrainingDivergedError
+from cate_ebm.errors import (
+    ConfigError,
+    DimensionError,
+    IllConditionedError,
+    TrainingDivergedError,
+)
 
 
 FAST_CONFIG = """\
@@ -285,6 +293,44 @@ class TestCommands:
         assert (exp_dir / "pehe_report.csv").read_text().splitlines() == want
         assert len(want) == 9  # the header, then a raw and an ebm row per learner
 
+    def test_run_experiment_sweep_writes_nothing(self, tmp_path, monkeypatch):
+        # two cells of a sweep, differing in seed and learners: run_experiment
+        # computes every file the pipeline writes, and writes none of them
+        cells = []
+        for seed, kinds in ((5, "t"), (6, "x,r")):
+            path = tmp_path / f"cell{seed}.ini"
+            path.write_text(FAST_CONFIG.format(out=tmp_path / "results")
+                            .replace("kinds = t", f"kinds = {kinds}"))
+            cells.append(load_config(path=path, seed_override=seed))
+        monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.rglob("*"))
+        results = []
+        for cfg in cells:
+            dgp = gen_dgp(cfg.seed, cfg.d)
+            train, test = sample(dgp, cfg.n, cfg.seed + 1), sample(dgp, cfg.test_size, cfg.seed + 2)
+            results.append(evalx.run_experiment(cfg, train, test))
+        assert set(tmp_path.rglob("*")) == before
+        assert not os.path.exists(cells[0].out_dir)
+
+        for i, (cfg, (models, reps, rows)) in enumerate(zip(cells, results)):
+            assert cli.cmd_pipeline(cfg, with_mcc=True) == 0
+            exp_dir = tmp_path / "results" / f"exp-{cfg.fingerprint()}"
+            mine = tmp_path / f"mine{i}"
+            mine.mkdir()
+            evalx.write_table(mine / "pehe_report.csv", evalx.PEHE_COLUMNS, rows)
+            evalx.write_table(mine / "mcc.csv", ["model_i", "model_j", "mcc"],
+                              evalx.mcc_pairs([z_test for _, z_test in reps]))
+            files = ["pehe_report.csv", "pehe_report.txt", "mcc.csv", "mcc.txt"]
+            for r, (model, (z_train, z_test)) in enumerate(zip(models, reps)):
+                save_model(model, mine / f"model_run{r}.preb")
+                cli._write_repr(str(mine / f"repr_train_run{r}.csv"), z_train)
+                cli._write_repr(str(mine / f"repr_test_run{r}.csv"), z_test)
+                files += [f"model_run{r}.preb", f"repr_train_run{r}.csv",
+                          f"repr_test_run{r}.csv"]
+            assert len(models) == cfg.runs and len(rows) == 2 * len(cfg.learners)
+            for name in files:
+                assert (mine / name).read_bytes() == (exp_dir / name).read_bytes(), name
+
 
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path):
@@ -411,6 +457,24 @@ class TestExitCodes:
         assert "non-finite value in a linear system" in capsys.readouterr().err
         assert not list(out.glob("predictions_*"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("base", ["ridge", "kernel"])
+    def test_overflow_under_warnings_as_errors_is_numeric(self, tmp_path, capsys, base):
+        # numpy's overflow warnings, raised as errors, do not end in a traceback:
+        # the finiteness guards still decide, and the exit code stays 3
+        x = make_rng(0).standard_normal((60, 3))
+        x[:, 0] *= 1e200
+        a = np.arange(60) % 2
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=a, y=x[:, 1] + a), data)
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(FAST_CONFIG.format(out=tmp_path / "results")
+                            .replace("kinds = t", "kinds = t,x,dr,r")
+                            .replace("base = ridge", f"base = {base}"))
+        assert main(["fit-cate", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--data", str(data)]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+
     @pytest.mark.parametrize("reader", ["data", "features"])
     def test_non_utf8_csv(self, tmp_path, capsys, reader):
         cfg_path = _write_cfg(tmp_path)
@@ -475,13 +539,22 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "train_ebms", fail)
+        monkeypatch.setattr(evalx, "train_ebms", fail)
         cfg_path = _write_cfg(tmp_path)
         with pytest.raises(error, match=r"^pipeline stage 'fit-ebm' failed \(seed 5\): boom$"):
             cli.cmd_pipeline(load_config(path=cfg_path))
         capsys.readouterr()
         assert main(["pipeline", "--config", cfg_path]) == code
         assert capsys.readouterr().err == f"{prefix}pipeline stage 'fit-ebm' failed (seed 5): boom\n"
+
+    def test_mcc_failure_names_its_stage(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise IllConditionedError("boom")
+
+        monkeypatch.setattr(evalx, "mcc", fail)
+        assert main(["pipeline", "--config", _write_cfg(tmp_path), "--mcc"]) == 3
+        assert (capsys.readouterr().err
+                == "numeric failure: pipeline stage 'mcc' failed (seed 5): boom\n")
 
     @pytest.mark.parametrize("command, stage", [("fit-ebm", "train_ebm"),
                                                 ("pipeline", "train_ebms")])
@@ -492,7 +565,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate 5.82 TiB for an array")
 
-        monkeypatch.setattr(cli, stage, fail)
+        monkeypatch.setattr(cli if command == "fit-ebm" else evalx, stage, fail)
         x = make_rng(0).standard_normal((30, 8))
         data = tmp_path / "d.csv"
         save_csv(Dataset(x=x, a=np.arange(30) % 2, y=x[:, 0]), data)
