@@ -16,7 +16,7 @@ import numpy as np
 from . import evalx
 from .cate import fit_learners
 from .config import ExperimentConfig, load_config
-from .dgp import Dataset, gen_dgp, load_csv, read_csv, sample, save_csv, write_csv
+from .dgp import Dataset, load_csv, read_csv, save_csv, write_csv
 from .ebm import load_model, save_model
 from .errors import CateEbmError, ConfigError, CsvFormatError
 from .nce import train_ebm
@@ -66,9 +66,7 @@ def _mcc_report(reps, out_dir) -> None:
 
 def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> tuple:
     """Write train.csv and test.csv to out_dir and return the (train, test) datasets."""
-    dgp = gen_dgp(cfg.seed, cfg.d)
-    train = sample(dgp, cfg.n, cfg.seed + 1)
-    test = sample(dgp, cfg.test_size, cfg.seed + 2)
+    train, test = cfg.datasets()
     save_csv(train, os.path.join(out_dir, "train.csv"))
     save_csv(test, os.path.join(out_dir, "test.csv"))
     print(f"wrote train.csv ({train.n} rows) and test.csv ({test.n} rows) to {out_dir}")

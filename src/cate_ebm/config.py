@@ -10,6 +10,7 @@ import zlib
 from dataclasses import dataclass, fields
 
 from .cate import BaseSpec, check_kinds
+from .dgp import gen_dgp, sample
 from .errors import ConfigError
 from .nce import TrainConfig
 from .numerics import make_rng, random_orthogonal
@@ -79,6 +80,15 @@ class ExperimentConfig:
     def b_matrix(self):
         """The frozen k-by-k B, drawn from b_seed alone: every run shares it."""
         return random_orthogonal(self.k, make_rng(self.b_seed))
+
+    def datasets(self) -> tuple:
+        """(train, test) of gen_dgp(seed, d), drawn from seed + 1 and seed + 2."""
+        dgp = gen_dgp(self.seed, self.d)
+        return sample(dgp, self.n, self.seed + 1), sample(dgp, self.test_size, self.seed + 2)
+
+    def init_seeds(self) -> list:
+        """Run r's init seed, seed + 101 (r + 1), for each of the runs."""
+        return [self.seed + 101 * (r + 1) for r in range(self.runs)]
 
     def validate(self):
         """Check via train_config(), base_spec() and check_kinds(), then what no

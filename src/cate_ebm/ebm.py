@@ -66,8 +66,10 @@ class Encoder:
 
     def represent(self, x) -> np.ndarray:
         """Network outputs standardized with the training statistics; an
-        output that is not finite raises IllConditionedError."""
-        out = self.net.forward(np.asarray(x, dtype=float))
+        output that is not finite raises IllConditionedError (numpy's overflow
+        warnings are off for the forward pass: that check decides)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.net.forward(np.asarray(x, dtype=float))
         if not np.isfinite(out).all():
             raise IllConditionedError("non-finite network output in represent")
         if self.repr_mean is None or self.repr_std is None:

@@ -35,6 +35,8 @@ def pehe(tau_hat, tau_true) -> float:
     return float(np.mean((tau_hat - tau_true) ** 2))
 
 
+# an overflow is reported by the finiteness check, not warned of
+@np.errstate(over="ignore", invalid="ignore")
 def mcc(r1, r2) -> float:
     """Per-dimension Pearson correlation, averaged over the k dimensions.
 
@@ -179,12 +181,11 @@ PEHE_COLUMNS = ["learner", "features", "pehe_sq_mean", "pehe_sq_std", "pehe_root
 def run_experiment(cfg, train: Dataset, test: Dataset) -> tuple:
     """(models, reps, rows) of one config.ExperimentConfig; writes no files.
     models: cfg.runs EbmModels sharing cfg.b_matrix(), run r from init seed
-    cfg.seed + 101 (r + 1); reps: each model's (z_train, z_test); rows: per
+    cfg.init_seeds()[r]; reps: each model's (z_train, z_test); rows: per
     learner and feature set (raw, ebm), PEHE_COLUMNS: PEHE's mean and std over
     the feature set's runs, and the mean of its square root."""
     with stage("fit-ebm", cfg.seed):
-        models = train_ebms(train.x, cfg.train_config(),
-                            [cfg.seed + 101 * (r + 1) for r in range(cfg.runs)],
+        models = train_ebms(train.x, cfg.train_config(), cfg.init_seeds(),
                             b_matrix=cfg.b_matrix())
     with stage("transform", cfg.seed):
         reps = [(m.represent(train.x), m.represent(test.x)) for m in models]

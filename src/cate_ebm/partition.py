@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, TooFewSamplesError
+from .errors import DimensionError, IllConditionedError, TooFewSamplesError
 from .numerics import sq_dists
 
 
@@ -39,13 +39,21 @@ class PartitionModel:
         return np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
 
 
+def _finite_total(d2) -> float:
+    total = float(d2.sum())
+    if not np.isfinite(total):
+        raise IllConditionedError("k-means distances are not finite: a covariate is "
+                                  "not finite or too large to square")
+    return total
+
+
 def _kmeanspp_init(x, k, rng):
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
     d2 = sq_dists(x, centroids[:1]).ravel()
     for j in range(1, k):
-        total = d2.sum()
+        total = _finite_total(d2)
         if total <= 0.0:
             # all remaining points coincide with chosen centroids
             idx = rng.integers(n)
@@ -57,12 +65,15 @@ def _kmeanspp_init(x, k, rng):
     return centroids
 
 
+# an overflow is reported by _finite_total, not warned of
+@np.errstate(over="ignore", invalid="ignore")
 def kmeans_fit(x, k, rng) -> PartitionModel:
     """Lloyd iterations from a k-means++ start.
 
     Stops at an assignment fixpoint, when inertia improves by less than tol,
     or after max_iter. An emptied cluster is re-seeded at the point farthest
-    from its current centroid.
+    from its current centroid. Distances whose sum is not finite (squares of
+    huge covariates overflow) raise IllConditionedError.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -81,7 +92,7 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
     for _ in range(max_iter):
         d2 = sq_dists(x, centroids)
         labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(n), labels].sum())
+        inertia = _finite_total(d2[np.arange(n), labels])
         history.append(inertia)
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
@@ -101,5 +112,5 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
 
     d2 = sq_dists(x, centroids)
     labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
+    inertia = _finite_total(d2[np.arange(n), labels])
     return PartitionModel(centroids=centroids, inertia=inertia, history=history)

@@ -1,5 +1,8 @@
+import dataclasses
 import os
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
 
@@ -12,13 +15,10 @@ from cate_ebm import (
     TrainConfig,
     cli,
     fit_learner,
-    gen_dgp,
     load_csv,
     load_model,
     make_rng,
     pehe,
-    random_orthogonal,
-    sample,
     save_csv,
     save_model,
     train_ebm,
@@ -191,6 +191,20 @@ class TestCommands:
                      "--out", mcc_out]) == 0
         assert os.path.exists(os.path.join(mcc_out, "mcc.csv"))
 
+    def test_datasets_and_init_seeds_are_the_pipelines(self, tmp_path):
+        # ExperimentConfig.datasets() is what gen-data writes, without the files
+        cfg_path = _write_cfg(tmp_path)
+        out = tmp_path / "work"
+        assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+        cfg = load_config(path=cfg_path)
+        for mine, name in zip(cfg.datasets(), ("train.csv", "test.csv")):
+            written = load_csv(out / name)
+            for f in dataclasses.fields(mine):
+                assert np.array_equal(getattr(mine, f.name), getattr(written, f.name)), f.name
+        # one init seed per run; pinned, since every pipeline model is trained from them
+        assert len(cfg.init_seeds()) == cfg.runs
+        assert cfg.init_seeds() == [106, 207]
+
     def test_pipeline_end_to_end(self, tmp_path):
         cfg_path = _write_cfg(tmp_path)
         assert main(["pipeline", "--config", cfg_path, "--mcc"]) == 0
@@ -217,8 +231,7 @@ class TestCommands:
         exp_dir = next((tmp_path / "results").iterdir())
         out = tmp_path / "steps"
         assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
-        # run r of the pipeline trains with init seed seed + 101 * (r + 1)
-        init_seed = load_config(path=cfg_path).seed + 101
+        init_seed = load_config(path=cfg_path).init_seeds()[0]  # the pipeline's run 0
         assert main(["fit-ebm", "--config", cfg_path, "--out", str(out),
                      "--train", str(out / "train.csv"), "--init-seed", str(init_seed)]) == 0
         assert main(["transform", "--model", str(out / "model.preb"),
@@ -241,9 +254,8 @@ class TestCommands:
         cfg = load_config(path=cfg_path)
         exp_dir = next((tmp_path / "results").iterdir())
         train = load_csv(exp_dir / "train.csv")
-        b = random_orthogonal(cfg.k, make_rng(cfg.b_seed))
-        for r in range(cfg.runs):
-            model = train_ebm(train.x, cfg.train_config(cfg.seed + 101 * (r + 1)), b_matrix=b)
+        for r, init_seed in enumerate(cfg.init_seeds()):
+            model = train_ebm(train.x, cfg.train_config(init_seed), b_matrix=cfg.b_matrix())
             save_model(model, tmp_path / "alone.preb")
             assert ((tmp_path / "alone.preb").read_bytes()
                     == (exp_dir / f"model_run{r}.preb").read_bytes())
@@ -306,9 +318,7 @@ class TestCommands:
         before = set(tmp_path.rglob("*"))
         results = []
         for cfg in cells:
-            dgp = gen_dgp(cfg.seed, cfg.d)
-            train, test = sample(dgp, cfg.n, cfg.seed + 1), sample(dgp, cfg.test_size, cfg.seed + 2)
-            results.append(evalx.run_experiment(cfg, train, test))
+            results.append(evalx.run_experiment(cfg, *cfg.datasets()))
         assert set(tmp_path.rglob("*")) == before
         assert not os.path.exists(cells[0].out_dir)
 
@@ -475,6 +485,21 @@ class TestExitCodes:
                      "--data", str(data)]) == 3
         assert capsys.readouterr().err.startswith("numeric failure: ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_kmeans_distances_are_numeric(self, tmp_path, capsys):
+        x = make_rng(0).standard_normal((60, 3))
+        x[:, 0] *= 1e200  # the k-means++ distances overflow
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=np.arange(60) % 2, y=x[:, 1]), data)
+        cfg = tmp_path / "t.ini"
+        cfg.write_text("[dgp]\nd = 3\nn = 60\n[ebm]\nk = 2\nb = 2\nhidden = 4\nepochs = 3\n")
+        out = tmp_path / "out"
+        assert main(["fit-ebm", "--config", str(cfg), "--train", str(data),
+                     "--out", str(out)]) == 3
+        assert ("numeric failure: k-means distances are not finite"
+                in capsys.readouterr().err)
+        assert not (out / "model.preb").exists()
+
     @pytest.mark.parametrize("reader", ["data", "features"])
     def test_non_utf8_csv(self, tmp_path, capsys, reader):
         cfg_path = _write_cfg(tmp_path)
@@ -601,16 +626,19 @@ class TestExitCodes:
             return net
 
         monkeypatch.setattr(nce, "Mlp", mlp)
-        assert main(["pipeline", "--config", _write_cfg(tmp_path)]) == 3
-        # run r trains with init seed seed + 101 * (r + 1); the seed is 5
+        cfg_path = _write_cfg(tmp_path)
+        assert main(["pipeline", "--config", cfg_path]) == 3
+        init_seed = load_config(path=cfg_path).init_seeds()[1]
         assert ("numeric failure: pipeline stage 'fit-ebm' failed (seed 5): "
-                "run with init seed 207 diverged at epoch 0: non-finite"
+                f"run with init seed {init_seed} diverged at epoch 0: non-finite"
                 in capsys.readouterr().err)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestHugeWeights:
     """A model whose first-layer weight is finite but huge loads, and the
-    numbers it leads to are caught as a numeric failure (exit 3)."""
+    numbers it leads to are caught as a numeric failure (exit 3), with no
+    overflow warning."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -622,7 +650,6 @@ class TestHugeWeights:
         save_model(model, good)
         return model, data, good
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the column std overflows
     @pytest.mark.parametrize("weight", [1e300, 1e200, 1e160])
     def test_mcc_overflow_is_numeric(self, files, tmp_path, capsys, weight):
         model, data, good = files
@@ -634,7 +661,6 @@ class TestHugeWeights:
         assert "std or correlation is not finite" in captured.err
         assert "mean mcc" not in captured.out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the layers
     @pytest.mark.parametrize("command", ["transform", "mcc"])
     def test_nonfinite_representation_is_numeric(self, files, tmp_path, capsys, command):
         model, data, good = files
@@ -647,6 +673,26 @@ class TestHugeWeights:
         assert main([*argv, "--data", str(data)]) == 3
         assert "non-finite network output" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_warnings_as_errors_exit_3(self, files, tmp_path):
+        # the commands as users run them, under python -W error::RuntimeWarning
+        model, data, good = files
+        model.net.params[0][0, 0] = 1e300  # a column's squares overflow in mcc
+        save_model(model, tmp_path / "huge.preb")
+        model.net.params[0][...] = 1e308  # the forward matmul overflows
+        save_model(model, tmp_path / "inf.preb")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        for argv, message in (
+                (["transform", "--model", str(tmp_path / "inf.preb"),
+                  "--out", str(tmp_path / "z.csv")], "non-finite network output"),
+                (["mcc", "--models", str(tmp_path / "huge.preb"), str(good)],
+                 "std or correlation is not finite")):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "cate_ebm.cli", *argv,
+                 "--data", str(data)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stderr.startswith("numeric failure: ") and message in proc.stderr
 
 
 def _read(path):
@@ -692,7 +738,7 @@ class TestFuzz:
         assert "Traceback" not in err
         return code
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # huge flipped weights overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_corrupt_model_files(self, tmp_path, capsys):
         x = make_rng(0).standard_normal((12, 3))
         data = tmp_path / "d.csv"

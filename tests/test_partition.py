@@ -5,7 +5,7 @@ import pytest
 
 from cate_ebm import kmeans_fit, make_rng
 from cate_ebm.numerics import sq_dists
-from cate_ebm.errors import DimensionError, TooFewSamplesError
+from cate_ebm.errors import DimensionError, IllConditionedError, TooFewSamplesError
 
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
@@ -112,6 +112,16 @@ def test_refit_same_seed_bit_identical():
 def test_too_few_samples():
     with pytest.raises(TooFewSamplesError):
         kmeans_fit(np.zeros((2, 2)), 3, make_rng(0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 2])
+def test_overflowing_distances_are_ill_conditioned(k):
+    # k=2 overflows in the k-means++ seeding, k=1 (no seeding draw) in a Lloyd step
+    x = make_rng(0).standard_normal((60, 3))
+    x[:, 0] *= 1e200
+    with pytest.raises(IllConditionedError, match="k-means distances are not finite"):
+        kmeans_fit(x, k, make_rng(0))
 
 
 def _reference_sq_dists(x, c):
