@@ -14,9 +14,8 @@ import sys
 import numpy as np
 
 from . import evalx
-from .cate import fit_learners
 from .config import ExperimentConfig, load_config
-from .dgp import Dataset, load_csv, read_csv, save_csv, write_csv
+from .dgp import load_csv, read_csv, save_csv, write_csv
 from .ebm import load_model, save_model
 from .errors import CateEbmError, ConfigError, CsvFormatError
 from .nce import train_ebm
@@ -74,8 +73,7 @@ def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> tuple:
 
 
 def cmd_fit_ebm(cfg: ExperimentConfig, train_path: str, out_dir: str, init_seed=None) -> int:
-    model = train_ebm(load_csv(train_path).x, cfg.train_config(init_seed),
-                      b_matrix=cfg.b_matrix())
+    model = train_ebm(load_csv(train_path).x, cfg.train_config(), cfg.b_matrix(), init_seed)
     _save_run(model, out_dir, "")
     print(f"final validation loss: {model.best_val_loss:.6f} "
           f"(best epoch {model.best_epoch}); wrote model.preb")
@@ -100,10 +98,9 @@ def cmd_fit_cate(cfg: ExperimentConfig, data_path: str, out_dir: str,
         raise ConfigError(
             f"feature rows ({feats.shape[0]}) != dataset rows ({ds.n})"
         )
-    models = fit_learners(cfg.learners, Dataset(x=feats, a=ds.a, y=ds.y), cfg.base_spec(),
-                          split_seed=cfg.seed)
-    for kind in cfg.learners:
-        tau_hat = models[kind].predict(feats)
+    [preds] = evalx.effect_predictions({"fit-cate": [(feats, feats)]}, ds, cfg.learners,
+                                       cfg.base_spec(), split_seed=cfg.seed)["fit-cate"]
+    for kind, tau_hat in preds.items():
         path = os.path.join(out_dir, f"predictions_{kind}.csv")
         write_csv(path, ["row", "tau_hat"], [np.arange(len(tau_hat)), tau_hat])
         print(f"{kind}-learner: wrote {path} (mean tau_hat {tau_hat.mean():.4f})")
@@ -213,9 +210,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "fit-ebm":
             return cmd_fit_ebm(cfg, args.train, out, init_seed=args.init_seed)
-        if args.command == "fit-cate":
-            return cmd_fit_cate(cfg, args.data, out, features_path=args.features)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # fit-cate: argparse admits no other command
+        return cmd_fit_cate(cfg, args.data, out, features_path=args.features)
     except OSError as exc:  # a path that cannot be read or written is an input error
         print(f"error: {exc}", file=sys.stderr)
         return CateEbmError.exit_code

@@ -9,7 +9,7 @@ import configparser
 import zlib
 from dataclasses import dataclass, fields
 
-from .cate import BaseSpec, check_kinds
+from .cate import LEARNERS, BaseSpec, check_kinds
 from .dgp import gen_dgp, sample
 from .errors import ConfigError
 from .nce import TrainConfig
@@ -56,7 +56,7 @@ class ExperimentConfig:
     b_seed: int = 42
     patience: int = TrainConfig.patience
     # learners
-    learners: tuple = ("t", "x", "dr", "r")
+    learners: tuple = LEARNERS
     base_kind: str = BaseSpec.kind
     base_lam: float = BaseSpec.lam
     base_cv: bool = BaseSpec.cv
@@ -65,13 +65,9 @@ class ExperimentConfig:
     # io
     out_dir: str = "results"
 
-    def train_config(self, init_seed=None) -> TrainConfig:
-        """The EBM training settings; TrainConfig checks them."""
-        return TrainConfig(
-            k=self.k, b=self.b, rho=self.rho, hidden=self.hidden, epochs=self.epochs,
-            batch_size=self.batch_size, lr=self.lr, seed=self.seed,
-            init_seed=init_seed, patience=self.patience,
-        )
+    def train_config(self) -> TrainConfig:
+        """The EBM training settings, each field copied by name; TrainConfig checks them."""
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def base_spec(self) -> BaseSpec:
         """The learners' base regression settings; BaseSpec checks them."""

@@ -1,7 +1,7 @@
 """Evaluation: squared-error effect risk, the per-dimension correlation
-metric between representations from independent runs, the reducers (the
-energy model, and the PCA and autoencoder baselines, each fitted to an
-Encoder), the effect predictions of learners on feature sets, which every
+metric between representations from independent runs, the PCA and
+autoencoder baselines (each fitted to an Encoder, as the energy model is),
+the effect predictions of learners on feature sets, which every
 comparison (PEHE per feature set, cross-run spread of the estimates)
 reduces, and run_experiment, the computation behind the pipeline command.
 Report files are byte-deterministic.
@@ -128,20 +128,6 @@ def ae_fit(x, config: TrainConfig, seeds) -> list:
     master = make_rng(config.seed)
     return train_runs(config, seeds, make_run, x, np.zeros(n), lambda rows, _: x[rows],
                       make_rng(master.integers(2**63)), int(master.integers(2**63)))
-
-
-def fit_reducers(name: str, x, config: TrainConfig, seeds, b_matrix=None) -> list:
-    """The fitted maps x -> z (Encoder.represent) of reducer 'ebm' or 'ae',
-    one per init seed in seeds, trained together on x by nce.train_runs
-    under config (the AE ignores b and rho). The EBM runs keep b_matrix (None
-    draws B from config.seed)."""
-    if name == "ebm":
-        encoders = train_ebms(x, config, seeds, b_matrix=b_matrix)
-    elif name == "ae":
-        encoders = ae_fit(x, config, seeds)
-    else:
-        raise ValueError(f"unknown reducer {name!r}")
-    return [enc.represent for enc in encoders]
 
 
 def effect_predictions(features: dict, train: Dataset, kinds, spec: BaseSpec,

@@ -22,7 +22,6 @@ reconstruction this module makes; it is exact for symmetric kernels.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import zlib
 from dataclasses import dataclass
@@ -30,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ebm import EbmModel, ModelFingerprint
-from .errors import ConfigError, DimensionError, TooFewSamplesError, TrainingDivergedError
+from .errors import (ConfigError, DimensionError, IllConditionedError, TooFewSamplesError,
+                     TrainingDivergedError)
 from .numerics import Adam, Mlp, make_rng, random_orthogonal
 from .partition import kmeans_fit
 
@@ -73,9 +73,8 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     seed: int = 0
-    init_seed: int | None = None
     patience: int = 30
-    val_fraction: float = 0.2
+    val_fraction = 0.2  # not a field: no file or caller sets it
 
     def __post_init__(self):
         _check_corruption(self.rho, self.b)
@@ -86,10 +85,8 @@ class TrainConfig:
             raise ConfigError(f"hidden widths must each be >= 1, got {self.hidden}")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if self.seed < 0 or (self.init_seed or 0) < 0:
-            raise ConfigError(f"seed and init_seed must be >= 0, got {self.seed}, {self.init_seed}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def corrupt(x, rho, rng) -> np.ndarray:
@@ -231,6 +228,8 @@ class _Run:
         return epoch - self.best_epoch < patience
 
 
+# an overflow is reported by the finiteness checks of the losses, not warned of
+@np.errstate(over="ignore", invalid="ignore")
 def train_runs(config: TrainConfig, seeds, make_run, x, labels, draw, split_rng, epoch_base):
     """Train one run per init seed on the rows of x. make_run(seed) gives its
     Encoder, the nets it trains (the encoder's among them) and its
@@ -240,9 +239,9 @@ def train_runs(config: TrainConfig, seeds, make_run, x, labels, draw, split_rng,
     rows, rng), batch positions stratified by labels, then draw(val rows,
     rng). Returns the encoders in the order of seeds, each at its best
     snapshot, with its training record and standardized on all of x."""
-    seeds = [dataclasses.replace(config, init_seed=s).init_seed for s in seeds]
-    if not seeds:
-        raise ConfigError("init_seeds must name at least one seed")
+    seeds = list(seeds)
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"init seeds must be one or more seeds >= 0, got {seeds}")
     n = len(x)
     n_val = max(1, int(round(n * config.val_fraction)))
     if n_val >= n:
@@ -309,6 +308,9 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
     corrupt_base = int(master.integers(2**63))
 
     partition = kmeans_fit(x, k, kmeans_rng)
+    if np.spacing(np.abs(x).max()) >= 1.0:  # |x| >= 2**52: N(0, 1) noise cannot move it
+        raise IllConditionedError("a covariate of magnitude 2**52 or more is not moved by the "
+                                  "unit corruption noise; scale the covariates")
     labels = partition.assign(x)
 
     if b_matrix is None:
@@ -334,8 +336,8 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
     return train_runs(config, init_seeds, make_run, x, labels, draw, split_rng, corrupt_base)
 
 
-def train_ebm(x, config: TrainConfig, b_matrix=None) -> EbmModel:
-    """train_ebms with the one init seed config.init_seed (config.seed + 1
-    when it is None)."""
-    init_seed = config.init_seed if config.init_seed is not None else config.seed + 1
+def train_ebm(x, config: TrainConfig, b_matrix=None, init_seed=None) -> EbmModel:
+    """train_ebms with the one init seed init_seed (config.seed + 1 when it
+    is None)."""
+    init_seed = config.seed + 1 if init_seed is None else init_seed
     return train_ebms(x, config, [init_seed], b_matrix=b_matrix)[0]

@@ -103,9 +103,7 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
             else:
                 far = int(np.argmax(d2[:, j]))
                 centroids[j] = x[far]
-        if prev_inertia - inertia < tol and np.isfinite(prev_inertia):
-            prev_labels = labels
-            prev_inertia = inertia
+        if prev_inertia - inertia < tol:  # inf - inertia never is
             break
         prev_labels = labels
         prev_inertia = inertia

@@ -18,11 +18,11 @@ from cate_ebm import (
     EbmModel,
     Mlp,
     TrainConfig,
+    ae_fit,
     build_candidates,
     dr_pseudo_outcome,
     effect_predictions,
     fit_learner,
-    fit_reducers,
     gen_dgp,
     grad_check,
     kmeans_fit,
@@ -154,8 +154,8 @@ def test_criterion_06_pehe_ordering():
         dgp = gen_dgp(500 + run, d=100)
         train = sample(dgp, 250, 600 + run)
         test = sample(dgp, 1000, 700 + run)
-        c = dataclasses.replace(cfg, seed=run, init_seed=run)
-        model = train_ebm(train.x, c, b_matrix=b)
+        c = dataclasses.replace(cfg, seed=run)
+        model = train_ebm(train.x, c, b_matrix=b, init_seed=run)
         features = {"raw": [(train.x, test.x)],
                     "ebm": [(model.represent(train.x), model.represent(test.x))]}
         for name, [run] in effect_predictions(features, train, ("t", "r"), spec).items():
@@ -180,14 +180,14 @@ def test_criterion_07_cate_variance_ordering():
     b = random_orthogonal(3, make_rng(42))
     seeds = [1000 * r for r in range(10)]
 
-    def spread(reducer, b_matrix=None):
+    def spread(encoders):
         # mean over test rows of the std across runs of each row's R estimate
-        maps = fit_reducers(reducer, train.x, cfg, seeds, b_matrix=b_matrix)
-        runs = effect_predictions({reducer: [(f(train.x), f(test.x)) for f in maps]},
-                                  train, ("r",), spec)[reducer]
+        reps = [(enc.represent(train.x), enc.represent(test.x)) for enc in encoders]
+        runs = effect_predictions({"runs": reps}, train, ("r",), spec)["runs"]
         return float(np.stack([run["r"] for run in runs]).std(axis=0).mean())
 
-    ebm_std, ae_std = spread("ebm", b), spread("ae")
+    ebm_std = spread(train_ebms(train.x, cfg, seeds, b_matrix=b))
+    ae_std = spread(ae_fit(train.x, cfg, seeds))
     _report(7, f"R-learner estimate spread (ebm {ebm_std:.4f} < ae {ae_std:.4f})",
             ebm_std < ae_std)
 

@@ -658,3 +658,10 @@ class TestReductionBaselines:
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingDivergedError, match=r"^run with init seed 3 diverged at epoch 0"):
             ae_fit(x, cfg, [3])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ae_overflow_is_divergence_not_a_warning(self):
+        # the loss's finiteness check decides, also when warnings are errors
+        x = make_rng(17).standard_normal((100, 4))
+        with pytest.raises(TrainingDivergedError, match="diverged at epoch 0"):
+            ae_fit(x, TrainConfig(k=3, lr=1e300, epochs=3), [1])

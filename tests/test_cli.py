@@ -131,6 +131,16 @@ class TestConfig:
         bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "exp.ini").read_bytes())
         assert load_config(path=str(bom)) == load_config(path=plain)
 
+    def test_train_config_copies_by_name(self):
+        # each TrainConfig field is the ExperimentConfig setting of the same name
+        names = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert names <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for name in PRESETS:
+            cfg = load_config(preset=name)
+            assert cfg.train_config() == TrainConfig(
+                k=cfg.k, b=cfg.b, rho=cfg.rho, hidden=cfg.hidden, epochs=cfg.epochs,
+                batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed, patience=cfg.patience)
+
     def test_fingerprint_tracks_content(self):
         a = ExperimentConfig()
         b = ExperimentConfig(seed=1)
@@ -255,7 +265,7 @@ class TestCommands:
         exp_dir = next((tmp_path / "results").iterdir())
         train = load_csv(exp_dir / "train.csv")
         for r, init_seed in enumerate(cfg.init_seeds()):
-            model = train_ebm(train.x, cfg.train_config(init_seed), b_matrix=cfg.b_matrix())
+            model = train_ebm(train.x, cfg.train_config(), cfg.b_matrix(), init_seed=init_seed)
             save_model(model, tmp_path / "alone.preb")
             assert ((tmp_path / "alone.preb").read_bytes()
                     == (exp_dir / f"model_run{r}.preb").read_bytes())
@@ -498,6 +508,40 @@ class TestExitCodes:
                      "--out", str(out)]) == 3
         assert ("numeric failure: k-means distances are not finite"
                 in capsys.readouterr().err)
+        assert not (out / "model.preb").exists()
+
+    def test_covariates_beyond_the_noise_are_numeric(self, tmp_path, capsys):
+        # squarable, but unit corruption noise cannot move x0: nothing would be learned
+        x = make_rng(0).standard_normal((60, 3))
+        x[:, 0] *= 1e100
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=np.arange(60) % 2, y=x[:, 1]), data)
+        cfg = tmp_path / "t.ini"
+        cfg.write_text("[dgp]\nd = 3\nn = 60\n[ebm]\nk = 2\nb = 2\nhidden = 4\nepochs = 3\n")
+        out = tmp_path / "out"
+        assert main(["fit-ebm", "--config", str(cfg), "--train", str(data),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and "scale the covariates" in err
+        assert not (out / "model.preb").exists()
+
+    def test_diverged_training_under_warnings_as_errors_is_numeric(self, tmp_path):
+        # the command as users run it, under python -W error::RuntimeWarning: the
+        # overflow of a huge step is the loss's divergence (exit 3), not a traceback
+        x = make_rng(0).standard_normal((60, 3))
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=np.arange(60) % 2, y=x[:, 1]), data)
+        cfg = tmp_path / "t.ini"
+        cfg.write_text("[dgp]\nd = 3\nn = 60\n[ebm]\nk = 2\nb = 2\nhidden = 4\n"
+                       "epochs = 5\nlr = 1e300\n")
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cate_ebm.cli", "fit-ebm",
+             "--config", str(cfg), "--train", str(data), "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numeric failure: run with init seed 1 diverged")
         assert not (out / "model.preb").exists()
 
     @pytest.mark.parametrize("reader", ["data", "features"])

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from cate_ebm import (
     ae_fit,
     effect_predictions,
     fit_learner,
-    fit_reducers,
     gen_dgp,
     make_rng,
     mcc,
@@ -19,6 +16,7 @@ from cate_ebm import (
     random_orthogonal,
     sample,
     train_ebm,
+    train_ebms,
     write_table,
 )
 from cate_ebm.errors import DegenerateColumnError, DimensionError, IllConditionedError
@@ -134,11 +132,10 @@ class TestEffectPredictions:
                     assert np.array_equal(run[kind], want.predict(zs))
 
 
-def _cross_run_std(train, test, reducer, learner, seeds, config, spec, b_matrix=None):
+def _cross_run_std(train, test, encoders, learner, spec):
     """Criterion 7's spread: the std across runs of each test row's estimate."""
-    maps = fit_reducers(reducer, train.x, config, seeds, b_matrix=b_matrix)
-    runs = effect_predictions({reducer: [(f(train.x), f(test.x)) for f in maps]}, train,
-                              (learner,), spec)[reducer]
+    reps = [(enc.represent(train.x), enc.represent(test.x)) for enc in encoders]
+    runs = effect_predictions({"runs": reps}, train, (learner,), spec)["runs"]
     return np.stack([run[learner] for run in runs]).std(axis=0)
 
 
@@ -147,8 +144,7 @@ def _two_branch_std(train, test, reducer, learner, seeds, config, base_spec, b_m
     preds = []
     for seed in seeds:
         if reducer == "ebm":
-            model = train_ebm(train.x, dataclasses.replace(config, init_seed=seed),
-                              b_matrix=b_matrix)
+            model = train_ebm(train.x, config, b_matrix=b_matrix, init_seed=seed)
             z_train, z_test = model.represent(train.x), model.represent(test.x)
         else:
             enc = ae_fit(train.x, config, [seed])[0]
@@ -169,7 +165,7 @@ class TestCateStdExperiment:
     def test_identical_seeds_zero_std(self):
         train, test = self._data()
         cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=31)
-        std = _cross_run_std(train, test, "ebm", "t", [5, 5], cfg,
+        std = _cross_run_std(train, test, train_ebms(train.x, cfg, [5, 5]), "t",
                              BaseSpec(kind="ridge", cv=False))
         assert std.shape == (test.n,)
         assert std.mean() == 0.0
@@ -177,7 +173,7 @@ class TestCateStdExperiment:
     def test_different_seeds_positive_std(self):
         train, test = self._data()
         cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=31)
-        std = _cross_run_std(train, test, "ae", "t", [0, 1000], cfg,
+        std = _cross_run_std(train, test, ae_fit(train.x, cfg, [0, 1000]), "t",
                              BaseSpec(kind="ridge", cv=False))
         assert std.mean() > 0.0
 
@@ -187,8 +183,11 @@ class TestCateStdExperiment:
         cfg = TrainConfig(k=2, b=2, epochs=5, hidden=(8,), seed=31)
         spec = BaseSpec(kind="ridge", cv=False)
         b = random_orthogonal(2, make_rng(42)) if reducer == "ebm" else None
-        std = _cross_run_std(train, test, reducer, "r", [0, 1000, 2000], cfg, spec, b)
-        want = _two_branch_std(train, test, reducer, "r", [0, 1000, 2000], cfg, spec, b)
+        seeds = [0, 1000, 2000]
+        encoders = (train_ebms(train.x, cfg, seeds, b_matrix=b) if reducer == "ebm"
+                    else ae_fit(train.x, cfg, seeds))
+        std = _cross_run_std(train, test, encoders, "r", spec)
+        want = _two_branch_std(train, test, reducer, "r", seeds, cfg, spec, b)
         assert np.array_equal(std, want)
         assert std.mean() > 0.0
 
@@ -220,9 +219,3 @@ class TestEncoder:
         with pytest.raises(IllConditionedError):
             enc.represent(x)
 
-
-class TestFitReducer:
-    def test_unknown_reducer(self):
-        x = make_rng(9).standard_normal((40, 4))
-        with pytest.raises(ValueError, match="unknown reducer 'umap'"):
-            fit_reducers("umap", x, TrainConfig(k=2), [0])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ from cate_ebm import (
     EbmModel,
     Mlp,
     TrainConfig,
+    ae_fit,
     build_candidates,
     corrupt,
     kmeans_fit,
@@ -23,6 +23,7 @@ from cate_ebm import nce
 from cate_ebm.errors import (
     ConfigError,
     DimensionError,
+    IllConditionedError,
     TooFewSamplesError,
     TrainingDivergedError,
 )
@@ -350,12 +351,15 @@ class TestTrainEbm:
     @pytest.mark.parametrize("kwargs", [
         dict(k=0), dict(b=0), dict(rho=0.0), dict(rho=1.5), dict(rho=math.nan), dict(epochs=0),
         dict(batch_size=0), dict(lr=0.0), dict(lr=-1.0), dict(lr=math.nan), dict(lr=math.inf),
-        dict(seed=-1), dict(init_seed=-1), dict(val_fraction=0.0), dict(val_fraction=1.0),
-        dict(val_fraction=-0.5), dict(val_fraction=math.nan),
+        dict(seed=-1), dict(init_seed=-1), dict(hidden=(0,)), dict(hidden=(8, -1)),
     ])
     def test_invalid_settings_rejected(self, kwargs):
+        # TrainConfig checks its fields; the trainer checks the init seed
+        kwargs = {"k": 2, **kwargs}
+        init_seed = kwargs.pop("init_seed", None)
         with pytest.raises(ConfigError):
-            TrainConfig(**{"k": 2, **kwargs})
+            train_ebm(make_rng(0).standard_normal((40, 3)), TrainConfig(**kwargs),
+                      init_seed=init_seed)
 
     def test_too_few_samples(self):
         cfg = TrainConfig(k=4, epochs=1)
@@ -363,10 +367,21 @@ class TestTrainEbm:
             train_ebm(make_rng(0).standard_normal((6, 3)), cfg)
 
     def test_split_leaves_no_training_row(self):
-        # 0.99 of 40 rows rounds to 40 held out
-        cfg = TrainConfig(k=2, epochs=1, val_fraction=0.99)
+        # the one row is held out (at least one always is); the AE has no 2k-row floor
         with pytest.raises(TooFewSamplesError, match="leaves none to train on"):
-            train_ebm(make_rng(0).standard_normal((40, 3)), cfg)
+            ae_fit(make_rng(0).standard_normal((1, 3)), TrainConfig(k=1, epochs=1), [0])
+
+    @pytest.mark.parametrize("scale, trains", [(1e15, True), (1e16, False)])
+    def test_covariates_beyond_the_noise_rejected(self, scale, trains):
+        # at |x| >= 2**52 N(0, 1) corruption cannot move a value in float64
+        x = make_rng(0).standard_normal((60, 3))
+        x[:, 0] *= scale
+        cfg = TrainConfig(k=2, b=2, hidden=(4,), epochs=3)
+        if trains:
+            assert len(train_ebms(x, cfg, [1])[0].history) == 3
+        else:
+            with pytest.raises(IllConditionedError, match="scale the covariates"):
+                train_ebms(x, cfg, [1])
 
     def test_beats_chance_on_synthetic(self):
         dgp = gen_dgp(21, d=10)
@@ -437,7 +452,7 @@ class TestTrainEbms:
         # patience 5 freezes three runs at different epochs; one runs to the cap
         assert [len(m.history) for m in models] == [12, 7, 9, 6]
         for seed, model in zip(self.SEEDS, models):
-            want = train_ebm(self.X, dataclasses.replace(self.CFG, init_seed=seed), b_matrix=b)
+            want = train_ebm(self.X, self.CFG, b_matrix=b, init_seed=seed)
             self._assert_same(model, want)
 
     def test_one_seed_is_train_ebm(self):
