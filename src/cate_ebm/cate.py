@@ -85,7 +85,8 @@ def _sigmoid(z):
 
 
 class Ridge:
-    """Linear ridge with an intercept column, solved by Cholesky."""
+    """Linear ridge with an intercept column, solved by Cholesky. With sample
+    weights w it minimizes sum_i w_i (y_i - f(x_i))^2 + lam |coef|^2."""
 
     def __init__(self, lam: float):
         if lam <= 0:
@@ -93,10 +94,11 @@ class Ridge:
         self.lam = lam
         self.w = None
 
-    def fit(self, x, y):
+    def fit(self, x, y, weights=None):
         xa = _augment(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
-        self.w = _chol_solve(_add_diag(xa.T @ xa, self.lam), xa.T @ y)
+        xw = xa if weights is None else xa * np.asarray(weights, dtype=float)[:, None]
+        self.w = _chol_solve(_add_diag(xw.T @ xa, self.lam), xw.T @ y)
         return self
 
     def predict(self, x):
@@ -127,7 +129,9 @@ def median_gamma(x):
 
 
 class KernelRidge:
-    """RBF kernel ridge; stores its training inputs for prediction."""
+    """RBF kernel ridge; stores its training inputs for prediction. With
+    sample weights w it minimizes sum_i w_i (y_i - f(x_i))^2 + lam |f|^2 by
+    the SPD system (S K S + lam I) beta = S y, S = diag(sqrt(w)); alpha = S beta."""
 
     def __init__(self, lam: float, gamma: float):
         if lam <= 0:
@@ -137,10 +141,17 @@ class KernelRidge:
         self.x_train = None
         self.alpha = None
 
-    def fit(self, x, y):
+    def fit(self, x, y, weights=None):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        self.alpha = _chol_solve(_add_diag(_rbf_kernel(x, x, self.gamma), self.lam), y)
+        k = _rbf_kernel(x, x, self.gamma)
+        if weights is None:
+            self.alpha = _chol_solve(_add_diag(k, self.lam), y)
+        else:
+            s = np.sqrt(np.asarray(weights, dtype=float))
+            k *= s[:, None]
+            k *= s
+            self.alpha = s * _chol_solve(_add_diag(k, self.lam), s * y)
         self.x_train = x
         return self
 
@@ -330,7 +341,7 @@ class PropensityModel:
 
     # ridge penalty, clip of the predicted propensities, Newton iteration limits
     l2, clip, max_iter, tol = 1e-3, 0.01, 100, 1e-8
-    w = None  # set by fit
+    w = n_iter = converged = None  # set by fit; converged: the gradient norm fell below tol
 
     def fit(self, x, a):
         x = np.asarray(x, dtype=float)
@@ -339,11 +350,13 @@ class PropensityModel:
             raise TooFewSamplesError("both treatment classes must be present")
         xa = _augment(x)
         w = np.zeros(xa.shape[1])
-        for _ in range(self.max_iter):
+        self.n_iter, self.converged = self.max_iter, False
+        for i in range(self.max_iter):
             z = xa @ w
             p = _sigmoid(z)
             grad = xa.T @ (p - a) + self.l2 * w
             if np.linalg.norm(grad) < self.tol:
+                self.n_iter, self.converged = i, True
                 break
             s = np.maximum(p * (1.0 - p), 1e-10)
             w = w - _chol_solve(_add_diag((xa * s[:, None]).T @ xa, self.l2), grad)
@@ -425,13 +438,9 @@ def dr_learner(ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
         raise TooFewSamplesError("DR-learner needs n >= 30")
     for attempt in range(5):
         perm = make_rng(split_seed + attempt).permutation(ds.n)
-        thirds = np.array_split(perm, 3)
-        d1, d2, d3 = (np.sort(part) for part in thirds)
-        a1 = ds.a[d1]
-        a2 = ds.a[d2]
-        if a1.min() == a1.max() or a2.min() == a2.max():
-            continue
-        break
+        d1, d2, d3 = (np.sort(part) for part in np.array_split(perm, 3))
+        if np.ptp(ds.a[d1]) and np.ptp(ds.a[d2]):  # both arms in each nuisance split
+            break
     else:
         raise TooFewSamplesError("could not find a split with both arms present")
 
@@ -455,25 +464,15 @@ def dr_pseudo_outcome(ds: Dataset, mu0_vals, mu1_vals, pi_vals) -> np.ndarray:
 
 
 def r_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
-    """Residual-on-residual: weighted closed-form fit in the base family."""
+    """Residual-on-residual (Nie & Wager): m_hat's family at m_hat's
+    hyperparameters, fitted to y_res / a_res with weights a_res^2."""
     _check_arms(ds)
     m_hat = fit_base(ds.x, ds.y, spec)
     prop = propensity_fit(ds.x, ds.a)
     y_res = ds.y - m_hat.predict(ds.x)
-    a_res = ds.a.astype(float) - prop.predict_proba(ds.x)
-
-    # the effect model takes m_hat's family and hyperparameters
-    if spec.kind == "ridge":
-        xa = _augment(ds.x)
-        lhs = _add_diag((xa * (a_res * a_res)[:, None]).T @ xa, m_hat.lam)
-        tau = Ridge(m_hat.lam)
-        tau.w = _chol_solve(lhs, xa.T @ (a_res * y_res))
-    else:
-        lhs = _rbf_kernel(ds.x, ds.x, m_hat.gamma)
-        lhs *= (a_res * a_res)[:, None]
-        _add_diag(lhs, m_hat.lam)
-        tau = KernelRidge(m_hat.lam, m_hat.gamma)
-        tau.x_train, tau.alpha = ds.x.copy(), np.linalg.solve(lhs, a_res * y_res)
+    a_res = ds.a.astype(float) - prop.predict_proba(ds.x)  # |a_res| >= the clip, 0.01
+    tau = Ridge(m_hat.lam) if spec.kind == "ridge" else KernelRidge(m_hat.lam, m_hat.gamma)
+    tau.fit(ds.x, y_res / a_res, weights=a_res**2)
     return CateModel("r", tau.predict, ds.d)
 
 

@@ -84,6 +84,50 @@ class TestRidge:
             Ridge(1e-2).fit(x, y)
 
 
+class TestWeightedFits:
+    """Sample weights w: the fit minimizes sum_i w_i (y_i - f(x_i))^2 + lam |f|^2."""
+
+    @staticmethod
+    def _data(n=40):
+        rng = make_rng(21)
+        x, y = rng.standard_normal((n, 3)), rng.standard_normal(n)
+        w = rng.uniform(0.0, 2.0, n)
+        w[[3, 17]] = 0.0  # rows that do not count at all
+        return x, y, w
+
+    def test_ridge_matches_weighted_normal_equations(self):
+        x, y, w = self._data()
+        xa = np.hstack([x, np.ones((40, 1))])
+        ref = np.linalg.solve(xa.T @ np.diag(w) @ xa + 0.3 * np.eye(4), xa.T @ (w * y))
+        got = Ridge(0.3).fit(x, y, weights=w).w
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_kernel_matches_weighted_normal_equations(self):
+        # the gradient of the objective in alpha vanishes where (W K + lam I) alpha = W y
+        x, y, w = self._data()
+        k = np.exp(-0.7 * ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        ref = np.linalg.solve(w[:, None] * k + 0.1 * np.eye(40), w * y)
+        got = KernelRidge(0.1, 0.7).fit(x, y, weights=w).alpha
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.all(got[[3, 17]] == 0.0)
+
+    def test_unweighted_fits_unchanged(self):
+        # weights=None is the unweighted fit's exact arithmetic, bit for bit
+        x, y, _ = self._data()
+        xa = cate._augment(x)
+        ridge = cate._chol_solve(cate._add_diag(xa.T @ xa, 0.3), xa.T @ y)
+        kernel = cate._chol_solve(cate._add_diag(cate._rbf_kernel(x, x, 0.7), 0.1), y)
+        assert np.array_equal(Ridge(0.3).fit(x, y).w, ridge)
+        assert np.array_equal(KernelRidge(0.1, 0.7).fit(x, y).alpha, kernel)
+
+    @pytest.mark.parametrize("model", [Ridge(0.3), KernelRidge(0.1, 0.7)], ids=["ridge", "kernel"])
+    def test_unit_weights_are_the_unweighted_fit(self, model):
+        x, y, _ = self._data()
+        ref = model.fit(x, y).predict(x)
+        got = model.fit(x, y, weights=np.ones(40)).predict(x)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestKernelRidge:
     def test_interpolates_with_tiny_lam(self):
         rng = make_rng(3)
@@ -250,6 +294,20 @@ class TestPropensity:
         with pytest.raises(IllConditionedError, match="non-finite"):
             propensity_fit(x, a)
 
+    def test_records_convergence(self):
+        rng = make_rng(5)
+        x = rng.standard_normal((400, 2))
+        a = (rng.random(400) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(int)
+        model = propensity_fit(x, a)
+        assert model.converged and model.n_iter == 4
+
+    def test_records_hitting_max_iter(self):
+        # separable arms 1e4 apart: the gradient norm never falls below tol
+        x = make_rng(6).standard_normal((100, 2)) * 1e4
+        model = propensity_fit(x, (x[:, 0] > 0).astype(int))
+        assert not model.converged and model.n_iter == model.max_iter == 100
+        assert np.isfinite(model.w).all()
+
 
 class TestMetaLearners:
     SPEC = BaseSpec(kind="ridge", lam=1e-6, cv=False)
@@ -293,6 +351,18 @@ class TestMetaLearners:
         assert isinstance(model._predict.__self__, Ridge if kind == "ridge" else KernelRidge)
         assert np.array_equal(model.predict(x_new), _reference_r_predict(ds, spec, x_new))
         assert np.array_equal(model.predict(ds.x), _reference_r_predict(ds, spec, ds.x))
+
+    @pytest.mark.parametrize("kind", ["ridge", "kernel"])
+    @pytest.mark.parametrize("cv", [True, False])
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_r_learner_matches_lu_closure(self, kind, cv, n):
+        # the unscaled system diag(a_res^2) K + lam I, solved by LU, has the same solution
+        ds, _ = _linear_effect_data(n=n, seed=19, noise=0.1)
+        spec = BaseSpec(kind=kind, cv=cv)
+        model = r_learner(ds, spec)
+        for x in (make_rng(20).standard_normal((40, 3)), ds.x):
+            ref = _lu_reference_r_predict(ds, spec, x)
+            assert np.linalg.norm(model.predict(x) - ref) <= 1e-11 * np.linalg.norm(ref)
 
     def test_dr_pseudo_outcome_hand_formula(self):
         ds, _ = _linear_effect_data(n=10, seed=3)
@@ -338,26 +408,48 @@ class TestMetaLearners:
             fit_learner("t", ds, self.SPEC)
 
 
-def _reference_r_predict(ds, spec, x_new):
-    """The R-learner as a closure over its solved weights, with the fallbacks
-    for a base model without lam or gamma."""
+def _r_stage_one(ds, spec):
+    """m_hat and the R-learner's outcome and treatment residuals."""
     m_hat = cate.fit_base(ds.x, ds.y, spec)
     prop = propensity_fit(ds.x, ds.a)
-    y_res = ds.y - m_hat.predict(ds.x)
-    a_res = ds.a.astype(float) - prop.predict_proba(ds.x)
-    lam = getattr(m_hat, "lam", spec.lam)
+    return m_hat, ds.y - m_hat.predict(ds.x), ds.a.astype(float) - prop.predict_proba(ds.x)
+
+
+def _reference_r_predict(ds, spec, x_new):
+    """The R-learner's effect stage written out: targets y_res / a_res with
+    weights w = a_res^2 at m_hat's lam (and gamma), each solved as an SPD
+    system; the kernel's is (S K S + lam I) beta = S y with S = diag(sqrt(w))."""
+    m_hat, y_res, a_res = _r_stage_one(ds, spec)
+    t, w = y_res / a_res, a_res**2
+    x_new = np.asarray(x_new, dtype=float)
+    if spec.kind == "ridge":
+        xa = cate._augment(ds.x)
+        xw = xa * w[:, None]
+        coef = cate._chol_solve(xw.T @ xa + m_hat.lam * np.eye(xa.shape[1]), xw.T @ t)
+        return cate._augment(x_new) @ coef
+    s = np.sqrt(w)
+    sks = cate._rbf_kernel(ds.x, ds.x, m_hat.gamma) * s[:, None] * s
+    beta = cate._chol_solve(sks + m_hat.lam * np.eye(ds.n), s * t)
+    return cate._rbf_kernel(x_new, ds.x, m_hat.gamma) @ (s * beta)
+
+
+def _lu_reference_r_predict(ds, spec, x_new):
+    """The R-learner's effect stage as first written: ridge normal equations
+    with a_res * y_res on the right, and the kernel's non-symmetric
+    diag(a_res^2) K + lam I solved by LU."""
+    m_hat, y_res, a_res = _r_stage_one(ds, spec)
+    x_new = np.asarray(x_new, dtype=float)
     if spec.kind == "ridge":
         xa = cate._augment(ds.x)
         a2 = a_res * a_res
-        lhs = (xa * a2[:, None]).T @ xa + lam * np.eye(xa.shape[1])
+        lhs = (xa * a2[:, None]).T @ xa + m_hat.lam * np.eye(xa.shape[1])
         w = cate._chol_solve(lhs, xa.T @ (a_res * y_res))
-        return cate._augment(np.asarray(x_new, dtype=float)) @ w
-    gamma = getattr(m_hat, "gamma", None) or median_gamma(ds.x)
-    lhs = cate._rbf_kernel(ds.x, ds.x, gamma)
+        return cate._augment(x_new) @ w
+    lhs = cate._rbf_kernel(ds.x, ds.x, m_hat.gamma)
     lhs *= (a_res * a_res)[:, None]
-    lhs.flat[:: ds.n + 1] += lam
+    lhs.flat[:: ds.n + 1] += m_hat.lam
     alpha = np.linalg.solve(lhs, a_res * y_res)
-    return cate._rbf_kernel(np.asarray(x_new, dtype=float), ds.x.copy(), gamma) @ alpha
+    return cate._rbf_kernel(x_new, ds.x, m_hat.gamma) @ alpha
 
 
 class TestBaseSpec:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cate_ebm import (
+    BaseSpec,
     Dataset,
     Mlp,
     TrainConfig,
@@ -19,6 +20,7 @@ from cate_ebm import (
     load_model,
     make_rng,
     pehe,
+    r_learner,
     save_csv,
     save_model,
     train_ebm,
@@ -543,6 +545,34 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("numeric failure: run with init seed 1 diverged")
         assert not (out / "model.preb").exists()
+
+    @staticmethod
+    def _duplicated_rows():
+        """120 rows, d = 5, rows 60-119 repeating rows 0-59: at lam = 1e-300 the
+        R-learner's kernel system is singular."""
+        x = make_rng(0).standard_normal((60, 5))
+        a = np.arange(60) % 2
+        y = x[:, 0] + a * (1.0 + x[:, 1])
+        return Dataset(x=np.vstack([x, x]), a=np.tile(a, 2), y=np.tile(y, 2))
+
+    def test_singular_r_system_is_no_traceback(self, tmp_path):
+        # its general solve once ended in numpy's LinAlgError, exit 1
+        data = tmp_path / "d.csv"
+        save_csv(self._duplicated_rows(), data)
+        cfg = tmp_path / "r.ini"
+        cfg.write_text("[learners]\nkinds = r\ncv = false\nlam = 1e-300\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cate_ebm.cli", "fit-cate", "--config", str(cfg),
+             "--data", str(data), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_singular_r_system_is_no_linalg_error(self):
+        ds = self._duplicated_rows()
+        tau_hat = r_learner(ds, BaseSpec(lam=1e-300, cv=False)).predict(ds.x)
+        assert np.isfinite(tau_hat).all()
 
     @pytest.mark.parametrize("reader", ["data", "features"])
     def test_non_utf8_csv(self, tmp_path, capsys, reader):
