@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError, DimensionError, TooFewSamplesError
+from .errors import CsvFormatError, DatasetError, DimensionError, TooFewSamplesError
 from .numerics import Mlp, make_rng
 
 _FLOAT_FMT = "%.17g"
@@ -60,13 +60,15 @@ class Dataset:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        self.a = np.asarray(self.a, dtype=int)
+        a = np.asarray(self.a)
         self.y = np.asarray(self.y, dtype=float)
         n = self.x.shape[0]
-        if self.a.shape[0] != n or self.y.shape[0] != n:
+        if a.shape[0] != n or self.y.shape[0] != n:
             raise DimensionError("x, a and y must have the same number of rows")
-        if not np.all((self.a == 0) | (self.a == 1)):
-            raise ValueError("treatment vector must be binary")
+        # checked before the cast, which would turn 0.6 into a silent 0
+        if not np.all((a == 0) | (a == 1)):
+            raise DatasetError("treatment vector must hold only 0 and 1")
+        self.a = np.asarray(a, dtype=int)
 
     @property
     def n(self) -> int:

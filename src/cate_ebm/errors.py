@@ -70,5 +70,9 @@ class CsvFormatError(CateEbmError, ValueError):
     """A data CSV violates the expected schema."""
 
 
+class DatasetError(CateEbmError, ValueError):
+    """A Dataset's treatment vector holds a value other than 0 or 1."""
+
+
 class ConfigError(CateEbmError, ValueError):
     """Invalid experiment configuration."""

@@ -1,14 +1,14 @@
 """Noise-contrastive ranking training of the energy model.
 
 Each training sample is packed into a candidate set: the clean covariate
-vector plus b corrupted copies, randomly permuted. The model scores every
-candidate and a softmax over the scores gives the posterior probability of
-each candidate being the clean one; training maximizes the log posterior
-of the true position, averaged within each partition subset and then over
-subsets.
+vector in slot 0, then b corrupted copies. The model scores every candidate
+and a softmax over the scores gives the posterior probability of each
+candidate being the clean one; training maximizes the log posterior of slot
+0, averaged within each partition subset and then over subsets. The net and
+the softmax treat all slots alike, so any fixed slot would give the same loss.
 
 Candidate sets are struct-of-arrays batches: a CandidateSet holds m sets as
-values (m, b + 1, d), true_index (m,) and subset (m,). Each epoch draws the
+values (m, b + 1, d) and subset (m,). Each epoch draws the
 candidates of all training rows in one call, minibatches are row slices of
 it, and the loss of a minibatch is one forward and one backward pass with a
 per-row weight that reproduces the per-subset averaging.
@@ -52,15 +52,14 @@ def _corruption_hash(rho, b, d) -> int:
 class CandidateSet:
     """A batch of m candidate sets, one row of each array per set."""
 
-    values: np.ndarray  # (m, b + 1, d): row i holds set i's candidates
-    true_index: np.ndarray  # (m,): slot of the clean sample in each set
+    values: np.ndarray  # (m, b + 1, d): row i holds set i's candidates, the clean one first
     subset: np.ndarray  # (m,): partition subset of each clean sample
 
     def __len__(self) -> int:
-        return len(self.true_index)
+        return len(self.subset)
 
     def __getitem__(self, rows) -> "CandidateSet":
-        return CandidateSet(self.values[rows], self.true_index[rows], self.subset[rows])
+        return CandidateSet(self.values[rows], self.subset[rows])
 
 
 @dataclass
@@ -104,9 +103,9 @@ def corrupt(x, rho, rng) -> np.ndarray:
 
 
 def build_candidates(rows, labels, rho, b, rng) -> CandidateSet:
-    """For each row, the clean sample plus b corrupted copies in a uniformly
-    random order; labels gives each row's partition subset and must hold one
-    integral value per row."""
+    """For each row, the clean sample in slot 0 and then b corrupted copies;
+    labels gives each row's partition subset and must hold one integral value
+    per row."""
     _check_corruption(rho, b)
     rows = np.asarray(rows, dtype=float)
     m, d = rows.shape
@@ -117,15 +116,8 @@ def build_candidates(rows, labels, rho, b, rng) -> CandidateSet:
         raise ConfigError(f"{m} candidate sets of {b} + 1 rows of {d} features "
                           "exceed numpy's index range; lower b")
     corrupted = corrupt(np.broadcast_to(rows[:, None, :], (m, b, d)), rho, rng)
-    # argsort of i.i.d. uniform keys is a uniform permutation of each set:
-    # slot s receives candidate perm[:, s], the clean row being candidate 0
-    perm = np.argsort(rng.random((m, b + 1)), axis=1)
-    slot = np.argsort(perm, axis=1)  # the inverse: slot[:, c] holds candidate c
-    values = np.empty((m, b + 1, d))
-    sets = np.arange(m)
-    values[sets, slot[:, 0]] = rows
-    values[sets[:, None], slot[:, 1:]] = corrupted
-    return CandidateSet(values=values, true_index=slot[:, 0], subset=labels.astype(int))
+    return CandidateSet(values=np.concatenate([rows[:, None, :], corrupted], axis=1),
+                        subset=labels.astype(int))
 
 
 def _scores(model: EbmModel, out: np.ndarray, subset: np.ndarray) -> np.ndarray:
@@ -142,9 +134,9 @@ def _scores(model: EbmModel, out: np.ndarray, subset: np.ndarray) -> np.ndarray:
 def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
     """Negative ranking objective over a batch of candidate sets.
 
-    Log posterior probabilities of the true candidates are averaged within
-    each subset present in the batch, then averaged over those subsets; the
-    returned scalar is the negation, so minimizing it maximizes the ranking
+    Log posterior probabilities of the clean candidates (slot 0) are averaged
+    within each subset present in the batch, then averaged over those subsets;
+    the returned scalar is the negation, so minimizing it maximizes the ranking
     objective. The whole batch takes one forward and one backward pass, with
     set i weighted by 1 / (m_j * n_present), m_j the size of its subset.
     Returns (loss, gradient over net.flat) or just the loss.
@@ -164,13 +156,12 @@ def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
     shifted = scores - scores.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=1)
-    rows = np.arange(m)
-    logp = shifted[rows, batch.true_index] - np.log(sums)
+    logp = shifted[:, 0] - np.log(sums)
     total = -float(weight @ logp)
     if not with_grads:
         return total
     dscores = exps / sums[:, None]
-    dscores[rows, batch.true_index] -= 1.0
+    dscores[:, 0] -= 1.0
     dscores *= weight[:, None]
     upstream = dscores[:, :, None] * model.b_matrix[:, batch.subset].T[:, None, :]
     grad, _ = model.net.backward(cache, upstream.reshape(-1, model.k), input_grad=False)

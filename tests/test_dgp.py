@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cate_ebm import Dataset, gen_dgp, load_csv, make_rng, sample, save_csv
-from cate_ebm.errors import CsvFormatError, DimensionError
+from cate_ebm.errors import CateEbmError, CsvFormatError, DatasetError, DimensionError
 
 
 class TestGenDgp:
@@ -87,6 +87,18 @@ class TestDatasetValidation:
     def test_non_binary_treatment(self):
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((3, 2)), a=np.array([0, 1, 2]), y=np.zeros(3))
+
+    @pytest.mark.parametrize("a", [[0.6, 1.0, 0.0], [0, 1, 2], [0.0, np.nan, 1.0]])
+    def test_treatment_checked_before_the_int_cast(self, a):
+        # int(0.6) is 0: a cast first would make a silent control row
+        with pytest.raises(DatasetError) as exc:
+            Dataset(x=np.zeros((3, 2)), a=np.array(a), y=np.zeros(3))
+        assert isinstance(exc.value, CateEbmError) and exc.value.exit_code == 2
+
+    def test_binary_floats_and_bools_accepted(self):
+        for a in (np.array([1.0, 0.0, 1.0]), np.array([True, False, True])):
+            ds = Dataset(x=np.zeros((3, 2)), a=a, y=np.zeros(3))
+            assert ds.a.dtype.kind == "i" and ds.a.tolist() == [1, 0, 1]
 
     def test_row_mismatch(self):
         with pytest.raises(DimensionError):

@@ -70,12 +70,6 @@ def _rows(x, rho, b, seed, labels=None):
 
 
 class TestBuildCandidates:
-    def test_true_index_uniform_b1(self):
-        firsts = _rows(np.zeros((10_000, 2)), 0.5, 1, 3).true_index
-        assert abs(np.mean(firsts) - 0.5) < 0.02
-        slots = np.bincount(_rows(np.zeros((20_000, 2)), 0.5, 3, 4).true_index, minlength=4)
-        assert np.abs(slots / 20_000 - 0.25).max() < 0.015
-
     def test_no_corruption_gives_identical_candidates(self):
         cs = _rows(np.array([[1.0, -1.0], [2.0, 0.5]]), 1e-15, 3, 4)
         assert np.abs(cs.values - cs.values[:, :1]).max() == 0.0
@@ -86,13 +80,12 @@ class TestBuildCandidates:
         assert cs.subset.tolist() == [1, 0, 1]
         assert len(cs) == 3 and len(cs[1:]) == 2 and cs[1:].subset.tolist() == [0, 1]
 
-    def test_clean_row_at_true_index(self):
+    def test_clean_row_in_slot_0(self):
         x = make_rng(6).standard_normal((50, 3))
         cs = _rows(x, 1.0, 4, 7)
-        assert np.array_equal(cs.values[np.arange(50), cs.true_index], x)
-        decoys = np.ones((50, 5), dtype=bool)
-        decoys[np.arange(50), cs.true_index] = False
-        assert not np.any(np.all(cs.values == x[:, None, :], axis=2) & decoys)
+        assert np.array_equal(cs.values[:, 0], x)
+        # at rho = 1 every feature of every decoy is moved
+        assert not np.any(np.all(cs.values[:, 1:] == x[:, None, :], axis=2))
 
     def test_beyond_index_range_rejected(self):
         # 96 * (1e17 + 1) * 8 entries: numpy's "iterator is too large"; nothing is allocated
@@ -101,18 +94,14 @@ class TestBuildCandidates:
 
 
 def _reference_build_candidates(rows, labels, rho, b, rng):
-    """The concatenate + take_along_axis form of build_candidates, with the
-    corruption written as x + selected * noise: corrupt every copy, stack the
-    clean row in front, then gather each set through its permutation."""
+    """build_candidates with the corruption written as x + selected * noise:
+    corrupt every copy, then stack the clean row in front."""
     rows = np.asarray(rows, dtype=float)
     m, d = rows.shape
     x = np.broadcast_to(rows[:, None, :], (m, b, d))
     selected = rng.random(x.shape) < rho
     corrupted = x + selected * rng.standard_normal(x.shape)
-    stacked = np.concatenate([rows[:, None, :], corrupted], axis=1)
-    perm = np.argsort(rng.random((m, b + 1)), axis=1)
-    values = np.take_along_axis(stacked, perm[:, :, None], axis=1)
-    return CandidateSet(values=values, true_index=np.argmin(perm, axis=1),
+    return CandidateSet(values=np.concatenate([rows[:, None, :], corrupted], axis=1),
                         subset=np.asarray(labels, dtype=int))
 
 
@@ -130,7 +119,6 @@ class TestBuildCandidatesMatchesReference:
         got = build_candidates(x, labels, *spec, rng)
         ref = _reference_build_candidates(x, labels, *spec, ref_rng)
         assert np.array_equal(got.values, ref.values)
-        assert np.array_equal(got.true_index, ref.true_index)
         assert np.array_equal(got.subset, ref.subset)
         assert rng.random() == ref_rng.random()  # same number of draws
 
@@ -221,8 +209,7 @@ class TestPosterior:
         net.params[0][...] = 1.0
         model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
         s = 0.7
-        cs = CandidateSet(values=np.array([[[s], [s + math.log(3.0)]]]),
-                          true_index=np.array([0]), subset=np.array([0]))
+        cs = CandidateSet(values=np.array([[[s], [s + math.log(3.0)]]]), subset=np.array([0]))
         p = _posterior(model, cs)
         assert np.abs(p[0] - np.array([0.25, 0.75])).max() < 1e-12
 
@@ -245,10 +232,7 @@ class TestPosterior:
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
         perm = np.stack([make_rng(seed + 50).permutation(5) for seed in range(10)])
         cs2 = CandidateSet(values=np.take_along_axis(cs.values, perm[:, :, None], axis=1),
-                           true_index=np.argmax(perm == cs.true_index[:, None], axis=1),
                            subset=cs.subset)
-        assert np.array_equal(cs2.values[np.arange(10), cs2.true_index],
-                              cs.values[np.arange(10), cs.true_index])
         assert np.abs(_posterior(model, cs2) - np.take_along_axis(p, perm, axis=1)).max() < 1e-14
 
 
@@ -270,8 +254,7 @@ class TestNceLoss:
         net.params[0][...] = 1.0
         model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
         # true candidate leads every decoy by a score gap of 50
-        cs = CandidateSet(values=np.array([[[50.0], [0.0], [0.0]]]),
-                          true_index=np.array([0]), subset=np.array([0]))
+        cs = CandidateSet(values=np.array([[[50.0], [0.0], [0.0]]]), subset=np.array([0]))
         loss = nce_loss(model, cs, with_grads=False)
         assert loss < 1e-20
 
@@ -293,7 +276,7 @@ class TestNceLoss:
         per_subset = {}
         for i in range(len(batch)):
             p = _posterior(model, batch[i : i + 1])[0]
-            per_subset.setdefault(batch.subset[i], []).append(math.log(p[batch.true_index[i]]))
+            per_subset.setdefault(batch.subset[i], []).append(math.log(p[0]))
         expected = -np.mean([np.mean(v) for _, v in sorted(per_subset.items())])
         assert abs(loss - expected) < 1e-10
 
@@ -312,17 +295,48 @@ class TestNceLoss:
         ref_loss = 0.0
         ref_grad = np.zeros_like(model.net.flat)
         for i in range(len(batch)):
-            j, t = int(batch.subset[i]), int(batch.true_index[i])
+            j = int(batch.subset[i])
             weight = 1.0 / (sizes[j] * len(sizes))
             p = _posterior(model, batch[i : i + 1])[0]
-            ref_loss -= weight * math.log(p[t])
+            ref_loss -= weight * math.log(p[0])
             dscores = p.copy()
-            dscores[t] -= 1.0
+            dscores[0] -= 1.0
             _, cache = model.net.forward_cache(batch.values[i])
             g, _ = model.net.backward(cache, weight * np.outer(dscores, model.b_matrix[:, j]))
             ref_grad += g
         assert abs(loss - ref_loss) < 1e-12
         assert np.abs(grad - ref_grad).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clean_slot_does_not_matter(self, seed):
+        """Why the candidates need no shuffle: with the clean candidate moved
+        to a random slot of each set and -log softmax read at that slot, the
+        loss and gradient are nce_loss's up to round-off."""
+        x = make_rng(60 + seed).standard_normal((30, 4))
+        model = EbmModel(net=Mlp([4, 6, 3], rng=make_rng(61 + seed)),
+                         b_matrix=random_orthogonal(3, make_rng(62 + seed)),
+                         partition=kmeans_fit(x, 3, make_rng(63 + seed)))
+        batch = build_candidates(x, model.partition.assign(x), 0.5, 4, make_rng(64 + seed))
+        loss, grad = nce_loss(model, batch)
+
+        counts = np.bincount(batch.subset)
+        slots = make_rng(65 + seed).integers(0, 5, size=len(batch))
+        ref_loss = 0.0
+        ref_grad = np.zeros_like(model.net.flat)
+        for i, t in enumerate(slots):
+            j = int(batch.subset[i])
+            weight = 1.0 / (counts[j] * np.count_nonzero(counts))
+            values = np.roll(batch.values[i], t, axis=0)  # the clean row now sits in slot t
+            out, cache = model.net.forward_cache(values)
+            s = out @ model.b_matrix[:, j]
+            p = np.exp(s - s.max())
+            p /= p.sum()
+            ref_loss -= weight * math.log(p[t])
+            p[t] -= 1.0
+            g, _ = model.net.backward(cache, weight * np.outer(p, model.b_matrix[:, j]))
+            ref_grad += g
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
     def test_absent_subset_not_counted(self):
         """Only the subsets present in a batch share the average: with labels
@@ -333,7 +347,7 @@ class TestNceLoss:
                          partition=kmeans_fit(x, 3, make_rng(54)))
         batch = build_candidates(x, np.repeat([2, 0], [9, 31]), 0.5, 2, make_rng(55))
         p = _posterior(model, batch)
-        logp = np.log(p[np.arange(40), batch.true_index])
+        logp = np.log(p[:, 0])
         expected = -(logp[:9].mean() + logp[9:].mean()) / 2.0
         assert abs(nce_loss(model, batch, with_grads=False) - expected) < 1e-12
 
@@ -406,10 +420,10 @@ class TestTrainEbm:
         x = sample(gen_dgp(0, d=5), 200, 1).x
         cfg = TrainConfig(k=2, b=3, hidden=(8, 8), epochs=60, patience=5, seed=3)
         stopped = train_ebm(x, cfg)
-        assert (len(stopped.history), stopped.best_epoch) == (17, 11)
-        again = train_ebm(x, TrainConfig(k=2, b=3, hidden=(8, 8), epochs=12,
+        assert (len(stopped.history), stopped.best_epoch) == (14, 8)
+        again = train_ebm(x, TrainConfig(k=2, b=3, hidden=(8, 8), epochs=9,
                                           patience=5, seed=3))
-        assert again.best_epoch == 11
+        assert again.best_epoch == 8
         assert np.array_equal(stopped.net.flat, again.net.flat)
         assert all(np.array_equal(p, q) for p, q in zip(stopped.net.params, again.net.params))
         assert np.array_equal(stopped.repr_mean, again.repr_mean)
@@ -434,7 +448,7 @@ class TestTrainEbm:
 
 class TestTrainEbms:
     X = sample(gen_dgp(0, d=5), 200, 1).x
-    CFG = TrainConfig(k=2, b=3, hidden=(8, 8), epochs=12, patience=5, seed=3)
+    CFG = TrainConfig(k=2, b=3, hidden=(8, 8), epochs=20, patience=5, seed=3)
     SEEDS = [4, 3, 5, 6]
 
     @staticmethod
@@ -450,7 +464,7 @@ class TestTrainEbms:
         b = random_orthogonal(2, make_rng(42))
         models = train_ebms(self.X, self.CFG, self.SEEDS, b_matrix=b)
         # patience 5 freezes three runs at different epochs; one runs to the cap
-        assert [len(m.history) for m in models] == [12, 7, 9, 6]
+        assert [len(m.history) for m in models] == [15, 13, 20, 12]
         for seed, model in zip(self.SEEDS, models):
             want = train_ebm(self.X, self.CFG, b_matrix=b, init_seed=seed)
             self._assert_same(model, want)
