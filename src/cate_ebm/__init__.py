@@ -18,7 +18,7 @@ from .cate import (
 )
 from .config import ExperimentConfig, load_config
 from .dgp import Dataset, DgpSpec, gen_dgp, load_csv, sample, save_csv
-from .ebm import EbmModel, Encoder, ModelFingerprint, load_model, save_model
+from .ebm import EbmModel, Encoder, load_model, save_model
 from .evalx import ae_fit, effect_predictions, mcc, pca_fit, pehe, write_table
 from .nce import (
     CandidateSet,

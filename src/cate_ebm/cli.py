@@ -111,13 +111,11 @@ def cmd_mcc(model_paths, data_path: str, out_dir=None) -> int:
     if len(model_paths) < 2:
         raise ConfigError("mcc needs at least 2 models")
     models = [load_model(p) for p in model_paths]
-    first = models[0].fingerprint
+    first = models[0]
     for p, m in zip(model_paths[1:], models[1:]):
-        if not first.compatible_with(m.fingerprint):
-            raise ConfigError(
-                f"model {p} has a different d/k/B fingerprint; "
-                "correlations across different B are not comparable"
-            )
+        if m.d != first.d or not np.array_equal(m.b_matrix, first.b_matrix):
+            raise ConfigError(f"model {p} has a different d or B than {model_paths[0]}; "
+                              "correlations across different B are not comparable")
     ds = load_csv(data_path)
     _mcc_report([m.represent(ds.x) for m in models], out_dir)
     return EXIT_OK

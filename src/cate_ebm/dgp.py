@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvFormatError, DatasetError, DimensionError, TooFewSamplesError
-from .numerics import Mlp, make_rng
+from .numerics import Mlp, as_matrix, make_rng
 
 _FLOAT_FMT = "%.17g"
 _ORACLE = ("tau", "mu0", "mu1", "pi")
@@ -59,12 +59,14 @@ class Dataset:
     u: np.ndarray | None = None
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+        self.x = as_matrix(self.x)
         a = np.asarray(self.a)
         self.y = np.asarray(self.y, dtype=float)
         n = self.x.shape[0]
-        if a.shape[0] != n or self.y.shape[0] != n:
-            raise DimensionError("x, a and y must have the same number of rows")
+        for name, v in (("a", a), ("y", self.y)):
+            if v.shape != (n,):
+                raise DimensionError(f"{name} of shape {v.shape} is not an (n,) vector with "
+                                     f"one entry per row of x (n={n})")
         # checked before the cast, which would turn 0.6 into a silent 0
         if not np.all((a == 0) | (a == 1)):
             raise DatasetError("treatment vector must hold only 0 and 1")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,18 +31,6 @@ from .partition import PartitionModel
 
 _MAGIC = b"PREB"
 _VERSION = 1
-
-
-@dataclass
-class ModelFingerprint:
-    d: int
-    k: int
-    corruption_hash: int
-    b_crc: int  # CRC32 of the frozen B matrix
-
-    def compatible_with(self, other: "ModelFingerprint") -> bool:
-        """Same data shape and same fixed B."""
-        return self.d == other.d and self.k == other.k and self.b_crc == other.b_crc
 
 
 class Encoder:
@@ -79,7 +66,7 @@ class Encoder:
 
 class EbmModel(Encoder):
     def __init__(self, net: Mlp, b_matrix: np.ndarray, partition: PartitionModel,
-                 repr_mean=None, repr_std=None, fingerprint: ModelFingerprint | None = None):
+                 repr_mean=None, repr_std=None):
         k = b_matrix.shape[0]
         if b_matrix.shape != (k, k):
             raise DimensionError("B must be square")
@@ -98,7 +85,6 @@ class EbmModel(Encoder):
         self.partition = partition
         self.repr_mean = None if repr_mean is None else np.asarray(repr_mean, dtype=float)
         self.repr_std = None if repr_std is None else np.asarray(repr_std, dtype=float)
-        self.fingerprint = fingerprint
 
     @property
     def k(self) -> int:
@@ -180,8 +166,10 @@ def save_model(model: EbmModel, path) -> None:
         stats += _pack_array(model.repr_mean) + _pack_array(model.repr_std)
     sections.append(stats)
 
-    fp = model.fingerprint or ModelFingerprint(model.d, model.k, 0, 0)
-    sections.append(struct.pack("<IIIQ", fp.d, fp.k, fp.corruption_hash, fp.b_crc))
+    # d, k, a retired field (0) and a CRC32 of B, which older readers' mcc compares;
+    # load_model checks only d and k
+    b_crc = zlib.crc32(np.ascontiguousarray(model.b_matrix, dtype="<f8").tobytes())
+    sections.append(struct.pack("<IIIQ", model.d, model.k, 0, b_crc))
 
     body = _MAGIC + struct.pack("<H", _VERSION)
     for sec in sections:
@@ -241,17 +229,17 @@ def load_model(path) -> EbmModel:
         _expect(std, (k,), "the representation std")
     stats_rd.end("the statistics section")
 
-    fp = ModelFingerprint(*struct.unpack("<IIIQ", secs[4].take(20)))
-    secs[4].end("the fingerprint section")
-    if (fp.d, fp.k) != (d, k):
-        raise MalformedModelError(f"the fingerprint says d={fp.d}, k={fp.k}; the layer "
-                                  f"widths say d={d}, k={k}")
+    shape_d, shape_k, _, _ = struct.unpack("<IIIQ", secs[4].take(20))
+    secs[4].end("the shape section")
+    if (shape_d, shape_k) != (d, k):
+        raise MalformedModelError(f"the shape section says d={shape_d}, k={shape_k}; the "
+                                  f"layer widths say d={d}, k={k}")
 
     net = Mlp(widths)  # allocated only once the stored arrays match the widths
     net.flat[:] = np.concatenate([p.ravel() for p in params])
     try:
         return EbmModel(net=net, b_matrix=b_matrix,
                         partition=PartitionModel(centroids=centroids, inertia=inertia),
-                        repr_mean=mean, repr_std=std, fingerprint=fp)
+                        repr_mean=mean, repr_std=std)
     except ValueError as exc:  # e.g. a B that is not orthogonal
         raise MalformedModelError(f"inconsistent model file: {exc}") from exc

@@ -21,7 +21,7 @@ from .dgp import Dataset
 from .ebm import Encoder
 from .errors import CateEbmError, DegenerateColumnError, DimensionError, IllConditionedError
 from .nce import TrainConfig, train_ebms, train_runs
-from .numerics import Mlp, make_rng
+from .numerics import Mlp, as_matrix, make_rng
 
 _FMT = "%.10g"
 
@@ -44,8 +44,8 @@ def mcc(r1, r2) -> float:
     dimension swap lowers the score. A std or correlation that is not finite
     (huge values overflow the squares) raises IllConditionedError.
     """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
+    r1 = as_matrix(r1, "a representation")
+    r2 = as_matrix(r2, "a representation")
     if r1.shape != r2.shape:
         raise DimensionError("representation matrices must have equal shapes")
     total = 0.0
@@ -75,7 +75,7 @@ def pca_fit(x, k: int) -> Encoder:
 
     A kept direction whose variance is round-off (at most the largest times
     d * eps, numpy's matrix_rank tolerance) raises DegenerateColumnError."""
-    x = np.asarray(x, dtype=float)
+    x = as_matrix(x)
     d = x.shape[1]
     if k > d:
         raise DimensionError(f"k={k} > d={d}")
@@ -114,7 +114,7 @@ def ae_fit(x, config: TrainConfig, seeds) -> list:
     reconstruction error by the EBM's loop, nce.train_runs: one split and
     batch order from config.seed, early stopping on the held-out rows, best
     snapshot kept."""
-    x = np.asarray(x, dtype=float)
+    x = as_matrix(x)
     n, d = x.shape
     if config.k > d:
         raise DimensionError(f"k={config.k} > d={d}")

@@ -23,6 +23,15 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def as_matrix(x, what: str = "x") -> np.ndarray:
+    """x as a float (n, d) matrix, one row per sample; any other shape raises
+    DimensionError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise DimensionError(f"{what} of shape {x.shape} is not an (n, d) matrix")
+    return x
+
+
 def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     """Random k-by-k orthogonal matrix.
 
@@ -229,9 +238,7 @@ def standardize_columns(m: np.ndarray):
     Returns (standardized, means, stds). Raises DegenerateColumnError naming
     the first zero-variance column.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise DimensionError("expected a 2-d matrix")
+    m = as_matrix(m, "a matrix to standardize")
     if m.shape[0] < 2:
         raise TooFewSamplesError("standardization needs at least 2 rows")
     means = m.mean(axis=0)

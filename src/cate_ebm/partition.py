@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, IllConditionedError, TooFewSamplesError
-from .numerics import sq_dists
+from .numerics import as_matrix, sq_dists
 
 
 @dataclass
@@ -75,9 +75,7 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
     from its current centroid. Distances whose sum is not finite (squares of
     huge covariates overflow) raise IllConditionedError.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError("expected an n-by-d matrix")
+    x = as_matrix(x)
     n = x.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")

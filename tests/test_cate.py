@@ -183,6 +183,15 @@ def test_median_gamma_matches_one_line_form(monkeypatch, block, n):
     assert median_gamma(x) == _one_line_median_gamma(x)
 
 
+def test_median_gamma_subsamples_above_the_cap():
+    # above 2,000 rows the heuristic reads a fixed subsample of them
+    n = 2001
+    x = make_rng(n).standard_normal((n, 4))
+    kept = x[np.sort(make_rng(0).choice(n, 2000, replace=False))]
+    assert median_gamma(x) == _one_line_median_gamma(kept)
+    assert median_gamma(x) != _one_line_median_gamma(x)
+
+
 def test_median_gamma_of_identical_rows_is_floored():
     assert median_gamma(np.ones((5, 3))) == 1e12
 

@@ -104,6 +104,16 @@ class TestDatasetValidation:
         with pytest.raises(DimensionError):
             Dataset(x=np.zeros((3, 2)), a=np.array([0, 1]), y=np.zeros(3))
 
+    @pytest.mark.parametrize("x, a, y, want", [
+        (np.zeros(3), np.zeros(3), np.zeros(3), r"\(n, d\) matrix"),
+        (np.zeros((3, 2)), 0, np.zeros(3), r"a of shape \(\) is not an \(n,\) vector"),
+        (np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), r"a of shape \(3, 1\)"),
+        (np.zeros((3, 2)), np.zeros(3), np.zeros((3, 1)), r"y of shape \(3, 1\)"),
+    ], ids=["x_vector", "a_scalar", "a_column", "y_column"])
+    def test_wrong_shape(self, x, a, y, want):
+        with pytest.raises(DimensionError, match=want):
+            Dataset(x=x, a=a, y=y)
+
 
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):

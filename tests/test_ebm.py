@@ -15,7 +15,6 @@ from cate_ebm import (
     save_model,
     train_ebm,
 )
-from cate_ebm.ebm import ModelFingerprint
 from cate_ebm.nce import _scores
 from cate_ebm.errors import (
     ChecksumError,
@@ -131,7 +130,9 @@ class TestSerialization:
             assert np.array_equal(p1, p2)
         assert np.array_equal(model.b_matrix, loaded.b_matrix)
         assert np.array_equal(model.partition.centroids, loaded.partition.centroids)
-        assert model.fingerprint == loaded.fingerprint
+        again = tmp_path / "again.preb"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
         # the training record is not serialized
         assert (loaded.history, loaded.best_epoch, loaded.best_val_loss) == ([], None, None)
 
@@ -247,9 +248,23 @@ def test_b_must_be_orthogonal(bad):
         EbmModel(net=model.net, b_matrix=b, partition=model.partition)
 
 
-def test_fingerprint_compatibility():
-    a = ModelFingerprint(d=10, k=3, corruption_hash=1, b_crc=7)
-    b = ModelFingerprint(d=10, k=3, corruption_hash=2, b_crc=7)
-    c = ModelFingerprint(d=10, k=3, corruption_hash=1, b_crc=8)
-    assert a.compatible_with(b)
-    assert not a.compatible_with(c)
+def _parent_era_field(secs):
+    # files written before the field was retired carry a corruption hash there
+    # (83871335 at rho=0.5, b=5, d=20)
+    struct.pack_into("<I", secs[4], 8, 83871335)  # after d and k
+    return b""
+
+
+def test_retired_field_ignored(tmp_path):
+    model, x = _trained_model()
+    path = tmp_path / "m.preb"
+    save_model(model, path)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<I", raw, len(raw) - 16)[0] == 0
+    old = _rewrite(raw, _parent_era_field)
+    assert old != raw
+    path.write_bytes(old)
+    loaded = load_model(path)
+    assert np.array_equal(loaded.represent(x), model.represent(x))
+    assert np.array_equal(loaded.b_matrix, model.b_matrix)
+    assert np.array_equal(loaded.net.flat, model.net.flat)

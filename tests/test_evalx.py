@@ -76,6 +76,10 @@ class TestMcc:
         with pytest.raises(DimensionError):
             mcc(np.zeros((5, 2)), np.zeros((5, 3)))
 
+    def test_vector_input_rejected(self):
+        with pytest.raises(DimensionError, match=r"\(n, d\) matrix"):
+            mcc(np.arange(5.0), np.arange(5.0))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the std's squares overflow
     @pytest.mark.parametrize("scale", [1e300, 1e200, 1e160])
     def test_overflowing_column_rejected(self, scale):
@@ -219,3 +223,7 @@ class TestEncoder:
         with pytest.raises(IllConditionedError):
             enc.represent(x)
 
+    @pytest.mark.parametrize("reducer", ["ebm", "ae", "pca"])
+    def test_vector_input_rejected(self, reducer):
+        with pytest.raises(DimensionError, match=r"\(n, d\) matrix"):
+            self._fit(reducer, make_rng(6).standard_normal(120))
