@@ -8,13 +8,11 @@ from .cate import (
     KernelRidge,
     PropensityModel,
     Ridge,
-    dr_learner,
     dr_pseudo_outcome,
     fit_learner,
     fit_learners,
     median_gamma,
     propensity_fit,
-    r_learner,
 )
 from .config import ExperimentConfig, load_config
 from .dgp import Dataset, DgpSpec, gen_dgp, load_csv, sample, save_csv

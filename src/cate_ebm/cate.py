@@ -392,28 +392,22 @@ class CateModel:
         return self._predict(x)
 
 
-def _check_arms(ds: Dataset):
-    if not (ds.a == 1).any() or not (ds.a == 0).any():
-        raise TooFewSamplesError("both treatment arms must be non-empty")
-
-
-def _fit_arms(ds: Dataset, spec: BaseSpec, keep_bases: bool):
+def _fit_arms(x, a, y, spec: BaseSpec, keep_bases: bool):
     """Each arm's KernelRows(x, keep_bases) and outcome model:
-    ((rows1, mu1), (rows0, mu0))."""
-    _check_arms(ds)
-    t = ds.a == 1
+    ((rows1, mu1), (rows0, mu0)). Both arms must be non-empty."""
     arms = []
-    for arm in (t, ~t):
-        rows = KernelRows(ds.x[arm], keep_bases)
-        arms.append((rows, fit_base(rows.x, ds.y[arm], spec, rows)))
+    for arm in (a == 1, a == 0):
+        rows = KernelRows(x[arm], keep_bases)
+        arms.append((rows, fit_base(rows.x, y[arm], spec, rows)))
     return tuple(arms)
 
 
-def _fit_t_x(kinds, ds: Dataset, spec: BaseSpec) -> dict:
+def _fit_t_x(kinds, ds: Dataset, spec: BaseSpec, prop) -> dict:
     """The T-learner, the difference of the arms' outcome models, and the
-    X-learner, whose first stage they are, from one fit of each arm. Each arm
-    keeps its kernel bases only for X's effect targets on the same rows."""
-    (rows1, mu1), (rows0, mu0) = _fit_arms(ds, spec, keep_bases="x" in kinds)
+    X-learner, whose first stage they are, from one fit of each arm and the
+    propensity model prop. Each arm keeps its kernel bases only for X's effect
+    targets on the same rows."""
+    (rows1, mu1), (rows0, mu0) = _fit_arms(ds.x, ds.a, ds.y, spec, keep_bases="x" in kinds)
     models = {"t": CateModel("t", lambda x: mu1.predict(x) - mu0.predict(x), ds.d)}
     if "x" in kinds:
         t = ds.a == 1
@@ -421,7 +415,6 @@ def _fit_t_x(kinds, ds: Dataset, spec: BaseSpec) -> dict:
         d0 = mu1.predict(rows0.x) - ds.y[~t]
         tau1 = fit_base(rows1.x, d1, spec, rows1)
         tau0 = fit_base(rows0.x, d0, spec, rows0)
-        prop = propensity_fit(ds.x, ds.a)
 
         def predict(x):
             g = prop.predict_proba(x)
@@ -431,7 +424,7 @@ def _fit_t_x(kinds, ds: Dataset, spec: BaseSpec) -> dict:
     return models  # the arms' rows, and with them their bases, are freed here
 
 
-def dr_learner(ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
+def _fit_dr(ds: Dataset, spec: BaseSpec, split_seed: int) -> CateModel:
     """Three-way split: outcome models, propensity, then the pseudo-outcome
     regression on the third split."""
     if ds.n < 30:
@@ -444,31 +437,28 @@ def dr_learner(ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> CateModel:
     else:
         raise TooFewSamplesError("could not find a split with both arms present")
 
-    (_, mu1), (_, mu0) = _fit_arms(Dataset(x=ds.x[d1], a=ds.a[d1], y=ds.y[d1]), spec,
-                                   keep_bases=False)
+    (_, mu1), (_, mu0) = _fit_arms(ds.x[d1], ds.a[d1], ds.y[d1], spec, keep_bases=False)
     prop = propensity_fit(ds.x[d2], ds.a[d2])
 
     x3 = ds.x[d3]
-    phi = dr_pseudo_outcome(Dataset(x=x3, a=ds.a[d3], y=ds.y[d3]), mu0.predict(x3),
-                            mu1.predict(x3), prop.predict_proba(x3))
+    phi = dr_pseudo_outcome(ds.a[d3], ds.y[d3], mu0.predict(x3), mu1.predict(x3),
+                            prop.predict_proba(x3))
     final = fit_base(x3, phi, spec)
     return CateModel("dr", final.predict, ds.d)
 
 
-def dr_pseudo_outcome(ds: Dataset, mu0_vals, mu1_vals, pi_vals) -> np.ndarray:
-    """Pseudo-outcome with supplied nuisance values (oracle injection path)."""
-    a = ds.a.astype(float)
-    p = np.clip(np.asarray(pi_vals, dtype=float), PropensityModel.clip, 1.0 - PropensityModel.clip)
-    return (a / p * (ds.y - mu1_vals) + mu1_vals
-            - (1.0 - a) / (1.0 - p) * (ds.y - mu0_vals) - mu0_vals)
+def dr_pseudo_outcome(a, y, mu0, mu1, pi) -> np.ndarray:
+    """The DR pseudo-outcome of treatments a and outcomes y from supplied
+    nuisance values (oracle injection path), pi clipped as PropensityModel clips."""
+    a = np.asarray(a, dtype=float)
+    p = np.clip(np.asarray(pi, dtype=float), PropensityModel.clip, 1.0 - PropensityModel.clip)
+    return a / p * (y - mu1) + mu1 - (1.0 - a) / (1.0 - p) * (y - mu0) - mu0
 
 
-def r_learner(ds: Dataset, spec: BaseSpec) -> CateModel:
-    """Residual-on-residual (Nie & Wager): m_hat's family at m_hat's
-    hyperparameters, fitted to y_res / a_res with weights a_res^2."""
-    _check_arms(ds)
+def _fit_r(ds: Dataset, spec: BaseSpec, prop) -> CateModel:
+    """Residual-on-residual (Nie & Wager), a_res from prop: m_hat's family at
+    m_hat's hyperparameters, fitted to y_res / a_res with weights a_res^2."""
     m_hat = fit_base(ds.x, ds.y, spec)
-    prop = propensity_fit(ds.x, ds.a)
     y_res = ds.y - m_hat.predict(ds.x)
     a_res = ds.a.astype(float) - prop.predict_proba(ds.x)  # |a_res| >= the clip, 0.01
     tau = Ridge(m_hat.lam) if spec.kind == "ridge" else KernelRidge(m_hat.lam, m_hat.gamma)
@@ -494,17 +484,22 @@ def check_kinds(kinds) -> tuple:
 
 
 def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dict:
-    """{kind: fitted CateModel} for every kind, in kinds order; the kinds are
-    checked (check_kinds) before any fit. T and X share one _fit_t_x call,
-    whose arms are freed before DR and R are fitted."""
+    """{kind: fitted CateModel} for every kind, in kinds order. The kinds
+    (check_kinds) and both treatment arms are checked before any fit. Shared
+    nuisances are fitted once: T and X share the arms (one _fit_t_x call,
+    freed before DR and R are fitted), X and R one propensity model on all
+    rows; DR fits its own on its split (split_seed)."""
     kinds = check_kinds(kinds)
+    if not (ds.a == 1).any() or not (ds.a == 0).any():
+        raise TooFewSamplesError("both treatment arms must be non-empty")
     # an overflow is reported by the finiteness checks (_chol_solve, fit_base), not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        models = _fit_t_x(kinds, ds, spec) if {"t", "x"} & set(kinds) else {}
+        prop = propensity_fit(ds.x, ds.a) if {"x", "r"} & set(kinds) else None
+        models = _fit_t_x(kinds, ds, spec, prop) if {"t", "x"} & set(kinds) else {}
         if "dr" in kinds:
-            models["dr"] = dr_learner(ds, spec, split_seed=split_seed)
+            models["dr"] = _fit_dr(ds, spec, split_seed)
         if "r" in kinds:
-            models["r"] = r_learner(ds, spec)
+            models["r"] = _fit_r(ds, spec, prop)
     return {kind: models[kind] for kind in kinds}
 
 

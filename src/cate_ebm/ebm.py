@@ -75,6 +75,8 @@ class EbmModel(Encoder):
                 f"net output {net.out_dim}, B dimension {k} and partition size "
                 f"{partition.k} must agree"
             )
+        if partition.d != net.in_dim:
+            raise DimensionError(f"partition width {partition.d} is not net input {net.in_dim}")
         err = np.max(np.abs(b_matrix @ b_matrix.T - np.eye(k)))
         if not err <= 1e-8:  # a NaN deviation fails too
             raise ValueError(f"B is not orthogonal (max deviation {err:.2e})")

@@ -24,11 +24,11 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def as_matrix(x, what: str = "x") -> np.ndarray:
-    """x as a float (n, d) matrix, one row per sample; any other shape raises
-    DimensionError."""
+    """x as a float (n, d) matrix, one row per sample, with d >= 1; any other
+    shape raises DimensionError."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"{what} of shape {x.shape} is not an (n, d) matrix")
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise DimensionError(f"{what} of shape {x.shape} is not an (n, d) matrix, d >= 1")
     return x
 
 

@@ -255,7 +255,7 @@ def test_criterion_09_dr_consistency():
             test_x = make_rng(90 + seed).standard_normal((1000, 5))
             test_tau = test_x @ (np.array([0.5, 0.5, -0.5, 1.0, 0.0])
                                  - np.array([1.0, -1.0, 0.5, 0.0, 0.25])) + 1.0
-            phi = dr_pseudo_outcome(ds, mu0, mu1, pi)
+            phi = dr_pseudo_outcome(ds.a, ds.y, mu0, mu1, pi)
             final = fit_base(ds.x, phi, spec)
             vals.append(pehe(final.predict(test_x), test_tau))
         risks[n] = float(np.mean(vals))

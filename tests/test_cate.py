@@ -11,7 +11,6 @@ from cate_ebm import (
     Ridge,
     TrainConfig,
     ae_fit,
-    dr_learner,
     dr_pseudo_outcome,
     fit_learner,
     fit_learners,
@@ -19,7 +18,6 @@ from cate_ebm import (
     median_gamma,
     pca_fit,
     propensity_fit,
-    r_learner,
 )
 from cate_ebm import cate, numerics
 from cate_ebm.errors import (
@@ -333,7 +331,7 @@ class TestMetaLearners:
 
     def test_dr_learner_close_on_linear(self):
         ds, tau = _linear_effect_data(n=1200, seed=2, noise=0.1)
-        model = dr_learner(ds, self.SPEC, split_seed=0)
+        model = fit_learner("dr", ds, self.SPEC, split_seed=0)
         err = np.sqrt(np.mean((model.predict(ds.x) - tau) ** 2))
         assert err < 0.25
 
@@ -347,7 +345,7 @@ class TestMetaLearners:
         m = np.sin(x[:, 1])
         y = m + (a - e) * c + 0.05 * rng.standard_normal(n)
         ds = Dataset(x=x, a=a, y=y)
-        model = r_learner(ds, BaseSpec(kind="kernel", lam=1e-2, cv=False))
+        model = fit_learner("r", ds, BaseSpec(kind="kernel", lam=1e-2, cv=False))
         assert abs(model.predict(x).mean() - c) < 0.3
 
     @pytest.mark.parametrize("kind", ["ridge", "kernel"])
@@ -356,7 +354,7 @@ class TestMetaLearners:
         ds, _ = _linear_effect_data(n=150, seed=19, noise=0.1)
         spec = BaseSpec(kind=kind, cv=cv)
         x_new = make_rng(20).standard_normal((40, 3))
-        model = r_learner(ds, spec)
+        model = fit_learner("r", ds, spec)
         assert isinstance(model._predict.__self__, Ridge if kind == "ridge" else KernelRidge)
         assert np.array_equal(model.predict(x_new), _reference_r_predict(ds, spec, x_new))
         assert np.array_equal(model.predict(ds.x), _reference_r_predict(ds, spec, ds.x))
@@ -368,7 +366,7 @@ class TestMetaLearners:
         # the unscaled system diag(a_res^2) K + lam I, solved by LU, has the same solution
         ds, _ = _linear_effect_data(n=n, seed=19, noise=0.1)
         spec = BaseSpec(kind=kind, cv=cv)
-        model = r_learner(ds, spec)
+        model = fit_learner("r", ds, spec)
         for x in (make_rng(20).standard_normal((40, 3)), ds.x):
             ref = _lu_reference_r_predict(ds, spec, x)
             assert np.linalg.norm(model.predict(x) - ref) <= 1e-11 * np.linalg.norm(ref)
@@ -378,7 +376,7 @@ class TestMetaLearners:
         mu0 = np.full(10, 0.5)
         mu1 = np.full(10, 1.5)
         pi = np.full(10, 0.4)
-        phi = dr_pseudo_outcome(ds, mu0, mu1, pi)
+        phi = dr_pseudo_outcome(ds.a, ds.y, mu0, mu1, pi)
         a = ds.a.astype(float)
         expected = (a / 0.4 * (ds.y - 1.5) + 1.5
                     - (1 - a) / 0.6 * (ds.y - 0.5) - 0.5)
@@ -388,7 +386,7 @@ class TestMetaLearners:
         from cate_ebm import gen_dgp, sample
         dgp = gen_dgp(2, d=6)
         ds = sample(dgp, 50_000, 3)
-        phi = dr_pseudo_outcome(ds, ds.mu0, ds.mu1, ds.pi)
+        phi = dr_pseudo_outcome(ds.a, ds.y, ds.mu0, ds.mu1, ds.pi)
         # with true nuisances, phi is centered at the true effect
         se = (phi - ds.tau).std() / np.sqrt(ds.n)
         assert abs((phi - ds.tau).mean()) < 4 * se + 0.01
@@ -396,7 +394,7 @@ class TestMetaLearners:
     def test_dr_small_n_rejected(self):
         ds, _ = _linear_effect_data(n=20)
         with pytest.raises(TooFewSamplesError):
-            dr_learner(ds, self.SPEC)
+            fit_learner("dr", ds, self.SPEC)
 
     def test_fit_learner_dispatch_and_unknown(self):
         ds, _ = _linear_effect_data(seed=4)
@@ -622,7 +620,7 @@ class TestSharedKernelRows:
     def test_r_learner_still_streams(self, monkeypatch):
         ds, _ = _linear_effect_data(n=120, seed=18, noise=0.1)
         eighs = _count_calls(monkeypatch, np.linalg, "eigh")
-        r_learner(ds, BaseSpec(kind="kernel", cv=True))
+        fit_learner("r", ds, BaseSpec(kind="kernel", cv=True))
         assert len(eighs) == 3
 
     def test_rows_from_other_inputs_rejected(self):
@@ -635,7 +633,7 @@ class TestFitLearners:
     SPEC = BaseSpec(kind="kernel", cv=True)
 
     @pytest.mark.parametrize("kinds", [("t",), ("x", "t"), ("dr", "r"), ("t", "x", "dr", "r"),
-                                       ("x",), ("dr", "t"), ("t", "r")])
+                                       ("x",), ("dr", "t"), ("t", "r"), ("x", "r")])
     def test_matches_fit_learner_per_kind(self, kinds):
         ds, _ = _linear_effect_data(n=160, seed=19, noise=0.1)
         x_new = make_rng(20).standard_normal((30, 3))
@@ -645,6 +643,27 @@ class TestFitLearners:
             want = fit_learner(kind, ds, self.SPEC, split_seed=3)
             assert model.kind == kind
             assert np.array_equal(model.predict(x_new), want.predict(x_new))
+
+    @pytest.mark.parametrize("kinds, n_fits", [
+        (("x", "r"), 1), (("t", "x", "dr", "r"), 2), (("t",), 0), (("dr",), 1)])
+    def test_x_and_r_share_one_propensity_fit(self, monkeypatch, kinds, n_fits):
+        # X and R read one model fitted on all rows; DR fits its own on its split
+        fits = _count_calls(monkeypatch, cate, "propensity_fit")
+        ds, _ = _linear_effect_data(n=160, seed=19, noise=0.1)
+        fit_learners(kinds, ds, self.SPEC)
+        assert len(fits) == n_fits
+        shared = [x for x, _ in fits if x.shape[0] == ds.n]
+        assert len(shared) == int(bool({"x", "r"} & set(kinds)))
+        assert all(x is ds.x for x in shared)
+
+    def test_arms_checked_before_any_fit(self, monkeypatch):
+        fits = _count_calls(monkeypatch, cate, "fit_base")
+        props = _count_calls(monkeypatch, cate, "propensity_fit")
+        ds, _ = _linear_effect_data(seed=6)
+        ds.a[:] = 0
+        with pytest.raises(TooFewSamplesError, match="both treatment arms"):
+            fit_learners(("r", "dr"), ds, self.SPEC)
+        assert (fits, props) == ([], [])
 
     @pytest.mark.parametrize("kinds, keep, n_eigh", [
         (("t",), [False, False], 6), (("t", "x"), [True, True], 6), (("x",), [True, True], 6)])

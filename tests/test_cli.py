@@ -20,7 +20,6 @@ from cate_ebm import (
     load_model,
     make_rng,
     pehe,
-    r_learner,
     save_csv,
     save_model,
     train_ebm,
@@ -571,7 +570,7 @@ class TestExitCodes:
 
     def test_singular_r_system_is_no_linalg_error(self):
         ds = self._duplicated_rows()
-        tau_hat = r_learner(ds, BaseSpec(lam=1e-300, cv=False)).predict(ds.x)
+        tau_hat = fit_learner("r", ds, BaseSpec(lam=1e-300, cv=False)).predict(ds.x)
         assert np.isfinite(tau_hat).all()
 
     @pytest.mark.parametrize("reader", ["data", "features"])

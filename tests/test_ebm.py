@@ -7,6 +7,7 @@ import pytest
 from cate_ebm import (
     EbmModel,
     Mlp,
+    PartitionModel,
     TrainConfig,
     kmeans_fit,
     load_model,
@@ -18,6 +19,7 @@ from cate_ebm import (
 from cate_ebm.nce import _scores
 from cate_ebm.errors import (
     ChecksumError,
+    DimensionError,
     IllConditionedError,
     MalformedModelError,
     TruncatedFileError,
@@ -246,6 +248,13 @@ def test_b_must_be_orthogonal(bad):
     b[0, 0] = 2.0 * b[0, 0] if bad == "scaled" else np.nan
     with pytest.raises(ValueError, match="not orthogonal"):
         EbmModel(net=model.net, b_matrix=b, partition=model.partition)
+
+
+def test_partition_width_must_match_net_input():
+    # a 5-wide partition under a 3-input net would be saved as a file load_model rejects
+    with pytest.raises(DimensionError, match="partition width 5 is not net input 3"):
+        EbmModel(net=Mlp([3, 4, 2]), b_matrix=np.eye(2),
+                 partition=PartitionModel(centroids=np.zeros((2, 5))))
 
 
 def _parent_era_field(secs):

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from cate_ebm import Adam, Mlp, grad_check, make_rng, random_orthogonal, standardize_columns
+from cate_ebm import (
+    Adam,
+    Dataset,
+    Mlp,
+    grad_check,
+    kmeans_fit,
+    make_rng,
+    mcc,
+    pca_fit,
+    random_orthogonal,
+    standardize_columns,
+)
 from cate_ebm import numerics
 from cate_ebm.errors import DegenerateColumnError, DimensionError, TrainingDivergedError
 
@@ -134,6 +145,19 @@ class TestMlpForward:
         _, cache = net.forward_cache(np.zeros((1, 3)))
         with pytest.raises(DimensionError):
             net.backward(cache, np.zeros(2))
+
+@pytest.mark.parametrize("call", [
+    lambda: numerics.as_matrix(np.zeros((3, 0))),
+    lambda: mcc(np.zeros((3, 0)), np.zeros((3, 0))),
+    lambda: pca_fit(np.zeros((5, 0)), 0),
+    lambda: Dataset(x=np.zeros((3, 0)), a=np.array([0, 1, 0]), y=np.zeros(3)),
+    lambda: kmeans_fit(np.zeros((3, 0)), 1, make_rng(0)),
+    lambda: standardize_columns(np.zeros((3, 0))),
+], ids=["as_matrix", "mcc", "pca_fit", "Dataset", "kmeans_fit", "standardize_columns"])
+def test_matrix_without_columns_rejected(call):
+    with pytest.raises(DimensionError, match=r"\(n, d\) matrix, d >= 1"):
+        call()
+
 
 class TestMlpBackward:
     def test_zero_upstream_gives_zero_grads(self):
