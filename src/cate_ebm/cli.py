@@ -80,11 +80,15 @@ def cmd_fit_ebm(cfg: ExperimentConfig, train_path: str, out_dir: str, init_seed=
     return EXIT_OK
 
 
+def _check_width(model, ds) -> None:
+    if ds.d != model.d:
+        raise ConfigError(f"model expects d={model.d}, data has d={ds.d}")
+
+
 def cmd_transform(model_path: str, data_path: str, out_path: str) -> int:
     model = load_model(model_path)
     ds = load_csv(data_path)
-    if ds.d != model.d:
-        raise ConfigError(f"model expects d={model.d}, data has d={ds.d}")
+    _check_width(model, ds)
     _write_repr(out_path, model.represent(ds.x))
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -117,6 +121,7 @@ def cmd_mcc(model_paths, data_path: str, out_dir=None) -> int:
             raise ConfigError(f"model {p} has a different d or B than {model_paths[0]}; "
                               "correlations across different B are not comparable")
     ds = load_csv(data_path)
+    _check_width(first, ds)  # the loop above gave every model first's d
     _mcc_report([m.represent(ds.x) for m in models], out_dir)
     return EXIT_OK
 

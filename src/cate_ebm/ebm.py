@@ -16,16 +16,7 @@ import zlib
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    ChecksumError,
-    DimensionError,
-    IllConditionedError,
-    MalformedModelError,
-    TruncatedFileError,
-    UntrainedModelError,
-    VersionMismatchError,
-)
+from .errors import DimensionError, IllConditionedError, ModelFileError, UntrainedModelError
 from .numerics import Mlp, standardize_columns
 from .partition import PartitionModel
 
@@ -116,7 +107,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise TruncatedFileError("model file ended mid-section")
+            raise ModelFileError("model file ended mid-section")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -127,8 +118,7 @@ class _Reader:
     def array(self) -> np.ndarray:
         ndim = self.u32()
         if ndim > 2:
-            raise MalformedModelError(f"an array with {ndim} dimensions; the format "
-                                      "stores at most 2")
+            raise ModelFileError(f"an array with {ndim} dimensions; the format stores at most 2")
         shape = tuple(self.u32() for _ in range(ndim))
         count = math.prod(shape)
         raw = self.take(8 * count)
@@ -136,16 +126,15 @@ class _Reader:
 
     def end(self, what: str) -> None:
         if self.pos != len(self.buf):
-            raise MalformedModelError(
-                f"{len(self.buf) - self.pos} bytes after the last field of {what}")
+            raise ModelFileError(f"{len(self.buf) - self.pos} bytes after the last field of {what}")
 
 
 def _expect(a: np.ndarray, shape, what: str) -> None:
     if a.shape != tuple(shape):
-        raise MalformedModelError(f"{what} has shape {a.shape}, the layer widths imply "
-                                  f"{tuple(shape)}")
+        raise ModelFileError(f"{what} has shape {a.shape}, the layer widths imply "
+                             f"{tuple(shape)}")
     if not np.isfinite(a).all():
-        raise MalformedModelError(f"{what} holds non-finite values")
+        raise ModelFileError(f"{what} holds non-finite values")
 
 
 def save_model(model: EbmModel, path) -> None:
@@ -185,15 +174,15 @@ def load_model(path) -> EbmModel:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 10:
-        raise TruncatedFileError("file shorter than header")
+        raise ModelFileError("file shorter than header")
     if raw[:4] != _MAGIC:
-        raise BadMagicError("not a model file (bad magic)")
+        raise ModelFileError("not a model file (bad magic)")
     version = struct.unpack("<H", raw[4:6])[0]
     if version != _VERSION:
-        raise VersionMismatchError(f"format version {version}, expected {_VERSION}")
+        raise ModelFileError(f"format version {version}, expected {_VERSION}")
     stored_crc = struct.unpack("<I", raw[-4:])[0]
     if zlib.crc32(raw[:-4]) != stored_crc:
-        raise ChecksumError("CRC32 mismatch")
+        raise ModelFileError("CRC32 mismatch")
 
     rd = _Reader(raw[6:-4])
     secs = [_Reader(rd.take(rd.u32())) for _ in range(5)]
@@ -202,7 +191,7 @@ def load_model(path) -> EbmModel:
     net_rd = secs[2]
     widths = [net_rd.u32() for _ in range(net_rd.u32())]
     if len(widths) < 2:
-        raise MalformedModelError(f"{len(widths)} layer widths stored, need at least 2")
+        raise ModelFileError(f"{len(widths)} layer widths stored, need at least 2")
     params = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         for shape in ((fan_in, fan_out), (fan_out,)):
@@ -234,8 +223,8 @@ def load_model(path) -> EbmModel:
     shape_d, shape_k, _, _ = struct.unpack("<IIIQ", secs[4].take(20))
     secs[4].end("the shape section")
     if (shape_d, shape_k) != (d, k):
-        raise MalformedModelError(f"the shape section says d={shape_d}, k={shape_k}; the "
-                                  f"layer widths say d={d}, k={k}")
+        raise ModelFileError(f"the shape section says d={shape_d}, k={shape_k}; the "
+                             f"layer widths say d={d}, k={k}")
 
     net = Mlp(widths)  # allocated only once the stored arrays match the widths
     net.flat[:] = np.concatenate([p.ravel() for p in params])
@@ -244,4 +233,4 @@ def load_model(path) -> EbmModel:
                         partition=PartitionModel(centroids=centroids, inertia=inertia),
                         repr_mean=mean, repr_std=std)
     except ValueError as exc:  # e.g. a B that is not orthogonal
-        raise MalformedModelError(f"inconsistent model file: {exc}") from exc
+        raise ModelFileError(f"inconsistent model file: {exc}") from exc

@@ -15,9 +15,9 @@ class DimensionError(CateEbmError, ValueError):
 class DegenerateColumnError(CateEbmError, ValueError):
     """A column has zero variance where nonzero variance is required."""
 
-    def __init__(self, column: int, message: str | None = None):
+    def __init__(self, column: int):
         self.column = column
-        super().__init__(message or f"column {column} has zero variance")
+        super().__init__(f"column {column} has zero variance")
 
 
 class TooFewSamplesError(CateEbmError, ValueError):
@@ -42,28 +42,10 @@ class IllConditionedError(CateEbmError, RuntimeError):
 
 
 class ModelFileError(CateEbmError, RuntimeError):
-    """Base class for model (de)serialization failures."""
-
-
-class BadMagicError(ModelFileError):
-    """File does not start with the expected magic bytes."""
-
-
-class VersionMismatchError(ModelFileError):
-    """Model file was written with an unsupported format version."""
-
-
-class ChecksumError(ModelFileError):
-    """Stored CRC32 does not match the file contents."""
-
-
-class TruncatedFileError(ModelFileError):
-    """File ended before all sections could be read."""
-
-
-class MalformedModelError(ModelFileError):
-    """File passed its checksum but its arrays disagree with the stored layer
-    widths, or bytes follow the last field of a section or of the file."""
+    """A model file cannot be read: it is shorter than its header, lacks the
+    magic bytes, has another format version, fails its CRC32, or (checksum
+    intact) ends mid-section or holds fields that disagree with its layer
+    widths. The message names the check that failed."""
 
 
 class CsvFormatError(CateEbmError, ValueError):

@@ -74,7 +74,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_corruption(self.rho, self.b)
-        for name in ("k", "epochs", "batch_size"):
+        for name in ("k", "epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(w < 1 for w in self.hidden):

@@ -499,6 +499,24 @@ class TestCvSelection:
         model = cate.fit_base(x, x @ np.array([1.0, 2.0]), BaseSpec(kind="ridge", cv=cv))
         assert isinstance(model, Ridge)
 
+    @pytest.mark.parametrize("kind, cv_step, calls_at_ten", [
+        ("ridge", "_ridge_cv_sse", len(cate.LAM_GRID)), ("kernel", "_kernel_cv", 1)])
+    def test_cv_below_two_rows_per_fold_is_the_direct_fit(self, monkeypatch, kind, cv_step,
+                                                          calls_at_ten):
+        calls = _count_calls(monkeypatch, cate, cv_step)
+        x, y = _sine_data(n=2 * cate.CV_FOLDS - 1)
+        direct = cate.fit_base(x, y, BaseSpec(kind=kind, cv=False))
+        model = cate.fit_base(x, y, BaseSpec(kind=kind, cv=True))
+        assert calls == [] and model.lam == 0.01
+        if kind == "ridge":
+            assert np.array_equal(model.w, direct.w)
+        else:
+            assert model.gamma == direct.gamma == median_gamma(x)
+            assert np.array_equal(model.alpha, direct.alpha)
+        x, y = _sine_data(n=2 * cate.CV_FOLDS)
+        cate.fit_base(x, y, BaseSpec(kind=kind, cv=True))
+        assert len(calls) == calls_at_ten
+
     @pytest.mark.parametrize("kind", ["ridge", "kernel"])
     def test_no_finite_cv_score_is_ill_conditioned(self, kind):
         from cate_ebm.cate import fit_base

@@ -630,6 +630,19 @@ class TestExitCodes:
                      os.path.join(out, "b", "model.preb"),
                      "--data", train_csv]) == 2
 
+    @pytest.mark.parametrize("command", ["transform", "mcc"])
+    def test_data_width_must_match_the_model(self, tmp_path, capsys, command):
+        model = train_ebm(make_rng(0).standard_normal((40, 3)),
+                          TrainConfig(k=2, b=2, hidden=(4,), epochs=1))
+        path = tmp_path / "m.preb"
+        save_model(model, path)
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("x0,a,y\n1.0,0,2.0\n0.5,1,1.0\n")
+        argv = {"transform": ["--model", str(path), "--out", str(tmp_path / "z.csv")],
+                "mcc": ["--models", str(path), str(path)]}[command]
+        assert main([command, *argv, "--data", str(narrow)]) == 2
+        assert capsys.readouterr().err == "error: model expects d=3, data has d=1\n"
+
     @pytest.mark.parametrize("error, code, prefix", [
         (TrainingDivergedError, 3, "numeric failure: "), (DimensionError, 2, "error: ")])
     def test_pipeline_failure_keeps_its_type(self, tmp_path, capsys, monkeypatch,
@@ -872,10 +885,11 @@ class TestFuzz:
         (("hidden = 8", "hidden = 0"), ["fit-ebm", "--train"]),
         (("hidden = 8", "hidden = 4,-3"), ["fit-ebm", "--train"]),
         (("kinds = t", "kinds = t,t,r"), ["pipeline"]),
+        (("patience = 10", "patience = 0"), ["fit-ebm", "--train"]),
     ], ids=["lam_0_cv_off", "lam_negative_dr_cv_on", "seed_negative", "b_seed_negative",
             "init_seed_negative", "test_size_1", "test_size_2_one_arm", "lr_negative",
             "lr_0", "lr_nan", "no_learners", "mcc_one_run", "hidden_0", "hidden_negative",
-            "repeated_kinds"])
+            "repeated_kinds", "patience_0"])
     def test_invalid_settings(self, tmp_path, capsys, edit, argv):
         # each setting exits 2 with a message, before any model is trained
         text = FAST_CONFIG.format(out=tmp_path / "results")

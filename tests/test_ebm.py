@@ -18,13 +18,10 @@ from cate_ebm import (
 )
 from cate_ebm.nce import _scores
 from cate_ebm.errors import (
-    ChecksumError,
     DimensionError,
     IllConditionedError,
-    MalformedModelError,
-    TruncatedFileError,
+    ModelFileError,
     UntrainedModelError,
-    VersionMismatchError,
 )
 
 
@@ -148,7 +145,7 @@ class TestSerialization:
         import struct, zlib
         raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])))
         path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(ModelFileError, match="format version 254, expected 1"):
             load_model(path)
 
     def test_truncated_file_detected(self, tmp_path):
@@ -157,7 +154,7 @@ class TestSerialization:
         save_model(model, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises((TruncatedFileError, ChecksumError)):
+        with pytest.raises(ModelFileError, match="CRC32 mismatch"):
             load_model(path)
 
     def test_corrupted_payload_detected(self, tmp_path):
@@ -167,8 +164,12 @@ class TestSerialization:
         raw = bytearray(path.read_bytes())
         raw[50] ^= 0x01
         path.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumError):
+        with pytest.raises(ModelFileError, match="CRC32 mismatch"):
             load_model(path)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def _rewrite(raw: bytes, edit) -> bytes:
@@ -181,7 +182,7 @@ def _rewrite(raw: bytes, edit) -> bytes:
         pos += 4 + length
     tail = edit(secs)
     out = raw[:6] + b"".join(struct.pack("<I", len(s)) + bytes(s) for s in secs) + tail
-    return out + struct.pack("<I", zlib.crc32(out))
+    return _with_crc(out)
 
 
 def _swap_u32(sec: bytearray, at: int) -> None:
@@ -225,19 +226,55 @@ def _nan_first_b(secs):
     return b""
 
 
-@pytest.mark.parametrize("edit", [_swap_first_weight_dims, _swap_centroid_dims,
-                                  _grow_section, lambda secs: b"\x00", _fingerprint_d99,
-                                  _many_dims, _nan_first_weight, _nan_first_b],
-                         ids=["weight_shape", "centroid_shape", "section_tail", "file_tail",
-                              "fingerprint_d", "many_dims", "nan_weight", "nan_b"])
-def test_malformed_layout_detected(tmp_path, edit):
+def _one_width(secs):
+    struct.pack_into("<I", secs[2], 0, 1)  # the stored count of layer widths
+    return b""
+
+
+def _scale_first_b(secs):
+    (b00,) = struct.unpack_from("<d", secs[1], 12)
+    struct.pack_into("<d", secs[1], 12, 2.0 * b00)  # finite, but B is no longer orthogonal
+    return b""
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_swap_first_weight_dims, r"network parameter 0 has shape \(\d+, \d+\), the layer widths"),
+    (_swap_centroid_dims, r"the centroid matrix has shape"),
+    (_grow_section, r"1 bytes after the last field of the shape section"),
+    (lambda secs: b"\x00", r"1 bytes after the last field of the file"),
+    (_fingerprint_d99, r"the shape section says d=99, k=2; the layer widths say d=4"),
+    (_many_dims, r"an array with 65 dimensions"),
+    (_nan_first_weight, r"network parameter 0 holds non-finite values"),
+    (_nan_first_b, r"B holds non-finite values"),
+    (_one_width, r"1 layer widths stored, need at least 2"),
+    (_scale_first_b, r"inconsistent model file: B is not orthogonal"),
+], ids=["weight_shape", "centroid_shape", "section_tail", "file_tail", "fingerprint_d",
+        "many_dims", "nan_weight", "nan_b", "one_width", "b_not_orthogonal"])
+def test_malformed_layout_detected(tmp_path, edit, message):
     model, _ = _trained_model()
     path = tmp_path / "m.preb"
     save_model(model, path)
     raw = path.read_bytes()
     assert _rewrite(raw, lambda secs: b"") == raw
     path.write_bytes(_rewrite(raw, edit))
-    with pytest.raises(MalformedModelError):
+    with pytest.raises(ModelFileError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: raw[:9], "file shorter than header"),
+    (lambda raw: b"PRE?" + raw[4:], r"not a model file \(bad magic\)"),
+    (lambda raw: _with_crc(raw[:4] + struct.pack("<H", 2) + raw[6:-4]),
+     "format version 2, expected 1"),
+    (lambda raw: raw[:-5] + bytes([raw[-5] ^ 0x01]) + raw[-4:], "CRC32 mismatch"),
+    (lambda raw: _with_crc(raw[: len(raw) // 2]), "model file ended mid-section"),
+], ids=["short", "magic", "version", "crc", "mid_section"])
+def test_each_reader_check_names_itself(tmp_path, damage, message):
+    model, _ = _trained_model()
+    path = tmp_path / "m.preb"
+    save_model(model, path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ModelFileError, match=message):
         load_model(path)
 
 

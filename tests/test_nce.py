@@ -360,6 +360,7 @@ class TestTrainEbm:
         dict(k=0), dict(b=0), dict(rho=0.0), dict(rho=1.5), dict(rho=math.nan), dict(epochs=0),
         dict(batch_size=0), dict(lr=0.0), dict(lr=-1.0), dict(lr=math.nan), dict(lr=math.inf),
         dict(seed=-1), dict(init_seed=-1), dict(hidden=(0,)), dict(hidden=(8, -1)),
+        dict(patience=0), dict(patience=-1),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         # TrainConfig checks its fields; the trainer checks the init seed
