@@ -14,8 +14,9 @@ from functools import cached_property
 import numpy as np
 
 from .dgp import Dataset
-from .errors import ConfigError, DimensionError, IllConditionedError, TooFewSamplesError
-from .numerics import make_rng, sq_dists
+from .errors import (ConfigError, DatasetError, DimensionError, IllConditionedError,
+                     TooFewSamplesError)
+from .numerics import as_matrix, make_rng, sq_dists
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +96,14 @@ class Ridge:
         self.w = None
 
     def fit(self, x, y, weights=None):
-        xa = _augment(np.asarray(x, dtype=float))
+        xa = _augment(as_matrix(x))
         y = np.asarray(y, dtype=float)
         xw = xa if weights is None else xa * np.asarray(weights, dtype=float)[:, None]
         self.w = _chol_solve(_add_diag(xw.T @ xa, self.lam), xw.T @ y)
         return self
 
     def predict(self, x):
-        return _augment(np.asarray(x, dtype=float)) @ self.w
+        return _augment(as_matrix(x, d=self.w.size - 1)) @ self.w
 
 
 def _rbf_kernel(xa, xb, gamma):
@@ -114,7 +115,7 @@ def _rbf_kernel(xa, xb, gamma):
 
 def median_gamma(x):
     """1 / median squared pairwise distance, on a subsample for large n."""
-    x = np.asarray(x, dtype=float)
+    x = as_matrix(x)
     if x.shape[0] < 2:
         raise TooFewSamplesError(f"median heuristic needs >= 2 rows, got {x.shape[0]}")
     cap = 2000  # rows kept: the distances take 32 MB
@@ -142,7 +143,7 @@ class KernelRidge:
         self.alpha = None
 
     def fit(self, x, y, weights=None):
-        x = np.asarray(x, dtype=float)
+        x = as_matrix(x)
         y = np.asarray(y, dtype=float)
         k = _rbf_kernel(x, x, self.gamma)
         if weights is None:
@@ -156,7 +157,7 @@ class KernelRidge:
         return self
 
     def predict(self, x):
-        k = _rbf_kernel(np.asarray(x, dtype=float), self.x_train, self.gamma)
+        k = _rbf_kernel(as_matrix(x, d=self.x_train.shape[1]), self.x_train, self.gamma)
         return k @ self.alpha
 
 
@@ -253,7 +254,7 @@ class KernelRows:
     """
 
     def __init__(self, x, keep_bases: bool = True):
-        self.x = np.asarray(x, dtype=float)
+        self.x = as_matrix(x)
         self._bases = {} if keep_bases else None
 
     @cached_property
@@ -304,7 +305,7 @@ def fit_base(x, y, spec: BaseSpec, rows: KernelRows | None = None):
     been built from this x; its kernel width, folds and eigendecompositions
     are reused. Non-finite inputs raise IllConditionedError.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_matrix(x)
     y = np.asarray(y, dtype=float)
     if rows is None:
         rows = KernelRows(x, keep_bases=False)
@@ -344,8 +345,13 @@ class PropensityModel:
     w = n_iter = converged = None  # set by fit; converged: the gradient norm fell below tol
 
     def fit(self, x, a):
-        x = np.asarray(x, dtype=float)
+        x = as_matrix(x)
         a = np.asarray(a, dtype=float)
+        if a.shape != (x.shape[0],):
+            raise DimensionError(f"a of shape {a.shape} is not an (n,) vector with "
+                                 f"one entry per row of x (n={x.shape[0]})")
+        if not np.all((a == 0) | (a == 1)):
+            raise DatasetError("treatment vector must hold only 0 and 1")
         if a.min() == a.max():
             raise TooFewSamplesError("both treatment classes must be present")
         xa = _augment(x)
@@ -364,7 +370,7 @@ class PropensityModel:
         return self
 
     def predict_proba(self, x):
-        z = _augment(np.asarray(x, dtype=float)) @ self.w
+        z = _augment(as_matrix(x, d=self.w.size - 1)) @ self.w
         return np.clip(_sigmoid(z), self.clip, 1.0 - self.clip)
 
 
@@ -384,12 +390,7 @@ class CateModel:
         self.input_dim = input_dim
 
     def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"expected n-by-{self.input_dim} input, got shape {x.shape}"
-            )
-        return self._predict(x)
+        return self._predict(as_matrix(x, d=self.input_dim))
 
 
 def _fit_arms(x, a, y, spec: BaseSpec, keep_bases: bool):

@@ -39,10 +39,12 @@ from .numerics import Adam, Mlp, as_matrix, make_rng, random_orthogonal
 from .partition import kmeans_fit
 
 
-def _check_corruption(rho, b) -> None:
-    """The one check of rho and b, made by TrainConfig and build_candidates."""
-    if not (0.0 < rho <= 1.0 and b >= 1):
-        raise ConfigError(f"need rho in (0, 1] and b >= 1, got rho={rho}, b={b}")
+def _check_corruption(rho=1.0, b=1) -> None:
+    """The one check of rho and b: TrainConfig checks both, corrupt rho, build_candidates b."""
+    if not 0.0 < rho <= 1.0:
+        raise ConfigError(f"need rho in (0, 1], got rho={rho}")
+    if not b >= 1:
+        raise ConfigError(f"need b >= 1, got b={b}")
 
 
 @dataclass
@@ -89,8 +91,10 @@ def corrupt(x, rho, rng) -> np.ndarray:
     """One corrupted copy of every row of x, an array of shape (..., d).
 
     Every feature of every row is selected independently with probability
-    rho; a selected feature gets standard Gaussian noise added.
+    rho; a selected feature gets standard Gaussian noise added. rho outside
+    (0, 1] raises ConfigError.
     """
+    _check_corruption(rho)
     x = np.asarray(x, dtype=float)
     selected = rng.random(x.shape) < rho
     out = rng.standard_normal(x.shape)
@@ -103,8 +107,8 @@ def build_candidates(rows, labels, rho, b, rng) -> CandidateSet:
     """For each row, the clean sample in slot 0 and then b corrupted copies;
     labels gives each row's partition subset and must hold one integral value
     per row."""
-    _check_corruption(rho, b)
-    rows = np.asarray(rows, dtype=float)
+    _check_corruption(b=b)
+    rows = as_matrix(rows, "rows")
     m, d = rows.shape
     labels = np.asarray(labels)
     if labels.shape != (m,) or not np.all(labels % 1 == 0):
@@ -288,6 +292,8 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
     k = config.k
     if n < 2 * k:
         raise TooFewSamplesError(f"n={n} < 2k={2 * k}")
+    if k > d:
+        raise DimensionError(f"k={k} > d={d}")
 
     master = make_rng(config.seed)
     kmeans_rng = make_rng(master.integers(2**63))

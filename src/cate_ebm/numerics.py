@@ -23,12 +23,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def as_matrix(x, what: str = "x") -> np.ndarray:
-    """x as a float (n, d) matrix, one row per sample, with d >= 1; any other
-    shape raises DimensionError."""
+def as_matrix(x, what: str = "x", d: int | None = None) -> np.ndarray:
+    """x as a float (n, d) matrix, one row per sample, with exactly d columns
+    when d is given and d >= 1 otherwise; any other shape raises DimensionError."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise DimensionError(f"{what} of shape {x.shape} is not an (n, d) matrix, d >= 1")
+    if x.ndim != 2 or x.shape[1] < 1 or d not in (None, x.shape[1]):
+        rule = "(n, d) matrix, d >= 1" if d is None else f"(n, {d}) matrix"
+        raise DimensionError(f"{what} of shape {x.shape} is not an {rule}")
     return x
 
 
@@ -113,12 +114,6 @@ class Mlp:
         clone.flat[:] = self.flat
         return clone
 
-    def _check_input(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise DimensionError(f"input of shape {x.shape} is not an (n, {self.in_dim}) matrix")
-        return x
-
     def _layers(self, h, cache=None, out_bias=True):
         """Run the layers on h; appends every activation to cache if given.
         out_bias=False leaves the output layer's bias out."""
@@ -136,7 +131,7 @@ class Mlp:
         return h
 
     def forward(self, x):
-        return self._layers(self._check_input(x))
+        return self._layers(as_matrix(x, "input", self.in_dim))
 
     def forward_cache(self, x, out_bias=True):
         """Forward pass keeping every layer's activation for backward.
@@ -144,7 +139,7 @@ class Mlp:
         With out_bias=False the output, and the cache's last entry, leave the
         output bias out; backward's gradients are the same either way.
         """
-        x = self._check_input(x)
+        x = as_matrix(x, "input", self.in_dim)
         cache = [x]
         return self._layers(x, cache, out_bias), cache
 

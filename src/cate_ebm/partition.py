@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, IllConditionedError, TooFewSamplesError
+from .errors import IllConditionedError, TooFewSamplesError
 from .numerics import as_matrix, sq_dists
 
 
@@ -32,10 +32,7 @@ class PartitionModel:
 
     def assign(self, x: np.ndarray) -> np.ndarray:
         """Nearest-centroid index of each row of the (n, d) matrix x."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise DimensionError(f"points of shape {x.shape} are not an (n, {self.d}) matrix")
-        d2 = sq_dists(x, self.centroids)
+        d2 = sq_dists(as_matrix(x, d=self.d), self.centroids)
         return np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
 
 

@@ -22,6 +22,7 @@ from cate_ebm import (
 from cate_ebm import cate, numerics
 from cate_ebm.errors import (
     ConfigError,
+    DatasetError,
     DegenerateColumnError,
     DimensionError,
     IllConditionedError,
@@ -294,6 +295,18 @@ class TestPropensity:
     def test_single_class_rejected(self):
         with pytest.raises(TooFewSamplesError):
             propensity_fit(np.zeros((10, 1)), np.ones(10))
+
+    @pytest.mark.parametrize("a", [np.arange(9) % 2, (np.arange(10) % 2)[:, None]])
+    def test_treatment_of_another_shape_rejected(self, a):
+        with pytest.raises(DimensionError, match=r"is not an \(n,\) vector with one entry per row of x \(n=10\)"):
+            propensity_fit(make_rng(0).standard_normal((10, 2)), a)
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, np.nan])
+    def test_treatment_other_than_0_or_1_rejected(self, bad):
+        a = (np.arange(10) % 2).astype(float)
+        a[3] = bad
+        with pytest.raises(DatasetError, match="treatment vector must hold only 0 and 1"):
+            propensity_fit(make_rng(0).standard_normal((10, 2)), a)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Hessian overflows
     def test_overflowed_hessian_is_ill_conditioned(self):

@@ -643,6 +643,15 @@ class TestExitCodes:
         assert main([command, *argv, "--data", str(narrow)]) == 2
         assert capsys.readouterr().err == "error: model expects d=3, data has d=1\n"
 
+    def test_fit_ebm_needs_k_covariates(self, tmp_path, capsys):
+        # desk's k = 3 subsets of 2 covariates: no 3-dimensional representation
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("x0,x1,a,y\n" + "".join(
+            f"{0.1 * i:.1f},{0.7 * i % 1:.1f},{i % 2},{0.2 * i:.1f}\n" for i in range(12)))
+        assert main(["fit-ebm", "--preset", "desk", "--train", str(narrow),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: k=3 > d=2\n"
+
     @pytest.mark.parametrize("error, code, prefix", [
         (TrainingDivergedError, 3, "numeric failure: "), (DimensionError, 2, "error: ")])
     def test_pipeline_failure_keeps_its_type(self, tmp_path, capsys, monkeypatch,

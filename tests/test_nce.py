@@ -50,8 +50,15 @@ class TestCorrupt:
         assert abs(deltas.mean()) < 0.02
         assert abs(deltas.var() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("rho", [math.nan, 0.0, 1.5])
+    def test_rho_outside_unit_interval_rejected(self, rho):
+        # a NaN rho selected no feature, and rho > 1 every feature, without a word
+        with pytest.raises(ConfigError, match=r"need rho in \(0, 1\]"):
+            corrupt(np.zeros((4, 2)), rho, make_rng(0))
+
     def test_invalid_spec(self):
-        # build_candidates checks rho and b for library callers, as TrainConfig does
+        # build_candidates checks rho (through corrupt) and b for library callers,
+        # as TrainConfig does
         with pytest.raises(ConfigError):
             _rows(np.zeros((2, 1)), 0.0, 1, 0)
         with pytest.raises(ConfigError):
@@ -374,6 +381,11 @@ class TestTrainEbm:
         cfg = TrainConfig(k=4, epochs=1)
         with pytest.raises(TooFewSamplesError):
             train_ebm(make_rng(0).standard_normal((6, 3)), cfg)
+
+    def test_more_subsets_than_covariates_rejected(self):
+        # as ae_fit and pca_fit do: a k-dimensional representation of d < k covariates
+        with pytest.raises(DimensionError, match=r"^k=3 > d=2$"):
+            train_ebm(make_rng(0).standard_normal((40, 2)), TrainConfig(k=3, epochs=1))
 
     def test_split_leaves_no_training_row(self):
         # the one row is held out (at least one always is); the AE has no 2k-row floor

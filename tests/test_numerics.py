@@ -3,17 +3,24 @@ import pytest
 
 from cate_ebm import (
     Adam,
+    BaseSpec,
     Dataset,
+    KernelRidge,
     Mlp,
+    Ridge,
+    build_candidates,
+    fit_learner,
     grad_check,
     kmeans_fit,
     make_rng,
     mcc,
+    median_gamma,
     pca_fit,
+    propensity_fit,
     random_orthogonal,
     standardize_columns,
 )
-from cate_ebm import numerics
+from cate_ebm import cate, numerics
 from cate_ebm.errors import DegenerateColumnError, DimensionError, TrainingDivergedError
 
 
@@ -146,6 +153,9 @@ class TestMlpForward:
         with pytest.raises(DimensionError):
             net.backward(cache, np.zeros(2))
 
+_FLAT = np.zeros(6)  # 1-D: no column axis at all
+
+
 @pytest.mark.parametrize("call", [
     lambda: numerics.as_matrix(np.zeros((3, 0))),
     lambda: mcc(np.zeros((3, 0)), np.zeros((3, 0))),
@@ -153,10 +163,53 @@ class TestMlpForward:
     lambda: Dataset(x=np.zeros((3, 0)), a=np.array([0, 1, 0]), y=np.zeros(3)),
     lambda: kmeans_fit(np.zeros((3, 0)), 1, make_rng(0)),
     lambda: standardize_columns(np.zeros((3, 0))),
-], ids=["as_matrix", "mcc", "pca_fit", "Dataset", "kmeans_fit", "standardize_columns"])
+    lambda: Ridge(0.1).fit(_FLAT, _FLAT),
+    lambda: KernelRidge(0.1, 1.0).fit(_FLAT, _FLAT),
+    lambda: propensity_fit(_FLAT, np.arange(6) % 2),
+    lambda: median_gamma(_FLAT),
+    lambda: cate.KernelRows(_FLAT),
+    lambda: cate.fit_base(_FLAT, _FLAT, BaseSpec()),
+    lambda: build_candidates(_FLAT, np.zeros(6), 0.5, 2, make_rng(0)),
+], ids=["as_matrix", "mcc", "pca_fit", "Dataset", "kmeans_fit", "standardize_columns",
+        "Ridge.fit", "KernelRidge.fit", "PropensityModel.fit", "median_gamma", "KernelRows",
+        "fit_base", "build_candidates"])
 def test_matrix_without_columns_rejected(call):
     with pytest.raises(DimensionError, match=r"\(n, d\) matrix, d >= 1"):
         call()
+
+
+@pytest.fixture(scope="module")
+def fitted_on_3():
+    """One fitted object of each kind that takes x, all on 3 covariates."""
+    x = make_rng(0).standard_normal((40, 3))
+    a = np.arange(40) % 2
+    y = x[:, 0] + a
+    return dict(ridge=Ridge(0.1).fit(x, y), kernel=KernelRidge(0.1, 1.0).fit(x, y),
+                propensity=propensity_fit(x, a), net=Mlp([3, 4, 2], rng=make_rng(1)),
+                partition=kmeans_fit(x, 2, make_rng(2)), encoder=pca_fit(x, 2),
+                cate=fit_learner("t", Dataset(x=x, a=a, y=y), BaseSpec(cv=False)))
+
+
+_WIDE = np.zeros((5, 2))  # two columns where 3 are due
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f["ridge"].predict(_WIDE),
+    lambda f: f["kernel"].predict(_WIDE),
+    lambda f: f["propensity"].predict_proba(_WIDE),
+    lambda f: f["net"].forward(_WIDE),
+    lambda f: f["net"].forward_cache(_WIDE),
+    lambda f: f["partition"].assign(_WIDE),
+    lambda f: f["encoder"].represent(_WIDE),
+    lambda f: f["cate"].predict(_WIDE),
+    lambda f: f["cate"].predict(_FLAT),
+], ids=["Ridge.predict", "KernelRidge.predict", "PropensityModel.predict_proba", "Mlp.forward",
+        "Mlp.forward_cache", "PartitionModel.assign", "Encoder.represent", "CateModel.predict",
+        "CateModel.predict-1d"])
+def test_x_of_another_width_rejected(fitted_on_3, call):
+    # a fitted object names the width it was fitted on
+    with pytest.raises(DimensionError, match=r"\(n, 3\) matrix$"):
+        call(fitted_on_3)
 
 
 class TestMlpBackward:
