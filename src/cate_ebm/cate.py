@@ -13,10 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dgp import Dataset
-from .errors import (ConfigError, DatasetError, DimensionError, IllConditionedError,
-                     TooFewSamplesError)
-from .numerics import as_matrix, make_rng, sq_dists
+from .dgp import Dataset, as_treatment
+from .errors import (ConfigError, DimensionError, IllConditionedError, TooFewSamplesError,
+                     UntrainedModelError)
+from .numerics import as_matrix, as_vector, make_rng, sq_dists
 
 
 # ---------------------------------------------------------------------------
@@ -85,24 +85,32 @@ def _sigmoid(z):
     return out
 
 
+def _check_lam(lam) -> float:
+    """The one check of a ridge penalty (BaseSpec, Ridge, KernelRidge): lam
+    itself if finite and > 0, else ConfigError."""
+    if not 0.0 < lam < np.inf:
+        raise ConfigError(f"lam must be finite and > 0, got {lam}")
+    return lam
+
+
 class Ridge:
     """Linear ridge with an intercept column, solved by Cholesky. With sample
     weights w it minimizes sum_i w_i (y_i - f(x_i))^2 + lam |coef|^2."""
 
     def __init__(self, lam: float):
-        if lam <= 0:
-            raise ValueError("lam must be > 0")
-        self.lam = lam
+        self.lam = _check_lam(lam)
         self.w = None
 
     def fit(self, x, y, weights=None):
         xa = _augment(as_matrix(x))
-        y = np.asarray(y, dtype=float)
-        xw = xa if weights is None else xa * np.asarray(weights, dtype=float)[:, None]
+        y = as_vector(y, "y", xa.shape[0])
+        xw = xa if weights is None else xa * as_vector(weights, "weights", xa.shape[0])[:, None]
         self.w = _chol_solve(_add_diag(xw.T @ xa, self.lam), xw.T @ y)
         return self
 
     def predict(self, x):
+        if self.w is None:
+            raise UntrainedModelError("Ridge is not fitted")
         return _augment(as_matrix(x, d=self.w.size - 1)) @ self.w
 
 
@@ -114,10 +122,13 @@ def _rbf_kernel(xa, xb, gamma):
 
 
 def median_gamma(x):
-    """1 / median squared pairwise distance, on a subsample for large n."""
+    """1 / median squared pairwise distance, on a subsample for large n; a
+    non-finite entry in x raises IllConditionedError."""
     x = as_matrix(x)
     if x.shape[0] < 2:
         raise TooFewSamplesError(f"median heuristic needs >= 2 rows, got {x.shape[0]}")
+    if not np.isfinite(x).all():
+        raise IllConditionedError("non-finite value in the median heuristic's rows")
     cap = 2000  # rows kept: the distances take 32 MB
     if x.shape[0] > cap:
         idx = make_rng(0).choice(x.shape[0], size=cap, replace=False)
@@ -135,21 +146,19 @@ class KernelRidge:
     the SPD system (S K S + lam I) beta = S y, S = diag(sqrt(w)); alpha = S beta."""
 
     def __init__(self, lam: float, gamma: float):
-        if lam <= 0:
-            raise ValueError("lam must be > 0")
-        self.lam = lam
+        self.lam = _check_lam(lam)
         self.gamma = gamma
         self.x_train = None
         self.alpha = None
 
     def fit(self, x, y, weights=None):
         x = as_matrix(x)
-        y = np.asarray(y, dtype=float)
+        y = as_vector(y, "y", x.shape[0])
         k = _rbf_kernel(x, x, self.gamma)
         if weights is None:
             self.alpha = _chol_solve(_add_diag(k, self.lam), y)
         else:
-            s = np.sqrt(np.asarray(weights, dtype=float))
+            s = np.sqrt(as_vector(weights, "weights", x.shape[0]))
             k *= s[:, None]
             k *= s
             self.alpha = s * _chol_solve(_add_diag(k, self.lam), s * y)
@@ -157,6 +166,8 @@ class KernelRidge:
         return self
 
     def predict(self, x):
+        if self.alpha is None:
+            raise UntrainedModelError("KernelRidge is not fitted")
         k = _rbf_kernel(as_matrix(x, d=self.x_train.shape[1]), self.x_train, self.gamma)
         return k @ self.alpha
 
@@ -184,8 +195,7 @@ class BaseSpec:
     def __post_init__(self):
         if self.kind not in ("ridge", "kernel"):
             raise ConfigError(f"unknown base regressor kind {self.kind!r}")
-        if not 0.0 < self.lam < np.inf:
-            raise ConfigError(f"lam must be finite and > 0, got {self.lam}")
+        _check_lam(self.lam)
 
 
 def _cv_folds(n: int) -> list:
@@ -306,11 +316,11 @@ def fit_base(x, y, spec: BaseSpec, rows: KernelRows | None = None):
     are reused. Non-finite inputs raise IllConditionedError.
     """
     x = as_matrix(x)
-    y = np.asarray(y, dtype=float)
+    y = as_vector(y, "y", x.shape[0])
     if rows is None:
         rows = KernelRows(x, keep_bases=False)
     elif rows.x is not x:
-        raise ValueError("rows were built from another x")
+        raise DimensionError("rows were built from another x")
     if x.shape[0] < 1:
         raise TooFewSamplesError("empty training set")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -346,12 +356,7 @@ class PropensityModel:
 
     def fit(self, x, a):
         x = as_matrix(x)
-        a = np.asarray(a, dtype=float)
-        if a.shape != (x.shape[0],):
-            raise DimensionError(f"a of shape {a.shape} is not an (n,) vector with "
-                                 f"one entry per row of x (n={x.shape[0]})")
-        if not np.all((a == 0) | (a == 1)):
-            raise DatasetError("treatment vector must hold only 0 and 1")
+        a = as_treatment(a, x.shape[0])
         if a.min() == a.max():
             raise TooFewSamplesError("both treatment classes must be present")
         xa = _augment(x)
@@ -370,6 +375,8 @@ class PropensityModel:
         return self
 
     def predict_proba(self, x):
+        if self.w is None:
+            raise UntrainedModelError("PropensityModel is not fitted")
         z = _augment(as_matrix(x, d=self.w.size - 1)) @ self.w
         return np.clip(_sigmoid(z), self.clip, 1.0 - self.clip)
 
@@ -451,8 +458,10 @@ def _fit_dr(ds: Dataset, spec: BaseSpec, split_seed: int) -> CateModel:
 def dr_pseudo_outcome(a, y, mu0, mu1, pi) -> np.ndarray:
     """The DR pseudo-outcome of treatments a and outcomes y from supplied
     nuisance values (oracle injection path), pi clipped as PropensityModel clips."""
-    a = np.asarray(a, dtype=float)
-    p = np.clip(np.asarray(pi, dtype=float), PropensityModel.clip, 1.0 - PropensityModel.clip)
+    a = as_vector(a, "a")
+    y, mu0, mu1, pi = (as_vector(v, name, a.size)
+                       for v, name in ((y, "y"), (mu0, "mu0"), (mu1, "mu1"), (pi, "pi")))
+    p = np.clip(pi, PropensityModel.clip, 1.0 - PropensityModel.clip)
     return a / p * (y - mu1) + mu1 - (1.0 - a) / (1.0 - p) * (y - mu0) - mu0
 
 

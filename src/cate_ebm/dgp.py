@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError, DatasetError, DimensionError, TooFewSamplesError
-from .numerics import Mlp, as_matrix, make_rng
+from .errors import ConfigError, CsvFormatError, DatasetError, DimensionError, TooFewSamplesError
+from .numerics import Mlp, as_matrix, as_vector, make_rng
 
 _FLOAT_FMT = "%.17g"
 _ORACLE = ("tau", "mu0", "mu1", "pi")
@@ -47,6 +47,16 @@ class DgpSpec:
         return 1.0 / (1.0 + np.exp(-z))
 
 
+def as_treatment(a, n: int) -> np.ndarray:
+    """a as an int (n,) vector of 0s and 1s: DimensionError for another shape
+    (as_vector), DatasetError for any other value."""
+    a = as_vector(a, "a", n)
+    # checked before the cast, which would turn 0.6 into a silent 0
+    if not np.all((a == 0) | (a == 1)):
+        raise DatasetError("treatment vector must hold only 0 and 1")
+    return a.astype(int)
+
+
 @dataclass
 class Dataset:
     x: np.ndarray
@@ -60,17 +70,8 @@ class Dataset:
 
     def __post_init__(self):
         self.x = as_matrix(self.x)
-        a = np.asarray(self.a)
-        self.y = np.asarray(self.y, dtype=float)
-        n = self.x.shape[0]
-        for name, v in (("a", a), ("y", self.y)):
-            if v.shape != (n,):
-                raise DimensionError(f"{name} of shape {v.shape} is not an (n,) vector with "
-                                     f"one entry per row of x (n={n})")
-        # checked before the cast, which would turn 0.6 into a silent 0
-        if not np.all((a == 0) | (a == 1)):
-            raise DatasetError("treatment vector must hold only 0 and 1")
-        self.a = np.asarray(a, dtype=int)
+        self.a = as_treatment(self.a, self.n)
+        self.y = as_vector(self.y, "y", self.n)
 
     @property
     def n(self) -> int:
@@ -108,7 +109,7 @@ def gen_dgp(seed: int, d: int) -> DgpSpec:
         mean_pi = float(spec.pi(check_u).mean())
         if overlap_margin < mean_pi < 1.0 - overlap_margin:
             return spec
-    raise RuntimeError(f"no seed with acceptable overlap after {max_tries} tries")
+    raise ConfigError(f"no seed with acceptable overlap after {max_tries} tries")
 
 
 def sample(dgp: DgpSpec, n: int, seed: int) -> Dataset:
@@ -118,7 +119,7 @@ def sample(dgp: DgpSpec, n: int, seed: int) -> Dataset:
     all-control, then raises TooFewSamplesError.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise TooFewSamplesError(f"need n >= 2, got n={n}")
     for attempt in range(5):
         rng = make_rng(seed + attempt * 7_919)
         u = rng.standard_normal((n, dgp.latent_dim))

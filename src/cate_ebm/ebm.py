@@ -16,7 +16,8 @@ import zlib
 
 import numpy as np
 
-from .errors import DimensionError, IllConditionedError, ModelFileError, UntrainedModelError
+from .errors import (ConfigError, DimensionError, IllConditionedError, ModelFileError,
+                     UntrainedModelError)
 from .numerics import Mlp, standardize_columns
 from .partition import PartitionModel
 
@@ -70,9 +71,9 @@ class EbmModel(Encoder):
             raise DimensionError(f"partition width {partition.d} is not net input {net.in_dim}")
         err = np.max(np.abs(b_matrix @ b_matrix.T - np.eye(k)))
         if not err <= 1e-8:  # a NaN deviation fails too
-            raise ValueError(f"B is not orthogonal (max deviation {err:.2e})")
+            raise ConfigError(f"B is not orthogonal (max deviation {err:.2e})")
         if repr_std is not None and np.any(np.asarray(repr_std) <= 0):
-            raise ValueError("repr_std entries must be positive")
+            raise ConfigError("repr_std entries must be positive")
         super().__init__(net)
         self.b_matrix = np.asarray(b_matrix, dtype=float)
         self.partition = partition

@@ -53,8 +53,9 @@ class CsvFormatError(CateEbmError, ValueError):
 
 
 class DatasetError(CateEbmError, ValueError):
-    """A Dataset's treatment vector holds a value other than 0 or 1."""
+    """A treatment vector (dgp.as_treatment) holds a value other than 0 or 1."""
 
 
 class ConfigError(CateEbmError, ValueError):
-    """Invalid experiment configuration."""
+    """Invalid experiment configuration, or an invalid setting passed to the
+    library (a ridge penalty, a k, an EbmModel's B or representation scale)."""

@@ -35,7 +35,7 @@ import numpy as np
 from .ebm import EbmModel
 from .errors import (ConfigError, DimensionError, IllConditionedError, TooFewSamplesError,
                      TrainingDivergedError)
-from .numerics import Adam, Mlp, as_matrix, make_rng, random_orthogonal
+from .numerics import Adam, Mlp, as_matrix, as_vector, make_rng, random_orthogonal
 from .partition import kmeans_fit
 
 
@@ -110,9 +110,9 @@ def build_candidates(rows, labels, rho, b, rng) -> CandidateSet:
     _check_corruption(b=b)
     rows = as_matrix(rows, "rows")
     m, d = rows.shape
-    labels = np.asarray(labels)
-    if labels.shape != (m,) or not np.all(labels % 1 == 0):
-        raise DimensionError(f"labels must be {m} integers, one per row")
+    labels = as_vector(labels, "labels", m)
+    if not np.all(labels % 1 == 0):
+        raise DimensionError("labels must be integers")
     if m * (int(b) + 1) * d > np.iinfo(np.intp).max:  # numpy cannot index it
         raise ConfigError(f"{m} candidate sets of {b} + 1 rows of {d} features "
                           "exceed numpy's index range; lower b")
@@ -144,7 +144,7 @@ def nce_loss(model: EbmModel, batch: CandidateSet, with_grads: bool = True):
     """
     m = len(batch)
     if m == 0:
-        raise ValueError("batch must be non-empty")
+        raise TooFewSamplesError("batch must be non-empty")
     # the output bias adds one constant to all candidates of a set and cancels
     # from its softmax; scoring without it keeps the loss from moving with the
     # bias even by round-off

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateColumnError,
     DimensionError,
     TooFewSamplesError,
@@ -31,6 +32,16 @@ def as_matrix(x, what: str = "x", d: int | None = None) -> np.ndarray:
         rule = "(n, d) matrix, d >= 1" if d is None else f"(n, {d}) matrix"
         raise DimensionError(f"{what} of shape {x.shape} is not an {rule}")
     return x
+
+
+def as_vector(v, what: str, n: int | None = None) -> np.ndarray:
+    """v as a float (n,) vector, one entry per row of x, of any length when n
+    is None; any other shape raises DimensionError."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or n not in (None, v.size):
+        rule = "" if n is None else f" with one entry per row of x (n={n})"
+        raise DimensionError(f"{what} of shape {v.shape} is not an (n,) vector{rule}")
+    return v
 
 
 def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,7 +219,7 @@ def grad_check(loss_fn, theta, h=1e-5, max_entries=10_000, seed=0):
     Above max_entries parameters a seeded subsample of entries is checked.
     """
     if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+        raise ConfigError(f"finite-difference step must be > 0, got h={h}")
     _, grad = loss_fn(theta)
     entries = range(theta.size)
     if theta.size > max_entries:

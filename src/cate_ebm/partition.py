@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, TooFewSamplesError
+from .errors import ConfigError, IllConditionedError, TooFewSamplesError
 from .numerics import as_matrix, sq_dists
 
 
@@ -75,7 +75,7 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
     x = as_matrix(x)
     n = x.shape[0]
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError(f"k must be >= 1, got {k}")
     if n < k:
         raise TooFewSamplesError(f"n={n} < k={k}")
     max_iter, tol = 100, 1e-8

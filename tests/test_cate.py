@@ -75,6 +75,14 @@ class TestRidge:
         with pytest.raises(ValueError):
             Ridge(0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("make", [Ridge, lambda lam: KernelRidge(lam, 1.0)],
+                             ids=["Ridge", "KernelRidge"])
+    def test_lam_takes_base_spec_rule(self, make, lam):
+        # NaN compares false with everything: `lam <= 0` alone lets it reach the solve
+        with pytest.raises(ConfigError, match="lam must be finite and > 0"):
+            make(lam)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gram matrix overflows
     def test_overflowed_gram_is_ill_conditioned(self):
         # the Cholesky factor of the inf Gram matrix used to zero that column's weight
@@ -199,6 +207,13 @@ def test_median_gamma_of_identical_rows_is_floored():
 def test_median_gamma_needs_two_rows(n):
     with pytest.raises(TooFewSamplesError, match=">= 2 rows"):
         median_gamma(np.zeros((n, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_median_gamma_of_non_finite_rows_is_ill_conditioned(bad):
+    # such a row's distances are NaN, and a NaN median would pass for a kernel width
+    with pytest.raises(IllConditionedError, match="non-finite"):
+        median_gamma(np.array([[bad], [1.0], [2.0]]))
 
 
 def test_kernel_arm_of_one_row_raises():

@@ -1,8 +1,13 @@
-"""The package needs numpy alone: every module of src/cate_ebm imports only
-numpy, __future__, the standard library and its own modules, so a stray
-third-party import fails here and not first in a numpy-only install."""
+"""Static checks over the modules of src/cate_ebm.
+
+The package needs numpy alone: every module imports only numpy, __future__,
+the standard library and its own modules, so a stray third-party import fails
+here and not first in a numpy-only install. And every error the package
+raises is a CateEbmError, which carries its exit code: no module raises a
+builtin exception class."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -25,3 +30,25 @@ def test_modules_import_only_numpy_and_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert not outside, f"imports beyond numpy and the standard library: {outside}"
+
+
+# (module, raised expression) of the one builtin raise the package keeps:
+# config._apply_file turns _parse_bool's ValueError into a ConfigError
+CAUGHT_INSIDE = {("config.py", "ValueError(raw)")}
+
+
+def _builtin_exception(expr) -> bool:
+    name = expr.func if isinstance(expr, ast.Call) else expr
+    cls = getattr(builtins, name.id, None) if isinstance(name, ast.Name) else None
+    return isinstance(cls, type) and issubclass(cls, BaseException)
+
+
+def test_no_module_raises_a_builtin_exception():
+    builtin = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (isinstance(node, ast.Raise) and node.exc is not None
+                    and _builtin_exception(node.exc)
+                    and (path.name, ast.unparse(node.exc)) not in CAUGHT_INSIDE):
+                builtin.append(f"{path.name}:{node.lineno}: raise {ast.unparse(node.exc)}")
+    assert not builtin, f"builtin exceptions raised instead of a CateEbmError: {builtin}"

@@ -4,24 +4,32 @@ import pytest
 from cate_ebm import (
     Adam,
     BaseSpec,
+    CandidateSet,
     Dataset,
+    EbmModel,
     KernelRidge,
     Mlp,
+    PartitionModel,
     Ridge,
     build_candidates,
+    dr_pseudo_outcome,
     fit_learner,
+    gen_dgp,
     grad_check,
     kmeans_fit,
     make_rng,
     mcc,
     median_gamma,
+    nce_loss,
     pca_fit,
     propensity_fit,
     random_orthogonal,
+    sample,
     standardize_columns,
 )
 from cate_ebm import cate, numerics
-from cate_ebm.errors import DegenerateColumnError, DimensionError, TrainingDivergedError
+from cate_ebm.errors import (CateEbmError, ConfigError, DegenerateColumnError, DimensionError,
+                             TooFewSamplesError, TrainingDivergedError, UntrainedModelError)
 
 
 def _one_line_sq_dists(xa, xb):
@@ -178,6 +186,32 @@ def test_matrix_without_columns_rejected(call):
         call()
 
 
+_X20 = make_rng(0).standard_normal((20, 2))
+_A20, _Y20 = np.arange(20) % 2, np.zeros(20)
+_SHORT = np.zeros(19)  # one entry short of x's 20 rows
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Dataset(x=_X20, a=_SHORT, y=_Y20),
+    lambda: Dataset(x=_X20, a=_A20, y=_SHORT),
+    lambda: propensity_fit(_X20, _SHORT),
+    lambda: cate.fit_base(_X20, _SHORT, BaseSpec(kind="kernel")),
+    lambda: cate.fit_base(_X20, _SHORT, BaseSpec(kind="ridge")),
+    lambda: Ridge(0.1).fit(_X20, _SHORT),
+    lambda: Ridge(0.1).fit(_X20, _Y20, weights=_SHORT),
+    lambda: KernelRidge(0.1, 1.0).fit(_X20, _SHORT),
+    lambda: KernelRidge(0.1, 1.0).fit(_X20, _Y20, weights=_SHORT),
+    lambda: dr_pseudo_outcome(_A20, _SHORT, _Y20, _Y20, _Y20 + 0.5),
+    lambda: build_candidates(_X20, _SHORT, 0.5, 2, make_rng(0)),
+], ids=["Dataset-a", "Dataset-y", "PropensityModel.fit", "fit_base-kernel", "fit_base-ridge",
+        "Ridge.fit-y", "Ridge.fit-weights", "KernelRidge.fit-y", "KernelRidge.fit-weights",
+        "dr_pseudo_outcome", "build_candidates"])
+def test_vector_of_another_length_rejected(call):
+    with pytest.raises(DimensionError, match=r"of shape \(19,\) is not an \(n,\) vector "
+                                             r"with one entry per row of x \(n=20\)$"):
+        call()
+
+
 @pytest.fixture(scope="module")
 def fitted_on_3():
     """One fitted object of each kind that takes x, all on 3 covariates."""
@@ -210,6 +244,39 @@ def test_x_of_another_width_rejected(fitted_on_3, call):
     # a fitted object names the width it was fitted on
     with pytest.raises(DimensionError, match=r"\(n, 3\) matrix$"):
         call(fitted_on_3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Ridge(0.1).predict(np.zeros((2, 2))),
+    lambda: KernelRidge(0.1, 1.0).predict(np.zeros((2, 2))),
+    lambda: cate.PropensityModel().predict_proba(np.zeros((2, 2))),
+], ids=["Ridge.predict", "KernelRidge.predict", "PropensityModel.predict_proba"])
+def test_unfitted_model_rejected(call):
+    with pytest.raises(UntrainedModelError, match="is not fitted") as exc:
+        call()
+    assert exc.value.exit_code == 2
+
+
+def _ebm(**kwargs):
+    return EbmModel(net=Mlp([2, 3, 2]), b_matrix=np.eye(2),
+                    partition=PartitionModel(centroids=np.zeros((2, 2))), **kwargs)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: kmeans_fit(np.zeros((3, 2)), 0, make_rng(0)), ConfigError),
+    (lambda: grad_check(lambda t: (0.0, t), np.zeros(2), h=0.0), ConfigError),
+    (lambda: _ebm(repr_std=np.array([1.0, 0.0])), ConfigError),
+    (lambda: sample(gen_dgp(8, d=2), 1, 0), TooFewSamplesError),
+    (lambda: nce_loss(_ebm(), CandidateSet(np.zeros((0, 2, 2)), np.zeros(0, dtype=int))),
+     TooFewSamplesError),
+    (lambda: cate.fit_base(_X20.copy(), _Y20, BaseSpec(), cate.KernelRows(_X20)), DimensionError),
+], ids=["kmeans_fit-k0", "grad_check-h0", "EbmModel-repr_std", "sample-n1", "nce_loss-empty",
+        "fit_base-other-rows"])
+def test_input_errors_are_package_errors(call, error):
+    # a caller that catches CateEbmError (as cli.main does) must catch these too
+    with pytest.raises(error) as exc:
+        call()
+    assert isinstance(exc.value, CateEbmError) and exc.value.exit_code == 2
 
 
 class TestMlpBackward:
