@@ -85,12 +85,12 @@ def _sigmoid(z):
     return out
 
 
-def _check_lam(lam) -> float:
-    """The one check of a ridge penalty (BaseSpec, Ridge, KernelRidge): lam
-    itself if finite and > 0, else ConfigError."""
-    if not 0.0 < lam < np.inf:
-        raise ConfigError(f"lam must be finite and > 0, got {lam}")
-    return lam
+def _check_positive(value, name: str) -> float:
+    """The one check of a ridge penalty (BaseSpec, Ridge, KernelRidge) and a
+    kernel width (KernelRidge): value itself if finite and > 0, else ConfigError."""
+    if not 0.0 < value < np.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 class Ridge:
@@ -98,7 +98,7 @@ class Ridge:
     weights w it minimizes sum_i w_i (y_i - f(x_i))^2 + lam |coef|^2."""
 
     def __init__(self, lam: float):
-        self.lam = _check_lam(lam)
+        self.lam = _check_positive(lam, "lam")
         self.w = None
 
     def fit(self, x, y, weights=None):
@@ -146,8 +146,8 @@ class KernelRidge:
     the SPD system (S K S + lam I) beta = S y, S = diag(sqrt(w)); alpha = S beta."""
 
     def __init__(self, lam: float, gamma: float):
-        self.lam = _check_lam(lam)
-        self.gamma = gamma
+        self.lam = _check_positive(lam, "lam")
+        self.gamma = _check_positive(gamma, "gamma")
         self.x_train = None
         self.alpha = None
 
@@ -195,7 +195,7 @@ class BaseSpec:
     def __post_init__(self):
         if self.kind not in ("ridge", "kernel"):
             raise ConfigError(f"unknown base regressor kind {self.kind!r}")
-        _check_lam(self.lam)
+        _check_positive(self.lam, "lam")
 
 
 def _cv_folds(n: int) -> list:

@@ -3,9 +3,9 @@
 Every reducer (the energy model, the autoencoder, PCA) is an Encoder: a
 network whose outputs are standardized with the statistics of its training
 rows. A fitted energy model adds the fixed orthogonal matrix B (columns are
-the per-subset coefficient vectors) and the covariate partition. The
-per-subset score is the inner product of a B column with the network
-output; the normalizer of the implied density is never materialized.
+the per-subset coefficient vectors). The per-subset score is the inner
+product of a B column with the network output; the normalizer of the
+implied density is never materialized.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionError, IllConditionedError, ModelFileError,
                      UntrainedModelError)
-from .numerics import Mlp, standardize_columns
-from .partition import PartitionModel
+from .numerics import Mlp, as_vector, standardize_columns
 
 _MAGIC = b"PREB"
-_VERSION = 1
+_VERSION = 2
 
 
 class Encoder:
@@ -56,29 +55,32 @@ class Encoder:
         return (out - self.repr_mean) / self.repr_std
 
 
+def _statistic(v, what: str, k: int):
+    """A standardization statistic as a finite (k,) vector; None stays None."""
+    if v is None:
+        return None
+    v = as_vector(v, what)
+    if v.size != k or not np.isfinite(v).all():
+        raise ConfigError(f"{what} must hold {k} finite values, one per network output")
+    return v
+
+
 class EbmModel(Encoder):
-    def __init__(self, net: Mlp, b_matrix: np.ndarray, partition: PartitionModel,
-                 repr_mean=None, repr_std=None):
+    def __init__(self, net: Mlp, b_matrix: np.ndarray, repr_mean=None, repr_std=None):
         k = b_matrix.shape[0]
         if b_matrix.shape != (k, k):
             raise DimensionError("B must be square")
-        if net.out_dim != k or partition.k != k:
-            raise DimensionError(
-                f"net output {net.out_dim}, B dimension {k} and partition size "
-                f"{partition.k} must agree"
-            )
-        if partition.d != net.in_dim:
-            raise DimensionError(f"partition width {partition.d} is not net input {net.in_dim}")
+        if net.out_dim != k:
+            raise DimensionError(f"net output {net.out_dim} and B dimension {k} must agree")
         err = np.max(np.abs(b_matrix @ b_matrix.T - np.eye(k)))
         if not err <= 1e-8:  # a NaN deviation fails too
             raise ConfigError(f"B is not orthogonal (max deviation {err:.2e})")
-        if repr_std is not None and np.any(np.asarray(repr_std) <= 0):
-            raise ConfigError("repr_std entries must be positive")
         super().__init__(net)
         self.b_matrix = np.asarray(b_matrix, dtype=float)
-        self.partition = partition
-        self.repr_mean = None if repr_mean is None else np.asarray(repr_mean, dtype=float)
-        self.repr_std = None if repr_std is None else np.asarray(repr_std, dtype=float)
+        self.repr_mean = _statistic(repr_mean, "repr_mean", k)
+        self.repr_std = _statistic(repr_std, "repr_std", k)
+        if self.repr_std is not None and not (self.repr_std > 0).all():
+            raise ConfigError("repr_std entries must be positive")
 
     @property
     def k(self) -> int:
@@ -139,32 +141,20 @@ def _expect(a: np.ndarray, shape, what: str) -> None:
 
 
 def save_model(model: EbmModel, path) -> None:
-    """Versioned binary container, little-endian doubles, trailing CRC32."""
-    sections = []
-
-    part = struct.pack("<d", model.partition.inertia) + _pack_array(model.partition.centroids)
-    sections.append(part)
-    sections.append(_pack_array(model.b_matrix))
-
+    """Format 2: magic, version, then B, the network and the statistics as
+    length-prefixed sections of little-endian doubles, and a trailing CRC32."""
     net = struct.pack("<I", len(model.net.widths))
     net += b"".join(struct.pack("<I", w) for w in model.net.widths)
     for p in model.net.params:
         net += _pack_array(p)
-    sections.append(net)
 
     has_stats = model.repr_mean is not None and model.repr_std is not None
     stats = struct.pack("<B", 1 if has_stats else 0)
     if has_stats:
         stats += _pack_array(model.repr_mean) + _pack_array(model.repr_std)
-    sections.append(stats)
-
-    # d, k, a retired field (0) and a CRC32 of B, which older readers' mcc compares;
-    # load_model checks only d and k
-    b_crc = zlib.crc32(np.ascontiguousarray(model.b_matrix, dtype="<f8").tobytes())
-    sections.append(struct.pack("<IIIQ", model.d, model.k, 0, b_crc))
 
     body = _MAGIC + struct.pack("<H", _VERSION)
-    for sec in sections:
+    for sec in (_pack_array(model.b_matrix), net, stats):
         body += struct.pack("<I", len(sec)) + sec
     body += struct.pack("<I", zlib.crc32(body))
     with open(path, "wb") as fh:
@@ -172,6 +162,8 @@ def save_model(model: EbmModel, path) -> None:
 
 
 def load_model(path) -> EbmModel:
+    """An EbmModel from a format-2 file, or from a format-1 file, whose
+    partition and shape sections are skipped unread (its CRC32 covers them)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 10:
@@ -179,17 +171,19 @@ def load_model(path) -> EbmModel:
     if raw[:4] != _MAGIC:
         raise ModelFileError("not a model file (bad magic)")
     version = struct.unpack("<H", raw[4:6])[0]
-    if version != _VERSION:
-        raise ModelFileError(f"format version {version}, expected {_VERSION}")
+    if version not in (1, _VERSION):
+        raise ModelFileError(f"format version {version}, expected 1 or {_VERSION}")
     stored_crc = struct.unpack("<I", raw[-4:])[0]
     if zlib.crc32(raw[:-4]) != stored_crc:
         raise ModelFileError("CRC32 mismatch")
 
+    # format 1 puts a partition section before the three and a shape section after them
+    count, first = (3, 0) if version == _VERSION else (5, 1)
     rd = _Reader(raw[6:-4])
-    secs = [_Reader(rd.take(rd.u32())) for _ in range(5)]
+    secs = [_Reader(rd.take(rd.u32())) for _ in range(count)]
     rd.end("the file")
+    b_rd, net_rd, stats_rd = secs[first : first + 3]
 
-    net_rd = secs[2]
     widths = [net_rd.u32() for _ in range(net_rd.u32())]
     if len(widths) < 2:
         raise ModelFileError(f"{len(widths)} layer widths stored, need at least 2")
@@ -199,39 +193,22 @@ def load_model(path) -> EbmModel:
             params.append(net_rd.array())
             _expect(params[-1], shape, f"network parameter {len(params) - 1}")
     net_rd.end("the network section")
-    d, k = widths[0], widths[-1]
+    k = widths[-1]
 
-    part_rd = secs[0]
-    inertia = struct.unpack("<d", part_rd.take(8))[0]
-    centroids = part_rd.array()
-    _expect(centroids, (k, d), "the centroid matrix")
-    part_rd.end("the partition section")
-
-    b_matrix = secs[1].array()
+    b_matrix = b_rd.array()
     _expect(b_matrix, (k, k), "B")
-    secs[1].end("the B section")
+    b_rd.end("the B section")
 
-    stats_rd = secs[3]
     has_stats = struct.unpack("<B", stats_rd.take(1))[0]
     mean = std = None
     if has_stats:
         mean = stats_rd.array()
         std = stats_rd.array()
-        _expect(mean, (k,), "the representation mean")
-        _expect(std, (k,), "the representation std")
     stats_rd.end("the statistics section")
-
-    shape_d, shape_k, _, _ = struct.unpack("<IIIQ", secs[4].take(20))
-    secs[4].end("the shape section")
-    if (shape_d, shape_k) != (d, k):
-        raise ModelFileError(f"the shape section says d={shape_d}, k={shape_k}; the "
-                             f"layer widths say d={d}, k={k}")
 
     net = Mlp(widths)  # allocated only once the stored arrays match the widths
     net.flat[:] = np.concatenate([p.ravel() for p in params])
     try:
-        return EbmModel(net=net, b_matrix=b_matrix,
-                        partition=PartitionModel(centroids=centroids, inertia=inertia),
-                        repr_mean=mean, repr_std=std)
-    except ValueError as exc:  # e.g. a B that is not orthogonal
+        return EbmModel(net=net, b_matrix=b_matrix, repr_mean=mean, repr_std=std)
+    except ValueError as exc:  # e.g. a B that is not orthogonal, or a std entry of 0
         raise ModelFileError(f"inconsistent model file: {exc}") from exc

@@ -274,8 +274,9 @@ def train_runs(config: TrainConfig, seeds, make_run, x, labels, draw, split_rng,
 
 
 def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
-    """Fit partition, freeze B, then optimize one network per init seed on the
-    ranking loss; one EbmModel per seed, in the order of init_seeds.
+    """Fit the k-means partition of x, freeze B, then optimize one network per
+    init seed on the ranking loss; one EbmModel per seed, in the order of
+    init_seeds. The partition only labels the training rows; no model keeps it.
 
     Everything but the network init comes from config.seed and is shared by
     the runs: the partition, B, the split and every epoch's candidates and
@@ -315,8 +316,7 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
             raise DimensionError("provided B has the wrong shape")
 
     def make_run(seed):
-        model = EbmModel(net=Mlp([d, *config.hidden, k], rng=make_rng(seed)),
-                         b_matrix=b_matrix, partition=partition)
+        model = EbmModel(net=Mlp([d, *config.hidden, k], rng=make_rng(seed)), b_matrix=b_matrix)
         return model, [model.net], functools.partial(nce_loss, model)
 
     def draw(rows, rng):

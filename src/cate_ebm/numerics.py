@@ -24,10 +24,19 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def _floats(v, what: str) -> np.ndarray:
+    """v as a float array; input numpy cannot read as one raises DimensionError."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"{what} is not an array of numbers: {exc}") from None
+
+
 def as_matrix(x, what: str = "x", d: int | None = None) -> np.ndarray:
     """x as a float (n, d) matrix, one row per sample, with exactly d columns
-    when d is given and d >= 1 otherwise; any other shape raises DimensionError."""
-    x = np.asarray(x, dtype=float)
+    when d is given and d >= 1 otherwise; any other shape, or input that is
+    not numeric, raises DimensionError."""
+    x = _floats(x, what)
     if x.ndim != 2 or x.shape[1] < 1 or d not in (None, x.shape[1]):
         rule = "(n, d) matrix, d >= 1" if d is None else f"(n, {d}) matrix"
         raise DimensionError(f"{what} of shape {x.shape} is not an {rule}")
@@ -36,8 +45,8 @@ def as_matrix(x, what: str = "x", d: int | None = None) -> np.ndarray:
 
 def as_vector(v, what: str, n: int | None = None) -> np.ndarray:
     """v as a float (n,) vector, one entry per row of x, of any length when n
-    is None; any other shape raises DimensionError."""
-    v = np.asarray(v, dtype=float)
+    is None; any other shape, or input that is not numeric, raises DimensionError."""
+    v = _floats(v, what)
     if v.ndim != 1 or n not in (None, v.size):
         rule = "" if n is None else f" with one entry per row of x (n={n})"
         raise DimensionError(f"{what} of shape {v.shape} is not an (n,) vector{rule}")

@@ -62,7 +62,7 @@ def test_criterion_02_nce_gradient():
     part = kmeans_fit(x, 2, make_rng(2))
     net = Mlp([2, 3, 2], rng=make_rng(3))
     b = random_orthogonal(2, make_rng(42))
-    model = EbmModel(net=net, b_matrix=b, partition=part)
+    model = EbmModel(net=net, b_matrix=b)
     labels = part.assign(x)
     rng = make_rng(13)
     batch = build_candidates(x, labels, 0.5, 2, rng)
@@ -81,7 +81,7 @@ def test_criterion_03_chance_level():
     bmat = random_orthogonal(2, make_rng(42))
     worst = 0.0
     for b in (1, 3, 10):
-        model = EbmModel(net=Mlp([3, 4, 2]), b_matrix=bmat, partition=part)
+        model = EbmModel(net=Mlp([3, 4, 2]), b_matrix=bmat)
         labels = part.assign(x)
         rng = make_rng(b)
         batch = build_candidates(x, labels, 0.5, b, rng)
@@ -102,7 +102,6 @@ def test_criterion_04_bias_shift_invariance():
     shifted_net.params[-1] += np.array([3.0, -1.5, 0.25])
     raw = shifted_net.forward(train.x)
     shifted = EbmModel(net=shifted_net, b_matrix=model.b_matrix,
-                       partition=model.partition,
                        repr_mean=raw.mean(axis=0), repr_std=raw.std(axis=0))
 
     z1_tr, z1_te = model.represent(train.x), model.represent(test.x)

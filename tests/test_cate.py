@@ -136,6 +136,13 @@ class TestWeightedFits:
 
 
 class TestKernelRidge:
+    @pytest.mark.parametrize("gamma", [np.nan, -1.0, np.inf])
+    def test_gamma_takes_lam_rule(self, gamma):
+        # each used to reach the solve and exit 3 as a numeric failure
+        with pytest.raises(ConfigError, match="gamma must be finite and > 0") as exc:
+            KernelRidge(0.1, gamma)
+        assert exc.value.exit_code == 2
+
     def test_interpolates_with_tiny_lam(self):
         rng = make_rng(3)
         x = rng.standard_normal((40, 2))

@@ -1,5 +1,6 @@
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from cate_ebm import (
     EbmModel,
     Mlp,
-    PartitionModel,
     TrainConfig,
     kmeans_fit,
     load_model,
@@ -18,7 +18,6 @@ from cate_ebm import (
 )
 from cate_ebm.nce import _scores
 from cate_ebm.errors import (
-    DimensionError,
     IllConditionedError,
     ModelFileError,
     UntrainedModelError,
@@ -27,10 +26,9 @@ from cate_ebm.errors import (
 
 def _untrained_model(seed_net=3, seed_b=42, d=2, k=2, hidden=(3,)):
     x = make_rng(1).standard_normal((30, d))
-    part = kmeans_fit(x, k, make_rng(2))
     net = Mlp([d, *hidden, k], rng=make_rng(seed_net))
     b = random_orthogonal(k, make_rng(seed_b))
-    return EbmModel(net=net, b_matrix=b, partition=part), x
+    return EbmModel(net=net, b_matrix=b), x
 
 
 def _trained_model(seed=21, n=200, d=4, k=2):
@@ -54,17 +52,16 @@ class TestEnergy:
 
     def test_constant_net_k1(self):
         x = make_rng(1).standard_normal((10, 2))
-        part = kmeans_fit(x, 1, make_rng(2))
         net = Mlp([2, 1])
         net.params[1][...] = 3.5  # constant output via output bias
-        model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
+        model = EbmModel(net=net, b_matrix=np.array([[1.0]]))
         assert _energy(model, x[3], 0) == 3.5
         assert _energy(model, x[7], 0) == 3.5
 
     def test_two_path_evaluation(self):
         # the batched scores nce_loss softmaxes equal the one-vector form
         model, x = _untrained_model(seed_net=3, seed_b=42)
-        subset = model.partition.assign(x[:6])
+        subset = kmeans_fit(x, model.k, make_rng(2)).assign(x[:6])
         scores = _scores(model, model.net.forward(x[:6]), subset)  # 6 sets of 1
         for i in range(6):
             assert abs(scores[i, 0] - _energy(model, x[i], subset[i])) < 1e-14
@@ -108,7 +105,7 @@ class TestRepresent:
         mean = raw.mean(axis=0)
         std = raw.std(axis=0)
         shifted = EbmModel(net=shifted_net, b_matrix=model.b_matrix,
-                           partition=model.partition, repr_mean=mean, repr_std=std)
+                           repr_mean=mean, repr_std=std)
         assert np.abs(model.represent(x) - shifted.represent(x)).max() < 1e-10
 
     def test_row_permutation_equivariant(self):
@@ -128,7 +125,6 @@ class TestSerialization:
         for p1, p2 in zip(model.net.params, loaded.net.params):
             assert np.array_equal(p1, p2)
         assert np.array_equal(model.b_matrix, loaded.b_matrix)
-        assert np.array_equal(model.partition.centroids, loaded.partition.centroids)
         again = tmp_path / "again.preb"
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
@@ -145,7 +141,7 @@ class TestSerialization:
         import struct, zlib
         raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])))
         path.write_bytes(bytes(raw))
-        with pytest.raises(ModelFileError, match="format version 254, expected 1"):
+        with pytest.raises(ModelFileError, match="format version 253, expected 1 or 2"):
             load_model(path)
 
     def test_truncated_file_detected(self, tmp_path):
@@ -172,14 +168,20 @@ def _with_crc(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _rewrite(raw: bytes, edit) -> bytes:
-    """Split a model file into its sections, let edit(sections) change them
-    and return any bytes to append, then reassemble with a fresh CRC."""
+def _sections(raw: bytes) -> list:
+    """The length-prefixed sections between a model file's version and CRC32."""
     body, pos, secs = raw[6:-4], 0, []
     while pos < len(body):
         (length,) = struct.unpack_from("<I", body, pos)
         secs.append(bytearray(body[pos + 4 : pos + 4 + length]))
         pos += 4 + length
+    return secs
+
+
+def _rewrite(raw: bytes, edit) -> bytes:
+    """Split a model file into its sections, let edit(sections) change them
+    and return any bytes to append, then reassemble with a fresh CRC."""
+    secs = _sections(raw)
     tail = edit(secs)
     out = raw[:6] + b"".join(struct.pack("<I", len(s)) + bytes(s) for s in secs) + tail
     return _with_crc(out)
@@ -189,67 +191,69 @@ def _swap_u32(sec: bytearray, at: int) -> None:
     sec[at : at + 8] = sec[at + 4 : at + 8] + sec[at : at + 4]
 
 
+# format 2's sections: 0 is B, 1 the network, 2 the statistics
+
 def _swap_first_weight_dims(secs):
-    n_widths = struct.unpack_from("<I", secs[2])[0]
-    _swap_u32(secs[2], 4 + 4 * n_widths + 4)  # after the widths and ndim of W0
-    return b""
-
-
-def _swap_centroid_dims(secs):
-    _swap_u32(secs[0], 8 + 4)  # after the inertia double and ndim
+    n_widths = struct.unpack_from("<I", secs[1])[0]
+    _swap_u32(secs[1], 4 + 4 * n_widths + 4)  # after the widths and ndim of W0
     return b""
 
 
 def _grow_section(secs):
-    secs[4] += b"\x00"
-    return b""
-
-
-def _fingerprint_d99(secs):
-    struct.pack_into("<I", secs[4], 0, 99)  # d is the fingerprint's first field
+    secs[2] += b"\x00"
     return b""
 
 
 def _many_dims(secs):
-    secs[1][:] = struct.pack("<I", 65) + bytes(4 * 65)  # B as an empty 65-d array
+    secs[0][:] = struct.pack("<I", 65) + bytes(4 * 65)  # B as an empty 65-d array
     return b""
 
 
 def _nan_first_weight(secs):
-    n_widths = struct.unpack_from("<I", secs[2])[0]
-    struct.pack_into("<d", secs[2], 4 + 4 * n_widths + 12, np.nan)  # after W0's ndim and shape
+    n_widths = struct.unpack_from("<I", secs[1])[0]
+    struct.pack_into("<d", secs[1], 4 + 4 * n_widths + 12, np.nan)  # after W0's ndim and shape
     return b""
 
 
 def _nan_first_b(secs):
-    struct.pack_into("<d", secs[1], 12, np.nan)  # after B's ndim and shape
+    struct.pack_into("<d", secs[0], 12, np.nan)  # after B's ndim and shape
     return b""
 
 
 def _one_width(secs):
-    struct.pack_into("<I", secs[2], 0, 1)  # the stored count of layer widths
+    struct.pack_into("<I", secs[1], 0, 1)  # the stored count of layer widths
     return b""
 
 
 def _scale_first_b(secs):
-    (b00,) = struct.unpack_from("<d", secs[1], 12)
-    struct.pack_into("<d", secs[1], 12, 2.0 * b00)  # finite, but B is no longer orthogonal
+    (b00,) = struct.unpack_from("<d", secs[0], 12)
+    struct.pack_into("<d", secs[0], 12, 2.0 * b00)  # finite, but B is no longer orthogonal
     return b""
+
+
+def _set_statistic(at: int, value: float):
+    # the statistics section at k = 2: a flag byte, then the mean and the std,
+    # each an ndim, a shape and two doubles (25 bytes after the flag's offset 1)
+    def edit(secs):
+        struct.pack_into("<d", secs[2], at, value)
+        return b""
+    return edit
 
 
 @pytest.mark.parametrize("edit, message", [
     (_swap_first_weight_dims, r"network parameter 0 has shape \(\d+, \d+\), the layer widths"),
-    (_swap_centroid_dims, r"the centroid matrix has shape"),
-    (_grow_section, r"1 bytes after the last field of the shape section"),
+    (_grow_section, r"1 bytes after the last field of the statistics section"),
     (lambda secs: b"\x00", r"1 bytes after the last field of the file"),
-    (_fingerprint_d99, r"the shape section says d=99, k=2; the layer widths say d=4"),
     (_many_dims, r"an array with 65 dimensions"),
     (_nan_first_weight, r"network parameter 0 holds non-finite values"),
     (_nan_first_b, r"B holds non-finite values"),
     (_one_width, r"1 layer widths stored, need at least 2"),
     (_scale_first_b, r"inconsistent model file: B is not orthogonal"),
-], ids=["weight_shape", "centroid_shape", "section_tail", "file_tail", "fingerprint_d",
-        "many_dims", "nan_weight", "nan_b", "one_width", "b_not_orthogonal"])
+    (_set_statistic(9, np.inf), r"inconsistent model file: repr_mean must hold 2 finite values"),
+    (_set_statistic(33, np.nan), r"inconsistent model file: repr_std must hold 2 finite values"),
+    (_set_statistic(33, 0.0), r"inconsistent model file: repr_std entries must be positive"),
+], ids=["weight_shape", "section_tail", "file_tail", "many_dims", "nan_weight", "nan_b",
+        "one_width", "b_not_orthogonal", "inf_mean", "nan_std", "zero_std"])
 def test_malformed_layout_detected(tmp_path, edit, message):
     model, _ = _trained_model()
     path = tmp_path / "m.preb"
@@ -264,8 +268,8 @@ def test_malformed_layout_detected(tmp_path, edit, message):
 @pytest.mark.parametrize("damage, message", [
     (lambda raw: raw[:9], "file shorter than header"),
     (lambda raw: b"PRE?" + raw[4:], r"not a model file \(bad magic\)"),
-    (lambda raw: _with_crc(raw[:4] + struct.pack("<H", 2) + raw[6:-4]),
-     "format version 2, expected 1"),
+    (lambda raw: _with_crc(raw[:4] + struct.pack("<H", 3) + raw[6:-4]),
+     "format version 3, expected 1 or 2"),
     (lambda raw: raw[:-5] + bytes([raw[-5] ^ 0x01]) + raw[-4:], "CRC32 mismatch"),
     (lambda raw: _with_crc(raw[: len(raw) // 2]), "model file ended mid-section"),
 ], ids=["short", "magic", "version", "crc", "mid_section"])
@@ -278,39 +282,62 @@ def test_each_reader_check_names_itself(tmp_path, damage, message):
         load_model(path)
 
 
+def test_saved_model_holds_three_sections(tmp_path):
+    # B, the network and the statistics: nothing of the k-means partition
+    model, _ = _trained_model()
+    path = tmp_path / "m.preb"
+    save_model(model, path)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<H", raw, 4)[0] == 2
+    assert len(_sections(raw)) == 3
+
+
 @pytest.mark.parametrize("bad", ["scaled", "nan"])
 def test_b_must_be_orthogonal(bad):
     model, _ = _untrained_model()
     b = model.b_matrix.copy()
     b[0, 0] = 2.0 * b[0, 0] if bad == "scaled" else np.nan
     with pytest.raises(ValueError, match="not orthogonal"):
-        EbmModel(net=model.net, b_matrix=b, partition=model.partition)
+        EbmModel(net=model.net, b_matrix=b)
 
 
-def test_partition_width_must_match_net_input():
-    # a 5-wide partition under a 3-input net would be saved as a file load_model rejects
-    with pytest.raises(DimensionError, match="partition width 5 is not net input 3"):
-        EbmModel(net=Mlp([3, 4, 2]), b_matrix=np.eye(2),
-                 partition=PartitionModel(centroids=np.zeros((2, 5))))
+# written by the format-1 save_model from _trained_model(): five sections, the
+# partition, B, the network, the statistics and the shape section (d, k, a
+# retired field and a CRC32 of B)
+_V1 = Path(__file__).parent / "data" / "model_v1.preb"
+
+
+def _same_model(a, b) -> None:
+    for got, want in [(a.net.flat, b.net.flat), (a.b_matrix, b.b_matrix),
+                      (a.repr_mean, b.repr_mean), (a.repr_std, b.repr_std)]:
+        assert np.array_equal(got, want)
+
+
+def test_v1_file_loads(tmp_path):
+    raw = _V1.read_bytes()
+    secs = _sections(raw)
+    assert struct.unpack_from("<H", raw, 4)[0] == 1 and len(secs) == 5
+    old = load_model(_V1)
+    path = tmp_path / "m.preb"
+    save_model(old, path)
+    # the re-save is the old file without its first and last sections
+    assert path.read_bytes() == _with_crc(raw[:4] + struct.pack("<H", 2) + b"".join(
+        struct.pack("<I", len(s)) + bytes(s) for s in secs[1:4]))
+    _same_model(load_model(path), old)
 
 
 def _parent_era_field(secs):
-    # files written before the field was retired carry a corruption hash there
-    # (83871335 at rho=0.5, b=5, d=20)
+    # format-1 files written before the field was retired carry a corruption
+    # hash there (83871335 at rho=0.5, b=5, d=20)
     struct.pack_into("<I", secs[4], 8, 83871335)  # after d and k
     return b""
 
 
 def test_retired_field_ignored(tmp_path):
-    model, x = _trained_model()
-    path = tmp_path / "m.preb"
-    save_model(model, path)
-    raw = path.read_bytes()
+    raw = _V1.read_bytes()
     assert struct.unpack_from("<I", raw, len(raw) - 16)[0] == 0
     old = _rewrite(raw, _parent_era_field)
     assert old != raw
+    path = tmp_path / "m.preb"
     path.write_bytes(old)
-    loaded = load_model(path)
-    assert np.array_equal(loaded.represent(x), model.represent(x))
-    assert np.array_equal(loaded.b_matrix, model.b_matrix)
-    assert np.array_equal(loaded.net.flat, model.net.flat)
+    _same_model(load_model(path), load_model(_V1))

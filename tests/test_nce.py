@@ -31,10 +31,14 @@ from cate_ebm.nce import CandidateSet, _scores, _stratified_batches
 
 def _toy_model(d=2, k=2, hidden=(3,), net_seed=3, b_seed=42, n=30):
     x = make_rng(1).standard_normal((n, d))
-    part = kmeans_fit(x, k, make_rng(2))
     net = Mlp([d, *hidden, k], rng=make_rng(net_seed))
     b = random_orthogonal(k, make_rng(b_seed))
-    return EbmModel(net=net, b_matrix=b, partition=part), x
+    return EbmModel(net=net, b_matrix=b), x
+
+
+def _toy_labels(model, x):
+    """Each row's subset in a k-means partition of the toy's rows x."""
+    return kmeans_fit(x, model.k, make_rng(2)).assign(x)
 
 
 class TestCorrupt:
@@ -177,7 +181,7 @@ class TestSubsetLabels:
     @pytest.mark.parametrize("label", [-1, 2])
     def test_label_outside_k_rejected(self, label):
         model, x = _toy_model(k=2)
-        labels = model.partition.assign(x[:6])
+        labels = _toy_labels(model, x)[:6]
         labels[3] = label
         batch = _rows(x[:6], 0.5, 2, 0, labels=labels)
         with pytest.raises(DimensionError):
@@ -204,11 +208,9 @@ class TestPosterior:
 
     def test_two_class_softmax_identity(self):
         # scores (s, s + ln 3) must give probabilities (0.25, 0.75)
-        x = make_rng(1).standard_normal((10, 1))
-        part = kmeans_fit(x, 1, make_rng(2))
         net = Mlp([1, 1])
         net.params[0][...] = 1.0
-        model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
+        model = EbmModel(net=net, b_matrix=np.array([[1.0]]))
         s = 0.7
         cs = CandidateSet(values=np.array([[[s], [s + math.log(3.0)]]]), subset=np.array([0]))
         p = _posterior(model, cs)
@@ -216,7 +218,7 @@ class TestPosterior:
 
     def test_matches_high_precision_oracle(self):
         model, x = _toy_model(net_seed=11)
-        cs = _rows(x[:8], 0.5, 2, 11, labels=model.partition.assign(x[:8]))
+        cs = _rows(x[:8], 0.5, 2, 11, labels=_toy_labels(model, x)[:8])
         p = _posterior(model, cs)
         for i in range(8):
             # per candidate: B column of its subset against the net output
@@ -238,7 +240,7 @@ class TestPosterior:
 
 
 def _batch(model, x, rho, b, seed=13):
-    return build_candidates(x, model.partition.assign(x), rho, b, make_rng(seed))
+    return build_candidates(x, _toy_labels(model, x), rho, b, make_rng(seed))
 
 
 class TestNceLoss:
@@ -249,11 +251,9 @@ class TestNceLoss:
         assert abs(loss - math.log(4.0)) <= 1e-12
 
     def test_perfect_separator_loss_vanishes(self):
-        x = make_rng(1).standard_normal((10, 1))
-        part = kmeans_fit(x, 1, make_rng(2))
         net = Mlp([1, 1])
         net.params[0][...] = 1.0
-        model = EbmModel(net=net, b_matrix=np.array([[1.0]]), partition=part)
+        model = EbmModel(net=net, b_matrix=np.array([[1.0]]))
         # true candidate leads every decoy by a score gap of 50
         cs = CandidateSet(values=np.array([[[50.0], [0.0], [0.0]]]), subset=np.array([0]))
         loss = nce_loss(model, cs, with_grads=False)
@@ -285,9 +285,8 @@ class TestNceLoss:
         """One forward/backward over a mixed-subset batch equals the sum of
         per-set terms, each with its own forward, backward and weight."""
         x = make_rng(41).standard_normal((90, 4))
-        part = kmeans_fit(x, 3, make_rng(42))
         model = EbmModel(net=Mlp([4, 7, 5, 3], rng=make_rng(43)),
-                         b_matrix=random_orthogonal(3, make_rng(44)), partition=part)
+                         b_matrix=random_orthogonal(3, make_rng(44)))
         labels = np.repeat([2, 0, 1], [5, 12, 23])  # unequal subset sizes
         batch = build_candidates(x[:40], labels, 0.5, 3, make_rng(45))
         loss, grad = nce_loss(model, batch)
@@ -315,9 +314,9 @@ class TestNceLoss:
         loss and gradient are nce_loss's up to round-off."""
         x = make_rng(60 + seed).standard_normal((30, 4))
         model = EbmModel(net=Mlp([4, 6, 3], rng=make_rng(61 + seed)),
-                         b_matrix=random_orthogonal(3, make_rng(62 + seed)),
-                         partition=kmeans_fit(x, 3, make_rng(63 + seed)))
-        batch = build_candidates(x, model.partition.assign(x), 0.5, 4, make_rng(64 + seed))
+                         b_matrix=random_orthogonal(3, make_rng(62 + seed)))
+        labels = kmeans_fit(x, 3, make_rng(63 + seed)).assign(x)
+        batch = build_candidates(x, labels, 0.5, 4, make_rng(64 + seed))
         loss, grad = nce_loss(model, batch)
 
         counts = np.bincount(batch.subset)
@@ -344,8 +343,7 @@ class TestNceLoss:
         {0, 2} out of k=3, each set weighs 1 / (m_j * 2)."""
         x = make_rng(51).standard_normal((40, 3))
         model = EbmModel(net=Mlp([3, 6, 3], rng=make_rng(52)),
-                         b_matrix=random_orthogonal(3, make_rng(53)),
-                         partition=kmeans_fit(x, 3, make_rng(54)))
+                         b_matrix=random_orthogonal(3, make_rng(53)))
         batch = build_candidates(x, np.repeat([2, 0], [9, 31]), 0.5, 2, make_rng(55))
         p = _posterior(model, batch)
         logp = np.log(p[:, 0])

@@ -9,7 +9,6 @@ from cate_ebm import (
     EbmModel,
     KernelRidge,
     Mlp,
-    PartitionModel,
     Ridge,
     build_candidates,
     dr_pseudo_outcome,
@@ -212,6 +211,17 @@ def test_vector_of_another_length_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("call, what", [
+    (lambda: Ridge(0.1).fit(_X20, ["a"] * 20), "y"),
+    (lambda: Dataset(x=[[1.0, 2.0], [3.0]], a=[0, 1], y=[0, 0]), "x"),
+    (lambda: numerics.as_vector({"a": 1.0}, "weights"), "weights"),
+], ids=["Ridge.fit-strings", "Dataset-ragged", "as_vector-dict"])
+def test_non_numeric_input_rejected(call, what):
+    with pytest.raises(DimensionError, match=rf"^{what} is not an array of numbers: ") as exc:
+        call()
+    assert exc.value.exit_code == 2
+
+
 @pytest.fixture(scope="module")
 def fitted_on_3():
     """One fitted object of each kind that takes x, all on 3 covariates."""
@@ -258,20 +268,24 @@ def test_unfitted_model_rejected(call):
 
 
 def _ebm(**kwargs):
-    return EbmModel(net=Mlp([2, 3, 2]), b_matrix=np.eye(2),
-                    partition=PartitionModel(centroids=np.zeros((2, 2))), **kwargs)
+    return EbmModel(net=Mlp([2, 3, 2]), b_matrix=np.eye(2), **kwargs)
 
 
 @pytest.mark.parametrize("call, error", [
     (lambda: kmeans_fit(np.zeros((3, 2)), 0, make_rng(0)), ConfigError),
     (lambda: grad_check(lambda t: (0.0, t), np.zeros(2), h=0.0), ConfigError),
     (lambda: _ebm(repr_std=np.array([1.0, 0.0])), ConfigError),
+    (lambda: _ebm(repr_mean=[0.0, 0.0], repr_std=[np.nan, 1.0]), ConfigError),
+    (lambda: _ebm(repr_mean=[np.inf, 0.0]), ConfigError),
+    (lambda: _ebm(repr_mean=[0.0]), ConfigError),
+    (lambda: _ebm(repr_std=[1.0]), ConfigError),
     (lambda: sample(gen_dgp(8, d=2), 1, 0), TooFewSamplesError),
     (lambda: nce_loss(_ebm(), CandidateSet(np.zeros((0, 2, 2)), np.zeros(0, dtype=int))),
      TooFewSamplesError),
     (lambda: cate.fit_base(_X20.copy(), _Y20, BaseSpec(), cate.KernelRows(_X20)), DimensionError),
-], ids=["kmeans_fit-k0", "grad_check-h0", "EbmModel-repr_std", "sample-n1", "nce_loss-empty",
-        "fit_base-other-rows"])
+], ids=["kmeans_fit-k0", "grad_check-h0", "EbmModel-repr_std", "EbmModel-repr_std-nan",
+        "EbmModel-repr_mean-inf", "EbmModel-repr_mean-1", "EbmModel-repr_std-1", "sample-n1",
+        "nce_loss-empty", "fit_base-other-rows"])
 def test_input_errors_are_package_errors(call, error):
     # a caller that catches CateEbmError (as cli.main does) must catch these too
     with pytest.raises(error) as exc:
