@@ -27,14 +27,7 @@ from .nce import (
     train_ebm,
     train_ebms,
 )
-from .numerics import (
-    Adam,
-    Mlp,
-    grad_check,
-    make_rng,
-    random_orthogonal,
-    standardize_columns,
-)
+from .numerics import Adam, Mlp, grad_check, make_rng, random_orthogonal
 from .partition import PartitionModel, kmeans_fit
 
 __version__ = "0.1.0"

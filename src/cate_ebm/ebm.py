@@ -16,9 +16,9 @@ import zlib
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, IllConditionedError, ModelFileError,
-                     UntrainedModelError)
-from .numerics import Mlp, as_vector, standardize_columns
+from .errors import (ConfigError, DegenerateColumnError, DimensionError, IllConditionedError,
+                     ModelFileError, TooFewSamplesError, UntrainedModelError)
+from .numerics import Mlp, as_matrix, as_vector
 
 _MAGIC = b"PREB"
 _VERSION = 2
@@ -37,9 +37,17 @@ class Encoder:
         self.best_val_loss = None
 
     def standardize_on(self, x) -> "Encoder":
-        """Take the standardization statistics from the network's outputs on
-        the training rows x; returns self."""
-        _, self.repr_mean, self.repr_std = standardize_columns(self.net.forward(x))
+        """Take the mean and population std (divisor n) of each of the network's
+        outputs on the training rows x; returns self. Fewer than 2 rows raise
+        TooFewSamplesError, a zero-variance output j DegenerateColumnError(j)."""
+        out = as_matrix(self.net.forward(x), "a matrix to standardize")
+        if out.shape[0] < 2:
+            raise TooFewSamplesError("standardization needs at least 2 rows")
+        mean, std = out.mean(axis=0), out.std(axis=0)
+        flat = np.flatnonzero(std == 0.0)
+        if flat.size:
+            raise DegenerateColumnError(int(flat[0]))
+        self.repr_mean, self.repr_std = mean, std
         return self
 
     def represent(self, x) -> np.ndarray:
@@ -67,6 +75,7 @@ def _statistic(v, what: str, k: int):
 
 class EbmModel(Encoder):
     def __init__(self, net: Mlp, b_matrix: np.ndarray, repr_mean=None, repr_std=None):
+        b_matrix = as_matrix(b_matrix, "B")
         k = b_matrix.shape[0]
         if b_matrix.shape != (k, k):
             raise DimensionError("B must be square")
@@ -76,7 +85,7 @@ class EbmModel(Encoder):
         if not err <= 1e-8:  # a NaN deviation fails too
             raise ConfigError(f"B is not orthogonal (max deviation {err:.2e})")
         super().__init__(net)
-        self.b_matrix = np.asarray(b_matrix, dtype=float)
+        self.b_matrix = b_matrix
         self.repr_mean = _statistic(repr_mean, "repr_mean", k)
         self.repr_std = _statistic(repr_std, "repr_std", k)
         if self.repr_std is not None and not (self.repr_std > 0).all():

@@ -19,19 +19,21 @@ import numpy as np
 from .cate import BaseSpec, fit_learners
 from .dgp import Dataset
 from .ebm import Encoder
-from .errors import CateEbmError, DegenerateColumnError, DimensionError, IllConditionedError
+from .errors import (CateEbmError, DegenerateColumnError, DimensionError, IllConditionedError,
+                     TooFewSamplesError)
 from .nce import TrainConfig, train_ebms, train_runs
-from .numerics import Mlp, as_matrix, make_rng
+from .numerics import Mlp, as_matrix, as_vector, make_rng
 
 _FMT = "%.10g"
 
 
 def pehe(tau_hat, tau_true) -> float:
-    """Mean squared difference between estimated and true effects."""
-    tau_hat = np.asarray(tau_hat, dtype=float)
-    tau_true = np.asarray(tau_true, dtype=float)
-    if tau_hat.shape != tau_true.shape:
-        raise DimensionError("effect vectors must have equal length")
+    """Mean squared difference between estimated and true effects, two (n,)
+    vectors with n >= 1."""
+    tau_true = as_vector(tau_true, "tau_true")
+    tau_hat = as_vector(tau_hat, "tau_hat", tau_true.size)
+    if tau_true.size == 0:
+        raise TooFewSamplesError("PEHE needs at least one effect")
     return float(np.mean((tau_hat - tau_true) ** 2))
 
 

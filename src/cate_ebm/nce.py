@@ -302,11 +302,10 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
     b_seed = int(master.integers(2**63))
     corrupt_base = int(master.integers(2**63))
 
-    partition = kmeans_fit(x, k, kmeans_rng)
+    labels = kmeans_fit(x, k, kmeans_rng).labels
     if np.spacing(np.abs(x).max()) >= 1.0:  # |x| >= 2**52: N(0, 1) noise cannot move it
         raise IllConditionedError("a covariate of magnitude 2**52 or more is not moved by the "
                                   "unit corruption noise; scale the covariates")
-    labels = partition.assign(x)
 
     if b_matrix is None:
         b_matrix = random_orthogonal(k, make_rng(b_seed))

@@ -1,6 +1,6 @@
-"""Numeric substrate: seeded RNG, random orthogonal matrices, a small MLP
-with manual backpropagation, Adam, a finite-difference gradient checker and
-column standardization.
+"""Numeric substrate: seeded RNG, the input checks, random orthogonal
+matrices, squared distances, a small MLP with manual backpropagation, Adam
+and a finite-difference gradient checker.
 
 Everything here is deterministic for a fixed seed: the RNG is PCG64, and
 reductions keep a fixed summation order.
@@ -10,13 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateColumnError,
-    DimensionError,
-    TooFewSamplesError,
-    TrainingDivergedError,
-)
+from .errors import ConfigError, DimensionError, TrainingDivergedError
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -129,11 +123,6 @@ class Mlp:
     def out_dim(self):
         return self.widths[-1]
 
-    def copy(self) -> "Mlp":
-        clone = Mlp(self.widths)
-        clone.flat[:] = self.flat
-        return clone
-
     def _layers(self, h, cache=None, out_bias=True):
         """Run the layers on h; appends every activation to cache if given.
         out_bias=False leaves the output layer's bias out."""
@@ -199,7 +188,7 @@ class Adam:
     """Adam with bias correction over one parameter vector, at the usual
     beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
 
-    def __init__(self, theta, lr=1e-3):
+    def __init__(self, theta, lr):
         self.lr = lr
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
@@ -245,20 +234,3 @@ def grad_check(loss_fn, theta, h=1e-5, max_entries=10_000, seed=0):
         scale = max(abs(numeric), abs(grad[j]), 1e-8)
         worst = max(worst, abs(numeric - grad[j]) / scale)
     return worst
-
-
-def standardize_columns(m: np.ndarray):
-    """Center and scale every column to mean 0, population variance 1.
-
-    Returns (standardized, means, stds). Raises DegenerateColumnError naming
-    the first zero-variance column.
-    """
-    m = as_matrix(m, "a matrix to standardize")
-    if m.shape[0] < 2:
-        raise TooFewSamplesError("standardization needs at least 2 rows")
-    means = m.mean(axis=0)
-    stds = m.std(axis=0)  # population convention, divisor n
-    for j, s in enumerate(stds):
-        if s == 0.0:
-            raise DegenerateColumnError(j)
-    return (m - means) / stds, means, stds

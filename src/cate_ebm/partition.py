@@ -1,9 +1,9 @@
 """Lloyd's k-means with k-means++ seeding.
 
 The subset count equals the representation dimension of the downstream
-model, so a fitted partition is the index structure for the per-subset
-energies. Deterministic for a fixed rng; ties in assignment break toward
-the lowest centroid index.
+model: a training row's subset picks the column of B that scores it.
+Deterministic for a fixed rng; ties in assignment break toward the lowest
+centroid index.
 """
 
 from __future__ import annotations
@@ -19,21 +19,9 @@ from .numerics import as_matrix, sq_dists
 @dataclass
 class PartitionModel:
     centroids: np.ndarray  # (k, d)
+    labels: np.ndarray  # (n,): nearest-centroid index of each fitted row
     inertia: float = 0.0
     history: list = field(default_factory=list, repr=False)
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.centroids.shape[1]
-
-    def assign(self, x: np.ndarray) -> np.ndarray:
-        """Nearest-centroid index of each row of the (n, d) matrix x."""
-        d2 = sq_dists(as_matrix(x, d=self.d), self.centroids)
-        return np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
 
 
 def _finite_total(d2) -> float:
@@ -68,9 +56,10 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
     """Lloyd iterations from a k-means++ start.
 
     Stops at an assignment fixpoint, when inertia improves by less than tol,
-    or after max_iter. An emptied cluster is re-seeded at the point farthest
-    from its current centroid. Distances whose sum is not finite (squares of
-    huge covariates overflow) raise IllConditionedError.
+    or after max_iter; labels and inertia come from a last assignment pass
+    against the final centroids. An emptied cluster is re-seeded at the point
+    farthest from its current centroid. Distances whose sum is not finite
+    (squares of huge covariates overflow) raise IllConditionedError.
     """
     x = as_matrix(x)
     n = x.shape[0]
@@ -104,6 +93,6 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
         prev_inertia = inertia
 
     d2 = sq_dists(x, centroids)
-    labels = np.argmin(d2, axis=1)
+    labels = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
     inertia = _finite_total(d2[np.arange(n), labels])
-    return PartitionModel(centroids=centroids, inertia=inertia, history=history)
+    return PartitionModel(centroids=centroids, labels=labels, inertia=inertia, history=history)

@@ -59,11 +59,10 @@ def test_criterion_01_orthogonality():
 
 def test_criterion_02_nce_gradient():
     x = make_rng(1).standard_normal((32, 2))
-    part = kmeans_fit(x, 2, make_rng(2))
+    labels = kmeans_fit(x, 2, make_rng(2)).labels
     net = Mlp([2, 3, 2], rng=make_rng(3))
     b = random_orthogonal(2, make_rng(42))
     model = EbmModel(net=net, b_matrix=b)
-    labels = part.assign(x)
     rng = make_rng(13)
     batch = build_candidates(x, labels, 0.5, 2, rng)
 
@@ -77,12 +76,11 @@ def test_criterion_02_nce_gradient():
 
 def test_criterion_03_chance_level():
     x = make_rng(1).standard_normal((40, 3))
-    part = kmeans_fit(x, 2, make_rng(2))
+    labels = kmeans_fit(x, 2, make_rng(2)).labels
     bmat = random_orthogonal(2, make_rng(42))
     worst = 0.0
     for b in (1, 3, 10):
         model = EbmModel(net=Mlp([3, 4, 2]), b_matrix=bmat)
-        labels = part.assign(x)
         rng = make_rng(b)
         batch = build_candidates(x, labels, 0.5, b, rng)
         loss = nce_loss(model, batch, with_grads=False)
@@ -98,7 +96,8 @@ def test_criterion_04_bias_shift_invariance():
     cfg = TrainConfig(k=3, b=5, rho=0.5, hidden=(20, 20), epochs=30, seed=41)
     model = train_ebm(train.x, cfg)
 
-    shifted_net = model.net.copy()
+    shifted_net = Mlp(model.net.widths)
+    shifted_net.flat[:] = model.net.flat
     shifted_net.params[-1] += np.array([3.0, -1.5, 0.25])
     raw = shifted_net.forward(train.x)
     shifted = EbmModel(net=shifted_net, b_matrix=model.b_matrix,
@@ -277,7 +276,7 @@ def test_criterion_10_kmeans_oracle():
         if cost < best_cost:
             best_cost, best_labels = cost, labels
     model = kmeans_fit(pts, 2, make_rng(3))
-    got = model.assign(pts)
+    got = model.labels
     exact = (np.array_equal(got, best_labels)
              or np.array_equal(got, 1 - best_labels))
     monotone = True

@@ -18,6 +18,7 @@ from cate_ebm import (
 )
 from cate_ebm.nce import _scores
 from cate_ebm.errors import (
+    DimensionError,
     IllConditionedError,
     ModelFileError,
     UntrainedModelError,
@@ -61,7 +62,7 @@ class TestEnergy:
     def test_two_path_evaluation(self):
         # the batched scores nce_loss softmaxes equal the one-vector form
         model, x = _untrained_model(seed_net=3, seed_b=42)
-        subset = kmeans_fit(x, model.k, make_rng(2)).assign(x[:6])
+        subset = kmeans_fit(x, model.k, make_rng(2)).labels[:6]
         scores = _scores(model, model.net.forward(x[:6]), subset)  # 6 sets of 1
         for i in range(6):
             assert abs(scores[i, 0] - _energy(model, x[i], subset[i])) < 1e-14
@@ -99,7 +100,8 @@ class TestRepresent:
 
     def test_output_bias_shift_invariant(self):
         model, x = _trained_model()
-        shifted_net = model.net.copy()
+        shifted_net = Mlp(model.net.widths)
+        shifted_net.flat[:] = model.net.flat
         shifted_net.params[-1] += np.array([2.0, -7.0])
         raw = shifted_net.forward(x)
         mean = raw.mean(axis=0)
@@ -299,6 +301,18 @@ def test_b_must_be_orthogonal(bad):
     b[0, 0] = 2.0 * b[0, 0] if bad == "scaled" else np.nan
     with pytest.raises(ValueError, match="not orthogonal"):
         EbmModel(net=model.net, b_matrix=b)
+
+
+def test_b_as_nested_list():
+    model = EbmModel(Mlp([2, 1]), [[1.0]])
+    assert isinstance(model.b_matrix, np.ndarray) and model.b_matrix.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("b", [[1.0], [[1.0, 0.0], [1.0]], [["a"]]],
+                         ids=["1-D", "ragged", "non-numeric"])
+def test_b_not_a_matrix_rejected(b):
+    with pytest.raises(DimensionError, match=r"^B "):
+        EbmModel(Mlp([2, 1]), b)
 
 
 # written by the format-1 save_model from _trained_model(): five sections, the

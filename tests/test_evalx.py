@@ -19,7 +19,8 @@ from cate_ebm import (
     train_ebms,
     write_table,
 )
-from cate_ebm.errors import DegenerateColumnError, DimensionError, IllConditionedError
+from cate_ebm.errors import (DegenerateColumnError, DimensionError, IllConditionedError,
+                             TooFewSamplesError)
 
 
 class TestPehe:
@@ -34,6 +35,18 @@ class TestPehe:
     def test_shape_guard(self):
         with pytest.raises(DimensionError):
             pehe(np.zeros(3), np.zeros(4))
+
+    def test_empty_is_too_few(self):
+        with pytest.raises(TooFewSamplesError):
+            pehe([], [])
+
+    @pytest.mark.parametrize("tau_hat, tau_true, match", [
+        ([1, 2], [1, "a"], "not an array of numbers"),
+        (np.zeros((3, 2)), np.zeros((3, 2)), r"is not an \(n,\) vector"),
+    ], ids=["non-numeric", "matrices"])
+    def test_not_effect_vectors_rejected(self, tau_hat, tau_true, match):
+        with pytest.raises(DimensionError, match=match):
+            pehe(tau_hat, tau_true)
 
 
 class TestMcc:

@@ -38,7 +38,7 @@ def _toy_model(d=2, k=2, hidden=(3,), net_seed=3, b_seed=42, n=30):
 
 def _toy_labels(model, x):
     """Each row's subset in a k-means partition of the toy's rows x."""
-    return kmeans_fit(x, model.k, make_rng(2)).assign(x)
+    return kmeans_fit(x, model.k, make_rng(2)).labels
 
 
 class TestCorrupt:
@@ -315,7 +315,7 @@ class TestNceLoss:
         x = make_rng(60 + seed).standard_normal((30, 4))
         model = EbmModel(net=Mlp([4, 6, 3], rng=make_rng(61 + seed)),
                          b_matrix=random_orthogonal(3, make_rng(62 + seed)))
-        labels = kmeans_fit(x, 3, make_rng(63 + seed)).assign(x)
+        labels = kmeans_fit(x, 3, make_rng(63 + seed)).labels
         batch = build_candidates(x, labels, 0.5, 4, make_rng(64 + seed))
         loss, grad = nce_loss(model, batch)
 

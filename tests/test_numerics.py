@@ -7,6 +7,7 @@ from cate_ebm import (
     CandidateSet,
     Dataset,
     EbmModel,
+    Encoder,
     KernelRidge,
     Mlp,
     Ridge,
@@ -24,7 +25,6 @@ from cate_ebm import (
     propensity_fit,
     random_orthogonal,
     sample,
-    standardize_columns,
 )
 from cate_ebm import cate, numerics
 from cate_ebm.errors import (CateEbmError, ConfigError, DegenerateColumnError, DimensionError,
@@ -169,7 +169,7 @@ _FLAT = np.zeros(6)  # 1-D: no column axis at all
     lambda: pca_fit(np.zeros((5, 0)), 0),
     lambda: Dataset(x=np.zeros((3, 0)), a=np.array([0, 1, 0]), y=np.zeros(3)),
     lambda: kmeans_fit(np.zeros((3, 0)), 1, make_rng(0)),
-    lambda: standardize_columns(np.zeros((3, 0))),
+    lambda: Encoder(Mlp([3, 0])).standardize_on(np.zeros((3, 3))),
     lambda: Ridge(0.1).fit(_FLAT, _FLAT),
     lambda: KernelRidge(0.1, 1.0).fit(_FLAT, _FLAT),
     lambda: propensity_fit(_FLAT, np.arange(6) % 2),
@@ -177,7 +177,7 @@ _FLAT = np.zeros(6)  # 1-D: no column axis at all
     lambda: cate.KernelRows(_FLAT),
     lambda: cate.fit_base(_FLAT, _FLAT, BaseSpec()),
     lambda: build_candidates(_FLAT, np.zeros(6), 0.5, 2, make_rng(0)),
-], ids=["as_matrix", "mcc", "pca_fit", "Dataset", "kmeans_fit", "standardize_columns",
+], ids=["as_matrix", "mcc", "pca_fit", "Dataset", "kmeans_fit", "Encoder.standardize_on",
         "Ridge.fit", "KernelRidge.fit", "PropensityModel.fit", "median_gamma", "KernelRows",
         "fit_base", "build_candidates"])
 def test_matrix_without_columns_rejected(call):
@@ -230,7 +230,7 @@ def fitted_on_3():
     y = x[:, 0] + a
     return dict(ridge=Ridge(0.1).fit(x, y), kernel=KernelRidge(0.1, 1.0).fit(x, y),
                 propensity=propensity_fit(x, a), net=Mlp([3, 4, 2], rng=make_rng(1)),
-                partition=kmeans_fit(x, 2, make_rng(2)), encoder=pca_fit(x, 2),
+                encoder=pca_fit(x, 2),
                 cate=fit_learner("t", Dataset(x=x, a=a, y=y), BaseSpec(cv=False)))
 
 
@@ -243,13 +243,11 @@ _WIDE = np.zeros((5, 2))  # two columns where 3 are due
     lambda f: f["propensity"].predict_proba(_WIDE),
     lambda f: f["net"].forward(_WIDE),
     lambda f: f["net"].forward_cache(_WIDE),
-    lambda f: f["partition"].assign(_WIDE),
     lambda f: f["encoder"].represent(_WIDE),
     lambda f: f["cate"].predict(_WIDE),
     lambda f: f["cate"].predict(_FLAT),
 ], ids=["Ridge.predict", "KernelRidge.predict", "PropensityModel.predict_proba", "Mlp.forward",
-        "Mlp.forward_cache", "PartitionModel.assign", "Encoder.represent", "CateModel.predict",
-        "CateModel.predict-1d"])
+        "Mlp.forward_cache", "Encoder.represent", "CateModel.predict", "CateModel.predict-1d"])
 def test_x_of_another_width_rejected(fitted_on_3, call):
     # a fitted object names the width it was fitted on
     with pytest.raises(DimensionError, match=r"\(n, 3\) matrix$"):
@@ -472,7 +470,8 @@ class TestMlpFlatLayout:
 
     def test_copy_owns_its_buffer(self):
         net = Mlp([3, 4, 2], rng=make_rng(6))
-        clone = net.copy()
+        clone = Mlp(net.widths)
+        clone.flat[:] = net.flat
         assert np.array_equal(clone.flat, net.flat)
         clone.params[0][0, 0] += 1.0
         assert clone.flat[0] == net.flat[0] + 1.0
@@ -532,26 +531,39 @@ class TestGradCheck:
         assert np.array_equal(theta, before)
 
 
+def _standardize(m):
+    """(z, means, stds) of m's columns from Encoder.standardize_on on an identity network."""
+    m = np.asarray(m, dtype=float)
+    net = Mlp([m.shape[1], m.shape[1]])
+    net.params[0][...] = np.eye(m.shape[1])
+    enc = Encoder(net).standardize_on(m)
+    return enc.represent(m), enc.repr_mean, enc.repr_std
+
+
 class TestStandardize:
     def test_two_point_case(self):
-        z, mean, std = standardize_columns(np.array([[1.0], [3.0]]))
+        z, mean, std = _standardize(np.array([[1.0], [3.0]]))
         assert np.array_equal(z, np.array([[-1.0], [1.0]]))
         assert mean[0] == 2.0 and std[0] == 1.0
 
     def test_idempotent(self):
         m = make_rng(9).standard_normal((50, 3))
-        z1, _, _ = standardize_columns(m)
-        z2, _, _ = standardize_columns(z1)
+        z1, _, _ = _standardize(m)
+        z2, _, _ = _standardize(z1)
         assert np.abs(z1 - z2).max() < 1e-9
 
     def test_gaussian_sample_centered(self):
         m = make_rng(9).standard_normal((100, 3)) * 5.0 + 2.0
-        z, _, _ = standardize_columns(m)
+        z, _, _ = _standardize(m)
         assert np.abs(z.mean(axis=0)).max() < 1e-10
         assert np.abs(z.var(axis=0) - 1.0).max() < 1e-8
 
     def test_zero_variance_column_named(self):
         m = np.array([[1.0, 5.0], [2.0, 5.0]])
         with pytest.raises(DegenerateColumnError) as exc:
-            standardize_columns(m)
+            _standardize(m)
         assert exc.value.column == 1
+
+    def test_one_row_is_too_few(self):
+        with pytest.raises(TooFewSamplesError, match="at least 2 rows"):
+            _standardize(np.array([[1.0, 5.0]]))
