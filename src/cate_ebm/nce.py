@@ -286,7 +286,7 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
     equals the one a separate training with that init seed gives.
     Standardization statistics come from the full training matrix. A run
     whose training turns non-finite raises TrainingDivergedError naming its
-    init seed and epoch.
+    init seed and epoch. A supplied b_matrix is checked by EbmModel.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -309,10 +309,6 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
 
     if b_matrix is None:
         b_matrix = random_orthogonal(k, make_rng(b_seed))
-    else:
-        b_matrix = np.asarray(b_matrix, dtype=float)
-        if b_matrix.shape != (k, k):
-            raise DimensionError("provided B has the wrong shape")
 
     def make_run(seed):
         model = EbmModel(net=Mlp([d, *config.hidden, k], rng=make_rng(seed)), b_matrix=b_matrix)

@@ -38,11 +38,11 @@ def as_matrix(x, what: str = "x", d: int | None = None) -> np.ndarray:
 
 
 def as_vector(v, what: str, n: int | None = None) -> np.ndarray:
-    """v as a float (n,) vector, one entry per row of x, of any length when n
-    is None; any other shape, or input that is not numeric, raises DimensionError."""
+    """v as a float (n,) vector, of any length when n is None; any other
+    shape, or input that is not numeric, raises DimensionError."""
     v = _floats(v, what)
     if v.ndim != 1 or n not in (None, v.size):
-        rule = "" if n is None else f" with one entry per row of x (n={n})"
+        rule = "" if n is None else f" with n={n}"
         raise DimensionError(f"{what} of shape {v.shape} is not an (n,) vector{rule}")
     return v
 

@@ -27,7 +27,7 @@ from cate_ebm import (
 from cate_ebm import evalx
 from cate_ebm.cli import main
 from cate_ebm.config import PRESETS, ExperimentConfig, load_config
-from cate_ebm.dgp import write_csv
+from cate_ebm.dgp import gen_dgp, sample, write_csv
 from cate_ebm.errors import (
     ConfigError,
     DimensionError,
@@ -104,8 +104,6 @@ class TestConfig:
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(k=25, d=20).validate()
-        with pytest.raises(ConfigError):
             ExperimentConfig(rho=0.0).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(learners=("t", "z")).validate()
@@ -113,6 +111,20 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config(path="/nonexistent/exp.ini")
+
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("YES", True), ("True", True), ("oN", True),
+        ("0", False), ("No", False), ("FALSE", False), ("oFf", False), ("maybe", None),
+    ])
+    def test_bool_words(self, tmp_path, capsys, word, value):
+        path = tmp_path / "cv.ini"
+        path.write_text(f"[learners]\ncv = {word}\n")
+        if value is not None:
+            assert load_config(path=str(path)).base_cv is value
+            return
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: [learners] cv: cannot parse 'maybe'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\npreset = synth_d100_n250\n[dgp]\nseed = 3\n[ebm]\nk = 2\n",
@@ -361,7 +373,7 @@ class TestExitCodes:
 
     def test_bad_config(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[ebm]\nk = 200\n")
+        path.write_text("[ebm]\nk = 0\n")
         assert main(["gen-data", "--config", str(path)]) == 2
 
     def test_unknown_preset(self):
@@ -651,6 +663,31 @@ class TestExitCodes:
         assert main(["fit-ebm", "--preset", "desk", "--train", str(narrow),
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: k=3 > d=2\n"
+
+    @pytest.mark.parametrize("command", ["fit-ebm", "fit-cate"])
+    @pytest.mark.parametrize("settings", ["[ebm]\nk = 25\n", "[dgp]\nn = 4\n[ebm]\nk = 3\n"])
+    def test_k_is_checked_on_the_data_not_on_dgp(self, tmp_path, command, settings):
+        # [dgp] d and n shape only synthetic data; the trainer checks k on the
+        # CSV, here 300 rows of 30 covariates
+        wide = str(tmp_path / "wide.csv")
+        save_csv(sample(gen_dgp(0, d=30), 300, 1), wide)
+        path = tmp_path / "k.ini"
+        path.write_text(settings + "b = 2\nhidden = 4\nepochs = 1\n"
+                        "[learners]\nkinds = t\nbase = ridge\ncv = false\n")
+        data = {"fit-ebm": "--train", "fit-cate": "--data"}[command]
+        assert main([command, "--config", str(path), data, wide,
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_pipeline_checks_k_on_its_data(self, tmp_path, capsys):
+        path = tmp_path / "k.ini"
+        out = tmp_path / "results"
+        path.write_text(f"[dgp]\nd = 4\nn = 40\ntest_size = 20\n[ebm]\nk = 5\n"
+                        f"[io]\nout_dir = {out}\n")
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert (capsys.readouterr().err
+                == "error: pipeline stage 'fit-ebm' failed (seed 0): k=5 > d=4\n")
+        [exp] = out.iterdir()
+        assert sorted(p.name for p in exp.iterdir()) == ["test.csv", "train.csv"]
 
     @pytest.mark.parametrize("error, code, prefix", [
         (TrainingDivergedError, 3, "numeric failure: "), (DimensionError, 2, "error: ")])

@@ -32,11 +32,6 @@ def test_modules_import_only_numpy_and_the_standard_library():
     assert not outside, f"imports beyond numpy and the standard library: {outside}"
 
 
-# (module, raised expression) of the one builtin raise the package keeps:
-# config._apply_file turns _parse_bool's ValueError into a ConfigError
-CAUGHT_INSIDE = {("config.py", "ValueError(raw)")}
-
-
 def _builtin_exception(expr) -> bool:
     name = expr.func if isinstance(expr, ast.Call) else expr
     cls = getattr(builtins, name.id, None) if isinstance(name, ast.Name) else None
@@ -48,7 +43,6 @@ def test_no_module_raises_a_builtin_exception():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if (isinstance(node, ast.Raise) and node.exc is not None
-                    and _builtin_exception(node.exc)
-                    and (path.name, ast.unparse(node.exc)) not in CAUGHT_INSIDE):
+                    and _builtin_exception(node.exc)):
                 builtin.append(f"{path.name}:{node.lineno}: raise {ast.unparse(node.exc)}")
     assert not builtin, f"builtin exceptions raised instead of a CateEbmError: {builtin}"

@@ -385,6 +385,14 @@ class TestTrainEbm:
         with pytest.raises(DimensionError, match=r"^k=3 > d=2$"):
             train_ebm(make_rng(0).standard_normal((40, 2)), TrainConfig(k=3, epochs=1))
 
+    @pytest.mark.parametrize("b_matrix, message", [
+        ([[1.0], [0.0, 1.0]], "^B "), ("ab", "^B "), (np.eye(3), "^net output 2 and B dimension 3"),
+    ])
+    def test_supplied_b_checked_by_the_model(self, b_matrix, message):
+        with pytest.raises(DimensionError, match=message):
+            train_ebm(make_rng(0).standard_normal((40, 3)), TrainConfig(k=2, epochs=1),
+                      b_matrix=b_matrix)
+
     def test_split_leaves_no_training_row(self):
         # the one row is held out (at least one always is); the AE has no 2k-row floor
         with pytest.raises(TooFewSamplesError, match="leaves none to train on"):
