@@ -397,7 +397,11 @@ class CateModel:
         self.input_dim = input_dim
 
     def predict(self, x):
-        return self._predict(as_matrix(x, d=self.input_dim))
+        """Effect estimates for x's rows; a non-finite entry raises IllConditionedError."""
+        x = as_matrix(x, d=self.input_dim)
+        if not np.isfinite(x).all():
+            raise IllConditionedError("non-finite value in the rows to predict")
+        return self._predict(x)
 
 
 def _fit_arms(x, a, y, spec: BaseSpec, keep_bases: bool):

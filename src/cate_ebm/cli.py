@@ -73,7 +73,7 @@ def cmd_gen_data(cfg: ExperimentConfig, out_dir: str) -> tuple:
 
 
 def cmd_fit_ebm(cfg: ExperimentConfig, train_path: str, out_dir: str, init_seed=None) -> int:
-    model = train_ebm(load_csv(train_path).x, cfg.train_config(), cfg.b_matrix(), init_seed)
+    model = train_ebm(load_csv(train_path).x, cfg, cfg.b_matrix(), init_seed)
     _save_run(model, out_dir, "")
     print(f"final validation loss: {model.best_val_loss:.6f} "
           f"(best epoch {model.best_epoch}); wrote model.preb")

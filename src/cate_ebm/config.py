@@ -38,23 +38,15 @@ SECTIONS = {
 
 
 @dataclass
-class ExperimentConfig:
-    # a setting that TrainConfig or BaseSpec also holds takes its default from there
+class ExperimentConfig(TrainConfig):
+    # the EBM settings are TrainConfig's fields; a learner setting takes BaseSpec's default
     # dgp
     d: int = 20
     n: int = 500
-    seed: int = 0
     test_size: int = 2000
     # ebm
     k: int = 3
-    b: int = TrainConfig.b
-    rho: float = TrainConfig.rho
-    hidden: tuple = TrainConfig.hidden
-    epochs: int = TrainConfig.epochs
-    lr: float = TrainConfig.lr
-    batch_size: int = TrainConfig.batch_size
     b_seed: int = 42
-    patience: int = TrainConfig.patience
     # learners
     learners: tuple = LEARNERS
     base_kind: str = BaseSpec.kind
@@ -65,9 +57,17 @@ class ExperimentConfig:
     # io
     out_dir: str = "results"
 
-    def train_config(self) -> TrainConfig:
-        """The EBM training settings, each field copied by name; TrainConfig checks them."""
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
+    def __post_init__(self):
+        """TrainConfig's checks, base_spec() and check_kinds(), then what no
+        library object checks. Each setting is checked alone: k against a
+        matrix's width and rows is checked by the trainers on the data they
+        fit, since d and n shape only synthetic data."""
+        super().__post_init__()
+        self.base_spec()
+        for name, least in (("test_size", 2), ("runs", 1), ("b_seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        check_kinds(self.learners)
 
     def base_spec(self) -> BaseSpec:
         """The learners' base regression settings; BaseSpec checks them."""
@@ -86,29 +86,16 @@ class ExperimentConfig:
         """Run r's init seed, seed + 101 (r + 1), for each of the runs."""
         return [self.seed + 101 * (r + 1) for r in range(self.runs)]
 
-    def validate(self):
-        """Check via train_config(), base_spec() and check_kinds(), then what no
-        library object does. Each setting is checked alone: k against a
-        matrix's width and rows is checked by the trainers on the data they
-        fit, since d and n shape only synthetic data."""
-        self.train_config()
-        self.base_spec()
-        for name, least in (("test_size", 2), ("runs", 1), ("b_seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
-        check_kinds(self.learners)
-        return self
-
     def canonical(self) -> str:
-        """Every field but out_dir: where results go does not change them."""
+        """Every setting but out_dir, in SECTIONS' order: where results go changes none."""
         items = []
-        for f in fields(self):
-            if f.name == "out_dir":
+        for attr in (a for keys in SECTIONS.values() for a in keys.values()):
+            if attr == "out_dir":
                 continue
-            value = getattr(self, f.name)
+            value = getattr(self, attr)
             if isinstance(value, tuple):
                 value = ",".join(map(str, value))
-            items.append(f"{f.name}={value}")
+            items.append(f"{attr}={value}")
         return ";".join(items)
 
     def fingerprint(self) -> str:
@@ -130,13 +117,12 @@ _PARSERS = {
 }
 
 
-def _apply_preset(cfg: ExperimentConfig, name) -> None:
+def _apply_preset(values: dict, name) -> None:
     if name not in PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    for key, value in PRESETS[name].items():
-        setattr(cfg, key, value)
+    values.update(PRESETS[name])
 
 
 def _unknown_keys(parser) -> list:
@@ -152,7 +138,7 @@ def _unknown_keys(parser) -> list:
     return unknown
 
 
-def _apply_file(cfg: ExperimentConfig, path) -> None:
+def _apply_file(values: dict, path) -> None:
     parser = configparser.ConfigParser()
     read = parser.read(str(path), encoding="utf-8-sig")  # utf-8-sig skips a leading BOM
     if not read:
@@ -162,31 +148,31 @@ def _apply_file(cfg: ExperimentConfig, path) -> None:
         raise ConfigError(f"{path}: unknown section or key: {', '.join(unknown)}")
     name = parser.get("ebm", "preset", fallback=parser.defaults().get("preset"))
     if name is not None:
-        _apply_preset(cfg, name)
+        _apply_preset(values, name)
     for section, keys in SECTIONS.items():
         for key, attr in keys.items():
             if parser.has_option(section, key):
                 raw = parser.get(section, key)
                 try:
-                    setattr(cfg, attr, _PARSERS[attr](raw))
+                    values[attr] = _PARSERS[attr](raw)
                 except (ValueError, TypeError, KeyError):
                     raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 
 def load_config(path=None, preset=None, seed_override=None,
                 out_override=None) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    values = {}
     if preset is not None:
-        _apply_preset(cfg, preset)
+        _apply_preset(values, preset)
     if path is not None:
         try:
-            _apply_file(cfg, path)
+            _apply_file(values, path)
         except (configparser.Error, UnicodeDecodeError) as exc:
             # a missing header, a repeated key, a stray '%' (interpolation), or
             # bytes that are not text
             raise ConfigError(f"{path}: {exc}") from None
     if seed_override is not None:
-        cfg.seed = int(seed_override)
+        values["seed"] = int(seed_override)
     if out_override is not None:
-        cfg.out_dir = str(out_override)
-    return cfg.validate()
+        values["out_dir"] = str(out_override)
+    return ExperimentConfig(**values)

@@ -19,8 +19,8 @@ import numpy as np
 from .cate import BaseSpec, fit_learners
 from .dgp import Dataset
 from .ebm import Encoder
-from .errors import (CateEbmError, DegenerateColumnError, DimensionError, IllConditionedError,
-                     TooFewSamplesError)
+from .errors import (CateEbmError, ConfigError, DegenerateColumnError, DimensionError,
+                     IllConditionedError, TooFewSamplesError)
 from .nce import TrainConfig, train_ebms, train_runs
 from .numerics import Mlp, as_matrix, as_vector, make_rng
 
@@ -75,15 +75,22 @@ def pca_fit(x, k: int) -> Encoder:
     """Projection onto the top-k principal directions of x, standardized on
     x: a one-layer net whose W holds the directions and b = -mean W.
 
-    A kept direction whose variance is round-off (at most the largest times
-    d * eps, numpy's matrix_rank tolerance) raises DegenerateColumnError."""
+    A covariance that is not finite (a covariate is not finite or too large
+    to square) raises IllConditionedError; a kept direction whose variance
+    is round-off (at most the largest times d * eps, numpy's matrix_rank
+    tolerance) raises DegenerateColumnError."""
     x = as_matrix(x)
     d = x.shape[1]
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     if k > d:
         raise DimensionError(f"k={k} > d={d}")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        mean = x.mean(axis=0)
+        xc = x - mean
+        cov = xc.T @ xc / x.shape[0]
+    if not np.isfinite(cov).all():
+        raise IllConditionedError("non-finite covariance: a covariate is too large or not finite")
     vals, vecs = np.linalg.eigh(cov)
     top = np.argsort(vals)[::-1][:k]
     flat = np.flatnonzero(vals[top] <= vals.max() * d * np.finfo(float).eps)
@@ -120,6 +127,8 @@ def ae_fit(x, config: TrainConfig, seeds) -> list:
     n, d = x.shape
     if config.k > d:
         raise DimensionError(f"k={config.k} > d={d}")
+    if not np.isfinite(x).all():
+        raise IllConditionedError("non-finite value in the autoencoder's rows")
 
     def make_run(seed):
         rng = make_rng(seed)
@@ -173,8 +182,7 @@ def run_experiment(cfg, train: Dataset, test: Dataset) -> tuple:
     learner and feature set (raw, ebm), PEHE_COLUMNS: PEHE's mean and std over
     the feature set's runs, and the mean of its square root."""
     with stage("fit-ebm", cfg.seed):
-        models = train_ebms(train.x, cfg.train_config(), cfg.init_seeds(),
-                            b_matrix=cfg.b_matrix())
+        models = train_ebms(train.x, cfg, cfg.init_seeds(), b_matrix=cfg.b_matrix())
     with stage("transform", cfg.seed):
         reps = [(m.represent(train.x), m.represent(test.x)) for m in models]
     with stage("fit-cate", cfg.seed):

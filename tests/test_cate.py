@@ -19,7 +19,7 @@ from cate_ebm import (
     pca_fit,
     propensity_fit,
 )
-from cate_ebm import cate, numerics
+from cate_ebm import cate, evalx, numerics
 from cate_ebm.errors import (
     ConfigError,
     DatasetError,
@@ -363,6 +363,17 @@ class TestMetaLearners:
         ds, tau = _linear_effect_data(seed=1)
         model = fit_learner("x", ds, self.SPEC)
         assert np.abs(model.predict(ds.x) - tau).max() < 1e-3
+
+    @pytest.mark.parametrize("kind", ["t", "x", "dr", "r"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rows_to_predict_raise(self, kind, bad):
+        # a NaN row would otherwise come back as a NaN estimate, with no error
+        ds, _ = _linear_effect_data(n=200, seed=3)
+        model = fit_learner(kind, ds, self.SPEC)
+        x = ds.x[:5].copy()
+        x[2, 1] = bad
+        with pytest.raises(IllConditionedError, match="non-finite value in the rows to predict"):
+            model.predict(x)
 
     def test_dr_learner_close_on_linear(self):
         ds, tau = _linear_effect_data(n=1200, seed=2, noise=0.1)
@@ -776,6 +787,29 @@ class TestReductionBaselines:
     def test_pca_k_too_large(self):
         with pytest.raises(DimensionError):
             pca_fit(np.zeros((10, 2)), 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_pca_k_below_one(self, k):
+        with pytest.raises(ConfigError, match=f"k must be >= 1, got {k}"):
+            pca_fit(np.zeros((10, 2)), k)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("row, scale", [(3, np.nan), (3, np.inf), (slice(None), 1e200)])
+    def test_pca_nonfinite_covariance_raises(self, row, scale):
+        # a NaN, an inf or a covariate too large to square, not numpy's LinAlgError
+        x = make_rng(18).standard_normal((50, 4))
+        x[row, 1] *= scale
+        with pytest.raises(IllConditionedError, match="non-finite covariance"):
+            pca_fit(x, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ae_nonfinite_rows_rejected_before_training(self, monkeypatch, bad):
+        runs = _count_calls(monkeypatch, evalx, "train_runs")
+        x = make_rng(19).standard_normal((100, 4))
+        x[7, 2] = bad
+        with pytest.raises(IllConditionedError, match="non-finite value in the autoencoder"):
+            ae_fit(x, TrainConfig(k=2, hidden=(8,), epochs=5), [0])
+        assert runs == []
 
     def test_ae_reduces_reconstruction_error(self):
         rng = make_rng(12)

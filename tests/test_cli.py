@@ -26,7 +26,7 @@ from cate_ebm import (
 )
 from cate_ebm import evalx
 from cate_ebm.cli import main
-from cate_ebm.config import PRESETS, ExperimentConfig, load_config
+from cate_ebm.config import PRESETS, SECTIONS, ExperimentConfig, load_config
 from cate_ebm.dgp import gen_dgp, sample, write_csv
 from cate_ebm.errors import (
     ConfigError,
@@ -73,14 +73,11 @@ def _write_cfg(tmp_path):
 
 class TestConfig:
     def test_defaults_validate(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()
 
     def test_presets_validate(self):
         for name in PRESETS:
-            cfg = ExperimentConfig()
-            for key, value in PRESETS[name].items():
-                setattr(cfg, key, value)
-            cfg.validate()
+            ExperimentConfig(**PRESETS[name])
 
     def test_file_parsing(self, tmp_path):
         cfg = load_config(path=_write_cfg(tmp_path))
@@ -103,10 +100,28 @@ class TestConfig:
         assert cfg.out_dir == "elsewhere"
 
     def test_invalid_values_rejected(self):
+        # checked when built: no config with an invalid setting exists
+        with pytest.raises(ConfigError, match="need rho in"):
+            ExperimentConfig(rho=0.0)
+        with pytest.raises(ConfigError, match="runs must be >= 1"):
+            ExperimentConfig(runs=0)
         with pytest.raises(ConfigError):
-            ExperimentConfig(rho=0.0).validate()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(learners=("t", "z")).validate()
+            ExperimentConfig(learners=("t", "z"))
+
+    def test_each_setting_has_one_file_key(self):
+        attrs = [attr for keys in SECTIONS.values() for attr in keys.values()]
+        assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+    @pytest.mark.parametrize("name, fingerprint", [
+        ("desk", "6bad91a4"), ("synth_d50_n100", "a40f8ad1"), ("synth_d100_n250", "e6feb740"),
+        ("synth_d150_n500", "0a35a669"), ("synth_d200_n1000", "e1354d67"),
+        ("synth_d250_n1500", "4b4b55d1"),
+    ])
+    def test_preset_fingerprints_pinned(self, name, fingerprint):
+        # each fingerprint names an exp-* directory of results already written
+        cfg = load_config(preset=name)
+        assert cfg.fingerprint() == fingerprint
+        assert isinstance(cfg, TrainConfig)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -143,16 +158,6 @@ class TestConfig:
         bom = tmp_path / "bom.ini"
         bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "exp.ini").read_bytes())
         assert load_config(path=str(bom)) == load_config(path=plain)
-
-    def test_train_config_copies_by_name(self):
-        # each TrainConfig field is the ExperimentConfig setting of the same name
-        names = {f.name for f in dataclasses.fields(TrainConfig)}
-        assert names <= {f.name for f in dataclasses.fields(ExperimentConfig)}
-        for name in PRESETS:
-            cfg = load_config(preset=name)
-            assert cfg.train_config() == TrainConfig(
-                k=cfg.k, b=cfg.b, rho=cfg.rho, hidden=cfg.hidden, epochs=cfg.epochs,
-                batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed, patience=cfg.patience)
 
     def test_fingerprint_tracks_content(self):
         a = ExperimentConfig()
@@ -278,7 +283,7 @@ class TestCommands:
         exp_dir = next((tmp_path / "results").iterdir())
         train = load_csv(exp_dir / "train.csv")
         for r, init_seed in enumerate(cfg.init_seeds()):
-            model = train_ebm(train.x, cfg.train_config(), cfg.b_matrix(), init_seed=init_seed)
+            model = train_ebm(train.x, cfg, cfg.b_matrix(), init_seed=init_seed)
             save_model(model, tmp_path / "alone.preb")
             assert ((tmp_path / "alone.preb").read_bytes()
                     == (exp_dir / f"model_run{r}.preb").read_bytes())
