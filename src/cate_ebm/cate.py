@@ -16,7 +16,7 @@ import numpy as np
 from .dgp import Dataset, as_treatment
 from .errors import (ConfigError, DimensionError, IllConditionedError, TooFewSamplesError,
                      UntrainedModelError)
-from .numerics import as_matrix, as_vector, make_rng, sq_dists
+from .numerics import as_matrix, as_vector, check_positive, make_rng, sq_dists
 
 
 # ---------------------------------------------------------------------------
@@ -85,20 +85,12 @@ def _sigmoid(z):
     return out
 
 
-def _check_positive(value, name: str) -> float:
-    """The one check of a ridge penalty (BaseSpec, Ridge, KernelRidge) and a
-    kernel width (KernelRidge): value itself if finite and > 0, else ConfigError."""
-    if not 0.0 < value < np.inf:
-        raise ConfigError(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
 class Ridge:
     """Linear ridge with an intercept column, solved by Cholesky. With sample
     weights w it minimizes sum_i w_i (y_i - f(x_i))^2 + lam |coef|^2."""
 
     def __init__(self, lam: float):
-        self.lam = _check_positive(lam, "lam")
+        self.lam = check_positive(lam, "lam")
         self.w = None
 
     def fit(self, x, y, weights=None):
@@ -146,8 +138,8 @@ class KernelRidge:
     the SPD system (S K S + lam I) beta = S y, S = diag(sqrt(w)); alpha = S beta."""
 
     def __init__(self, lam: float, gamma: float):
-        self.lam = _check_positive(lam, "lam")
-        self.gamma = _check_positive(gamma, "gamma")
+        self.lam = check_positive(lam, "lam")
+        self.gamma = check_positive(gamma, "gamma")
         self.x_train = None
         self.alpha = None
 
@@ -195,7 +187,9 @@ class BaseSpec:
     def __post_init__(self):
         if self.kind not in ("ridge", "kernel"):
             raise ConfigError(f"unknown base regressor kind {self.kind!r}")
-        _check_positive(self.lam, "lam")
+        self.lam = check_positive(self.lam, "lam")
+        if not isinstance(self.cv, bool):
+            raise ConfigError(f"cv must be a bool, got {self.cv!r}")
 
 
 def _cv_folds(n: int) -> list:
@@ -484,8 +478,10 @@ LEARNERS = ("t", "x", "dr", "r")
 
 
 def check_kinds(kinds) -> tuple:
-    """kinds as a tuple, once it names at least one kind, each of LEARNERS
-    and none twice; ConfigError otherwise."""
+    """kinds, a tuple or list, as a tuple, once it names at least one kind,
+    each of LEARNERS and none twice; ConfigError otherwise."""
+    if not isinstance(kinds, (tuple, list)):
+        raise ConfigError(f"learners must be a tuple of kinds, got {kinds!r}")
     kinds = tuple(kinds)
     if not kinds:
         raise ConfigError("learners must name at least one kind")

@@ -13,7 +13,7 @@ from .cate import LEARNERS, BaseSpec, check_kinds
 from .dgp import gen_dgp, sample
 from .errors import ConfigError
 from .nce import TrainConfig
-from .numerics import make_rng, random_orthogonal
+from .numerics import check_int
 
 # defaults per synthetic setup: (b, k, hidden widths, rho)
 PRESETS = {
@@ -39,14 +39,11 @@ SECTIONS = {
 
 @dataclass
 class ExperimentConfig(TrainConfig):
-    # the EBM settings are TrainConfig's fields; a learner setting takes BaseSpec's default
-    # dgp
+    # the [ebm] settings and seed are TrainConfig's; a learner setting takes BaseSpec's default
+    # dgp sizes
     d: int = 20
     n: int = 500
     test_size: int = 2000
-    # ebm
-    k: int = 3
-    b_seed: int = 42
     # learners
     learners: tuple = LEARNERS
     base_kind: str = BaseSpec.kind
@@ -58,24 +55,19 @@ class ExperimentConfig(TrainConfig):
     out_dir: str = "results"
 
     def __post_init__(self):
-        """TrainConfig's checks, base_spec() and check_kinds(), then what no
-        library object checks. Each setting is checked alone: k against a
-        matrix's width and rows is checked by the trainers on the data they
-        fit, since d and n shape only synthetic data."""
+        """TrainConfig's checks, base_spec() and check_kinds(), then the sizes
+        and runs, stored as TrainConfig stores its settings. Each setting is
+        checked alone: k against a matrix's width and rows is checked by the
+        trainers on the data they fit, since d and n shape only synthetic data."""
         super().__post_init__()
-        self.base_spec()
-        for name, least in (("test_size", 2), ("runs", 1), ("b_seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
-        check_kinds(self.learners)
+        self.base_lam = self.base_spec().lam
+        for name, least in (("d", 1), ("n", 2), ("test_size", 2), ("runs", 1)):
+            setattr(self, name, check_int(getattr(self, name), name, least))
+        self.learners = check_kinds(self.learners)
 
     def base_spec(self) -> BaseSpec:
         """The learners' base regression settings; BaseSpec checks them."""
         return BaseSpec(kind=self.base_kind, lam=self.base_lam, cv=self.base_cv)
-
-    def b_matrix(self):
-        """The frozen k-by-k B, drawn from b_seed alone: every run shares it."""
-        return random_orthogonal(self.k, make_rng(self.b_seed))
 
     def datasets(self) -> tuple:
         """(train, test) of gen_dgp(seed, d), drawn from seed + 1 and seed + 2."""

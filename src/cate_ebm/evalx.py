@@ -177,12 +177,12 @@ PEHE_COLUMNS = ["learner", "features", "pehe_sq_mean", "pehe_sq_std", "pehe_root
 
 def run_experiment(cfg, train: Dataset, test: Dataset) -> tuple:
     """(models, reps, rows) of one config.ExperimentConfig; writes no files.
-    models: cfg.runs EbmModels sharing cfg.b_matrix(), run r from init seed
+    models: cfg.runs EbmModels sharing the B of cfg.b_seed, run r from init seed
     cfg.init_seeds()[r]; reps: each model's (z_train, z_test); rows: per
     learner and feature set (raw, ebm), PEHE_COLUMNS: PEHE's mean and std over
     the feature set's runs, and the mean of its square root."""
     with stage("fit-ebm", cfg.seed):
-        models = train_ebms(train.x, cfg, cfg.init_seeds(), b_matrix=cfg.b_matrix())
+        models = train_ebms(train.x, cfg, cfg.init_seeds())
     with stage("transform", cfg.seed):
         reps = [(m.represent(train.x), m.represent(test.x)) for m in models]
     with stage("fit-cate", cfg.seed):

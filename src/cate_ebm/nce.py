@@ -35,16 +35,17 @@ import numpy as np
 from .ebm import EbmModel
 from .errors import (ConfigError, DimensionError, IllConditionedError, TooFewSamplesError,
                      TrainingDivergedError)
-from .numerics import Adam, Mlp, as_matrix, as_vector, make_rng, random_orthogonal
+from .numerics import (Adam, Mlp, as_matrix, as_vector, check_int, check_positive, check_real,
+                       make_rng, random_orthogonal)
 from .partition import kmeans_fit
 
 
-def _check_corruption(rho=1.0, b=1) -> None:
-    """The one check of rho and b: TrainConfig checks both, corrupt rho, build_candidates b."""
+def _check_rho(rho) -> float:
+    """The one check of rho, by TrainConfig and corrupt: rho as a float in (0, 1]."""
+    rho = check_real(rho, "rho")
     if not 0.0 < rho <= 1.0:
         raise ConfigError(f"need rho in (0, 1], got rho={rho}")
-    if not b >= 1:
-        raise ConfigError(f"need b >= 1, got b={b}")
+    return rho
 
 
 @dataclass
@@ -63,7 +64,7 @@ class CandidateSet:
 
 @dataclass
 class TrainConfig:
-    k: int
+    k: int = 3
     b: int = 5
     rho: float = 0.5
     hidden: tuple = (20, 20)
@@ -71,20 +72,20 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     seed: int = 0
+    b_seed: int = 42
     patience: int = 30
     val_fraction = 0.2  # not a field: no file or caller sets it
 
     def __post_init__(self):
-        _check_corruption(self.rho, self.b)
-        for name in ("k", "epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if any(w < 1 for w in self.hidden):
-            raise ConfigError(f"hidden widths must each be >= 1, got {self.hidden}")
-        if not 0.0 < self.lr < np.inf:
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        """Counts and seeds are integers, rho and lr real numbers and hidden a
+        tuple of widths, each stored so: equal settings give equal configs."""
+        for name, least in (("k", 1), ("b", 1), ("epochs", 1), ("batch_size", 1),
+                            ("patience", 1), ("seed", 0), ("b_seed", 0)):
+            setattr(self, name, check_int(getattr(self, name), name, least))
+        if not isinstance(self.hidden, (tuple, list)):
+            raise ConfigError(f"hidden must be a tuple of widths, got {self.hidden!r}")
+        self.hidden = tuple(check_int(w, "a hidden width", 1) for w in self.hidden)
+        self.rho, self.lr = _check_rho(self.rho), check_positive(self.lr, "lr")
 
 
 def corrupt(x, rho, rng) -> np.ndarray:
@@ -94,7 +95,7 @@ def corrupt(x, rho, rng) -> np.ndarray:
     rho; a selected feature gets standard Gaussian noise added. rho outside
     (0, 1] raises ConfigError.
     """
-    _check_corruption(rho)
+    _check_rho(rho)
     x = np.asarray(x, dtype=float)
     selected = rng.random(x.shape) < rho
     out = rng.standard_normal(x.shape)
@@ -107,7 +108,7 @@ def build_candidates(rows, labels, rho, b, rng) -> CandidateSet:
     """For each row, the clean sample in slot 0 and then b corrupted copies;
     labels gives each row's partition subset and must hold one integral value
     per row."""
-    _check_corruption(b=b)
+    check_int(b, "b", 1)
     rows = as_matrix(rows, "rows")
     m, d = rows.shape
     labels = as_vector(labels, "labels", m)
@@ -231,9 +232,9 @@ def train_runs(config: TrainConfig, seeds, make_run, x, labels, draw, split_rng,
     rows, rng), batch positions stratified by labels, then draw(val rows,
     rng). Returns the encoders in the order of seeds, each at its best
     snapshot, with its training record and standardized on all of x."""
-    seeds = list(seeds)
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"init seeds must be one or more seeds >= 0, got {seeds}")
+    seeds = [check_int(s, "an init seed", 0) for s in seeds]
+    if not seeds:
+        raise ConfigError("init seeds must name at least one seed")
     n = len(x)
     n_val = max(1, int(round(n * config.val_fraction)))
     if n_val >= n:
@@ -278,9 +279,10 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
     init seed on the ranking loss; one EbmModel per seed, in the order of
     init_seeds. The partition only labels the training rows; no model keeps it.
 
-    Everything but the network init comes from config.seed and is shared by
-    the runs: the partition, B, the split and every epoch's candidates and
-    batches, each drawn once. 20% of the rows (config.val_fraction) are held
+    The runs share B and what config.seed draws once: the partition, the
+    split and every epoch's candidates and batches. B is b_matrix or, when
+    that is None, random_orthogonal(k, make_rng(config.b_seed)), drawn after
+    k is checked against x. 20% of the rows (config.val_fraction) are held
     out; each run keeps its parameters with the best validation loss and
     freezes after config.patience epochs without improvement, so every model
     equals the one a separate training with that init seed gives.
@@ -299,7 +301,9 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
     master = make_rng(config.seed)
     kmeans_rng = make_rng(master.integers(2**63))
     split_rng = make_rng(master.integers(2**63))
-    b_seed = int(master.integers(2**63))
+    # the third draw is unused: the corruption seed stays the fourth, so every
+    # candidate and batch, and each model trained on them, stays the same
+    master.integers(2**63)
     corrupt_base = int(master.integers(2**63))
 
     labels = kmeans_fit(x, k, kmeans_rng).labels
@@ -308,7 +312,7 @@ def train_ebms(x, config: TrainConfig, init_seeds, b_matrix=None) -> list:
                                   "unit corruption noise; scale the covariates")
 
     if b_matrix is None:
-        b_matrix = random_orthogonal(k, make_rng(b_seed))
+        b_matrix = random_orthogonal(k, make_rng(config.b_seed))
 
     def make_run(seed):
         model = EbmModel(net=Mlp([d, *config.hidden, k], rng=make_rng(seed)), b_matrix=b_matrix)

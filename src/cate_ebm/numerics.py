@@ -8,14 +8,44 @@ reductions keep a fixed summation order.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError, DimensionError, TrainingDivergedError
 
 
+def check_int(value, name: str, least: int) -> int:
+    """value as an int, once it is a Python or numpy integer (a bool is not
+    one) >= least; ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def check_real(value, name: str) -> float:
+    """value as a float, once it is a real number (a bool is not one);
+    ConfigError otherwise. The caller checks its range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def check_positive(value, name: str) -> float:
+    """The one check of a learning rate, a ridge penalty and a kernel width:
+    value as a float if a finite real number > 0, else ConfigError."""
+    value = check_real(value, name)
+    if not 0.0 < value < np.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded generator; identical seed gives an identical stream."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    """Seeded generator; identical seed gives an identical stream. The one
+    check of a seed: anything but an integer >= 0 raises ConfigError."""
+    return np.random.Generator(np.random.PCG64(check_int(seed, "seed", 0)))
 
 
 def _floats(v, what: str) -> np.ndarray:

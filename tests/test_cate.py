@@ -508,10 +508,16 @@ def _lu_reference_r_predict(ds, spec, x_new):
 class TestBaseSpec:
     @pytest.mark.parametrize("kwargs", [
         dict(kind="lasso"), dict(lam=0.0), dict(lam=-1.0), dict(lam=np.nan), dict(lam=np.inf),
+        # a string lam used to end in a builtin TypeError; cv="no" switched CV on
+        dict(lam="0.1"), dict(lam=True), dict(lam=None), dict(cv="no"), dict(cv=1),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             BaseSpec(**kwargs)
+
+    def test_lam_stored_as_float(self):
+        assert type(BaseSpec(lam=np.float64(0.5)).lam) is float
+        assert BaseSpec(lam=1) == BaseSpec(lam=1.0)
 
 
 class TestCvSelection:
@@ -757,6 +763,13 @@ class TestFitLearners:
         ds, _ = _linear_effect_data(seed=4)
         with pytest.raises(ConfigError, match="repeat a kind: t,t"):
             fit_learners(("t", "t"), ds, self.SPEC)
+
+    @pytest.mark.parametrize("split_seed", [-1, 1.5])
+    def test_bad_split_seed_raises(self, split_seed):
+        # numpy's bare ValueError for a negative seed; a fraction was truncated
+        ds, _ = _linear_effect_data(n=80, seed=4)
+        with pytest.raises(ConfigError, match="seed must be"):
+            fit_learners(("dr",), ds, BaseSpec(kind="ridge", cv=False), split_seed=split_seed)
 
 
 class TestReductionBaselines:

@@ -112,6 +112,28 @@ class TestConfig:
         attrs = [attr for keys in SECTIONS.values() for attr in keys.values()]
         assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
+    def test_ebm_settings_are_train_config_fields(self):
+        # ExperimentConfig declares no [ebm] setting: each, default included, is TrainConfig's
+        trainer = {f.name for f in dataclasses.fields(TrainConfig)}
+        own = {f.name for f in dataclasses.fields(ExperimentConfig)} - trainer
+        assert set(SECTIONS["ebm"].values()) <= trainer
+        assert not own & set(SECTIONS["ebm"].values())
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(d=20.0), dict(n="500"), dict(test_size=100.0), dict(runs=True), dict(learners="t"),
+        dict(learners=None), dict(base_lam="0.1"), dict(base_cv="no"), dict(hidden=20),
+    ])
+    def test_wrong_types_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="must be"):
+            ExperimentConfig(**kwargs)
+
+    def test_equal_settings_one_fingerprint(self):
+        # a list and a tuple of the same widths or kinds name one exp-* directory
+        desk = load_config(preset="desk")
+        same = ExperimentConfig(**{**PRESETS["desk"], "hidden": [20, 20],
+                                   "learners": ["t", "x", "dr", "r"], "base_lam": np.float64(0.01)})
+        assert same == desk and same.fingerprint() == desk.fingerprint() == "6bad91a4"
+
     @pytest.mark.parametrize("name, fingerprint", [
         ("desk", "6bad91a4"), ("synth_d50_n100", "a40f8ad1"), ("synth_d100_n250", "e6feb740"),
         ("synth_d150_n500", "0a35a669"), ("synth_d200_n1000", "e1354d67"),
@@ -283,7 +305,7 @@ class TestCommands:
         exp_dir = next((tmp_path / "results").iterdir())
         train = load_csv(exp_dir / "train.csv")
         for r, init_seed in enumerate(cfg.init_seeds()):
-            model = train_ebm(train.x, cfg, cfg.b_matrix(), init_seed=init_seed)
+            model = train_ebm(train.x, cfg, init_seed=init_seed)
             save_model(model, tmp_path / "alone.preb")
             assert ((tmp_path / "alone.preb").read_bytes()
                     == (exp_dir / f"model_run{r}.preb").read_bytes())
@@ -682,6 +704,35 @@ class TestExitCodes:
         data = {"fit-ebm": "--train", "fit-cate": "--data"}[command]
         assert main([command, "--config", str(path), data, wide,
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_default_fit_ebm_is_a_default_library_training(self, tmp_path):
+        # fit-ebm without --init-seed trains train_ebm(x, cfg): the B of cfg.b_seed
+        # and init seed seed + 1
+        train = tmp_path / "train.csv"
+        save_csv(sample(gen_dgp(0, d=20), 100, 1), train)
+        assert main(["fit-ebm", "--preset", "desk", "--train", str(train),
+                     "--out", str(tmp_path / "cli")]) == 0
+        save_model(train_ebm(load_csv(train).x, load_config(preset="desk")),
+                   tmp_path / "library.preb")
+        assert ((tmp_path / "cli" / "model.preb").read_bytes()
+                == (tmp_path / "library.preb").read_bytes())
+
+    @pytest.mark.parametrize("command", ["fit-ebm", "pipeline"])
+    @pytest.mark.parametrize("k, d", [(5, 4), (25, 30)], ids=["k_above_d", "n_below_2k"])
+    def test_k_the_data_refuse_draws_no_b(self, tmp_path, monkeypatch, command, k, d):
+        # B is k-by-k: a k above what 40 rows of d covariates allow exits 2 before it is drawn
+        drawn = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cate_ebm" and hasattr(module, "random_orthogonal"):
+                monkeypatch.setattr(module, "random_orthogonal", lambda *a: drawn.append(a))
+        path = tmp_path / "k.ini"
+        path.write_text(f"[dgp]\nd = {d}\nn = 40\ntest_size = 20\n[ebm]\nk = {k}\n"
+                        f"[io]\nout_dir = {tmp_path / 'results'}\n")
+        train = tmp_path / "train.csv"
+        save_csv(sample(gen_dgp(0, d=d), 40, 1), train)
+        argv = {"fit-ebm": ["--train", str(train)], "pipeline": []}[command]
+        assert main([command, "--config", str(path), *argv]) == 2
+        assert drawn == []
 
     def test_pipeline_checks_k_on_its_data(self, tmp_path, capsys):
         path = tmp_path / "k.ini"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cate_ebm import Dataset, gen_dgp, load_csv, make_rng, sample, save_csv
-from cate_ebm.errors import CateEbmError, CsvFormatError, DatasetError, DimensionError
+from cate_ebm.errors import (CateEbmError, ConfigError, CsvFormatError, DatasetError,
+                             DimensionError)
 
 
 class TestGenDgp:
@@ -34,8 +35,18 @@ class TestGenDgp:
         with pytest.raises(DimensionError):
             gen_dgp(0, d=0)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match="seed must be"):
+            gen_dgp(seed, d=5)
+
 
 class TestSample:
+    @pytest.mark.parametrize("seed", [-5, 2.5])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match="seed must be"):
+            sample(gen_dgp(0, d=5), 40, seed)
+
     def test_shapes_and_oracle(self):
         dgp = gen_dgp(1, d=12)
         ds = sample(dgp, 300, 2)

@@ -366,6 +366,11 @@ class TestTrainEbm:
         dict(batch_size=0), dict(lr=0.0), dict(lr=-1.0), dict(lr=math.nan), dict(lr=math.inf),
         dict(seed=-1), dict(init_seed=-1), dict(hidden=(0,)), dict(hidden=(8, -1)),
         dict(patience=0), dict(patience=-1),
+        # each wrong type used to raise a builtin TypeError, or to build and then
+        # fail in training or be truncated
+        dict(hidden=20), dict(hidden="20"), dict(hidden=(8, 2.5)), dict(k="3"), dict(k=2.5),
+        dict(b=True), dict(epochs=3.0), dict(seed=1.5), dict(b_seed="7"), dict(lr="0.1"),
+        dict(rho="0.5"), dict(patience=None), dict(init_seed=1.5),
     ])
     def test_invalid_settings_rejected(self, kwargs):
         # TrainConfig checks its fields; the trainer checks the init seed
@@ -374,6 +379,18 @@ class TestTrainEbm:
         with pytest.raises(ConfigError):
             train_ebm(make_rng(0).standard_normal((40, 3)), TrainConfig(**kwargs),
                       init_seed=init_seed)
+
+    def test_defaults_are_the_cli_defaults(self):
+        # k and b_seed default as the [ebm] settings do; b_seed is a seed
+        cfg = TrainConfig()
+        assert (cfg.k, cfg.b_seed) == (3, 42)
+        with pytest.raises(ConfigError, match="b_seed must be >= 0"):
+            TrainConfig(b_seed=-1)
+
+    def test_settings_stored_as_their_types(self):
+        cfg = TrainConfig(k=np.int64(2), hidden=[8, np.int32(8)], rho=1, lr=np.float32(0.5))
+        assert cfg == TrainConfig(k=2, hidden=(8, 8), rho=1.0, lr=0.5)
+        assert (type(cfg.k), type(cfg.hidden), type(cfg.rho)) == (int, tuple, float)
 
     def test_too_few_samples(self):
         cfg = TrainConfig(k=4, epochs=1)
@@ -433,10 +450,10 @@ class TestTrainEbm:
         x = sample(gen_dgp(0, d=5), 200, 1).x
         cfg = TrainConfig(k=2, b=3, hidden=(8, 8), epochs=60, patience=5, seed=3)
         stopped = train_ebm(x, cfg)
-        assert (len(stopped.history), stopped.best_epoch) == (14, 8)
-        again = train_ebm(x, TrainConfig(k=2, b=3, hidden=(8, 8), epochs=9,
+        assert (len(stopped.history), stopped.best_epoch) == (15, 9)
+        again = train_ebm(x, TrainConfig(k=2, b=3, hidden=(8, 8), epochs=10,
                                           patience=5, seed=3))
-        assert again.best_epoch == 8
+        assert again.best_epoch == 9
         assert np.array_equal(stopped.net.flat, again.net.flat)
         assert all(np.array_equal(p, q) for p, q in zip(stopped.net.params, again.net.params))
         assert np.array_equal(stopped.repr_mean, again.repr_mean)
@@ -457,12 +474,15 @@ class TestTrainEbm:
         m1 = train_ebm(x, cfg1, b_matrix=b)
         m2 = train_ebm(x, cfg2, b_matrix=b)
         # mcc compares models by d and B: a given B is kept exactly, a drawn one
-        # follows config.seed
+        # follows config.b_seed alone
         assert m1.d == m2.d == 4
         assert np.array_equal(m1.b_matrix, b) and np.array_equal(m2.b_matrix, b)
         drawn1, drawn2 = train_ebm(x, cfg1), train_ebm(x, cfg2)
         assert np.array_equal(drawn1.b_matrix, train_ebm(x, cfg1, init_seed=9).b_matrix)
-        assert not np.array_equal(drawn1.b_matrix, drawn2.b_matrix)
+        assert np.array_equal(drawn1.b_matrix, drawn2.b_matrix)
+        assert np.array_equal(drawn1.b_matrix, random_orthogonal(2, make_rng(42)))
+        other = train_ebm(x, TrainConfig(k=2, b=2, epochs=3, hidden=(6,), seed=1, b_seed=7))
+        assert not np.array_equal(drawn1.b_matrix, other.b_matrix)
 
 
 class TestTrainEbms:
@@ -492,10 +512,15 @@ class TestTrainEbms:
         (model,) = train_ebms(self.X, self.CFG, [self.CFG.seed + 1])
         self._assert_same(model, train_ebm(self.X, self.CFG))
 
-    @pytest.mark.parametrize("seeds", [[], [4, -1]])
+    @pytest.mark.parametrize("seeds", [[], [4, -1], [1.5], [True]])
     def test_bad_seed_lists_rejected(self, seeds):
+        # 1.5 and True used to train init seed 1
         with pytest.raises(ConfigError):
             train_ebms(self.X, self.CFG, seeds)
+
+    def test_numpy_init_seeds(self):
+        (model,) = train_ebms(self.X, self.CFG, [np.int64(4)])
+        self._assert_same(model, train_ebm(self.X, self.CFG, init_seed=4))
 
     def test_divergence_names_the_run(self, monkeypatch):
         made = []

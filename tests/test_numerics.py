@@ -62,6 +62,37 @@ class TestSqDists:
         assert (numerics.sq_dists(x, x) >= 0.0).all()
 
 
+class TestMakeRng:
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    def test_only_integers_at_least_zero(self, seed):
+        # 1.5 used to give seed 1's stream; -1 numpy's bare ValueError
+        with pytest.raises(ConfigError, match="seed must be"):
+            make_rng(seed)
+
+    def test_numpy_and_wide_integers(self):
+        # numpy's integers are seeds, and so is a Python int past 2**63, as a
+        # derived seed such as epoch_base + epoch can be
+        want = make_rng(5).random(3)
+        assert np.array_equal(make_rng(np.int64(5)).random(3), want)
+        assert np.array_equal(make_rng(np.uint64(5)).random(3), want)
+        wide = make_rng(2**63 + 5).random(3)
+        assert np.array_equal(make_rng(2**63 + 5).random(3), wide)
+        assert not np.array_equal(wide, want)
+
+    def test_check_int_and_check_real(self):
+        assert type(numerics.check_int(np.int32(3), "n", 1)) is int
+        assert type(numerics.check_real(np.float32(0.5), "r")) is float
+        assert numerics.check_real(2, "r") == 2.0
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(ConfigError, match="n must be an integer"):
+                numerics.check_int(bad, "n", 1)
+        with pytest.raises(ConfigError, match="n must be >= 1, got 0"):
+            numerics.check_int(0, "n", 1)
+        for bad in (False, "0.5", None):
+            with pytest.raises(ConfigError, match="r must be a real number"):
+                numerics.check_real(bad, "r")
+
+
 class TestRandomOrthogonal:
     def test_k1_is_sign(self):
         b = random_orthogonal(1, make_rng(0))
