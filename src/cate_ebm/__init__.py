@@ -17,7 +17,8 @@ from .cate import (
 from .config import ExperimentConfig, load_config
 from .dgp import Dataset, DgpSpec, gen_dgp, load_csv, sample, save_csv
 from .ebm import EbmModel, Encoder, load_model, save_model
-from .evalx import ae_fit, effect_predictions, mcc, pca_fit, pehe, write_table
+from .evalx import (ae_fit, effect_predictions, feature_sets, mcc, pca_fit, pehe, pehe_rows,
+                    write_table)
 from .nce import (
     CandidateSet,
     TrainConfig,

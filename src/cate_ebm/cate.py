@@ -16,7 +16,7 @@ import numpy as np
 from .dgp import Dataset, as_treatment
 from .errors import (ConfigError, DimensionError, IllConditionedError, TooFewSamplesError,
                      UntrainedModelError)
-from .numerics import as_matrix, as_vector, check_positive, make_rng, sq_dists
+from .numerics import as_matrix, as_vector, check_int, check_positive, make_rng, sq_dists
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +495,12 @@ def check_kinds(kinds) -> tuple:
 
 def fit_learners(kinds, ds: Dataset, spec: BaseSpec, split_seed: int = 0) -> dict:
     """{kind: fitted CateModel} for every kind, in kinds order. The kinds
-    (check_kinds) and both treatment arms are checked before any fit. Shared
-    nuisances are fitted once: T and X share the arms (one _fit_t_x call,
-    freed before DR and R are fitted), X and R one propensity model on all
-    rows; DR fits its own on its split (split_seed)."""
+    (check_kinds), the split seed and both treatment arms are checked before
+    any fit. Shared nuisances are fitted once: T and X share the arms (one
+    _fit_t_x call, freed before DR and R are fitted), X and R one propensity
+    model on all rows; DR fits its own on its split (split_seed)."""
     kinds = check_kinds(kinds)
+    split_seed = check_int(split_seed, "split_seed", 0)
     if not (ds.a == 1).any() or not (ds.a == 0).any():
         raise TooFewSamplesError("both treatment arms must be non-empty")
     # an overflow is reported by the finiteness checks (_chol_solve, fit_base), not warned of

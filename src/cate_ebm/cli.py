@@ -132,8 +132,8 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
     out_dir = _exp_dir(cfg)
     with evalx.stage("gen-data", cfg.seed):
         train, test = cmd_gen_data(cfg, out_dir)
-    models, reps, rows = evalx.run_experiment(cfg, train, test)
-    for r, (model, (z_train, z_test)) in enumerate(zip(models, reps)):
+    features, rows = evalx.run_experiment(cfg, train, test)
+    for r, (model, z_train, z_test) in enumerate(features["ebm"]):
         _save_run(model, out_dir, f"_run{r}")
         _write_repr(os.path.join(out_dir, f"repr_train_run{r}.csv"), z_train)
         _write_repr(os.path.join(out_dir, f"repr_test_run{r}.csv"), z_test)
@@ -144,7 +144,7 @@ def cmd_pipeline(cfg: ExperimentConfig, with_mcc: bool = False) -> int:
         print(f"  {row[0]:>3} {row[1]:>4}  pehe_sq={row[2]:.4f} +- {row[3]:.4f}")
     if with_mcc:
         with evalx.stage("mcc", cfg.seed):
-            _mcc_report([z_test for _, z_test in reps], out_dir)
+            _mcc_report([z_test for *_, z_test in features["ebm"]], out_dir)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CsvFormatError, DatasetError, DimensionError, TooFewSamplesError
-from .numerics import Mlp, as_matrix, as_vector, make_rng
+from .numerics import Mlp, as_matrix, as_vector, check_int, make_rng
 
 _FLOAT_FMT = "%.17g"
 _ORACLE = ("tau", "mu0", "mu1", "pi")
@@ -88,6 +88,7 @@ def gen_dgp(seed: int, d: int) -> DgpSpec:
     Candidate seeds are tried in order until the mean treated probability
     over 10^4 latent draws is strictly inside (margin, 1 - margin).
     """
+    seed, d = check_int(seed, "seed", 0), check_int(d, "d", None)
     if d < 1:
         raise DimensionError("observed dimension must be >= 1")
     latent_dim, overlap_margin, max_tries = 5, 0.05, 50
@@ -118,6 +119,7 @@ def sample(dgp: DgpSpec, n: int, seed: int) -> Dataset:
     Retries up to 5 derived seeds if a draw comes out all-treated or
     all-control, then raises TooFewSamplesError.
     """
+    n, seed = check_int(n, "n", None), check_int(seed, "seed", 0)
     if n < 2:
         raise TooFewSamplesError(f"need n >= 2, got n={n}")
     for attempt in range(5):

@@ -1,10 +1,13 @@
 """Evaluation: squared-error effect risk, the per-dimension correlation
-metric between representations from independent runs, the PCA and
-autoencoder baselines (each fitted to an Encoder, as the energy model is),
-the effect predictions of learners on feature sets, which every
-comparison (PEHE per feature set, cross-run spread of the estimates)
-reduces, and run_experiment, the computation behind the pipeline command.
-Report files are byte-deterministic.
+metric between representations from independent runs, and the PCA and
+autoencoder baselines (each fitted to an Encoder, as the energy model is).
+
+An experiment is three steps. feature_sets maps each named feature set
+(raw, ebm, pca, ae, u) to its fitted reducers and their representations;
+effect_predictions fits the learners on every representation; a scorer
+such as pehe_rows reduces the predictions to report rows. run_experiment,
+the computation behind the pipeline command, is those steps at raw and
+ebm. Report files are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .ebm import Encoder
 from .errors import (CateEbmError, ConfigError, DegenerateColumnError, DimensionError,
                      IllConditionedError, TooFewSamplesError)
 from .nce import TrainConfig, train_ebms, train_runs
-from .numerics import Mlp, as_matrix, as_vector, make_rng
+from .numerics import Mlp, as_matrix, as_vector, check_int, make_rng
 
 _FMT = "%.10g"
 
@@ -81,8 +84,7 @@ def pca_fit(x, k: int) -> Encoder:
     tolerance) raises DegenerateColumnError."""
     x = as_matrix(x)
     d = x.shape[1]
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = check_int(k, "k", 1)
     if k > d:
         raise DimensionError(f"k={k} > d={d}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -144,16 +146,17 @@ def ae_fit(x, config: TrainConfig, seeds) -> list:
 def effect_predictions(features: dict, train: Dataset, kinds, spec: BaseSpec,
                        split_seed: int = 0) -> dict:
     """{name: [{kind: tau_hat on z_test}, ...]} for features {name: [(z_train,
-    z_test), ...]}: the kinds fitted together by cate.fit_learners on each
-    z_train with train's treatment and outcome. Each pair's models are
-    dropped before the next pair is fitted."""
+    z_test), ...]}, each pair possibly led by its reducer, as feature_sets
+    gives it: the kinds fitted together by cate.fit_learners on each z_train
+    with train's treatment and outcome. Each pair's models are dropped before
+    the next pair is fitted."""
     kinds = list(kinds)
     # every prediction's buffer exists before the first fit: predictions kept
     # across later fits would split the heap's free space and raise peak memory
-    out = {name: [np.empty((len(kinds), len(zs))) for _, zs in pairs]
-           for name, pairs in features.items()}
-    for name, pairs in features.items():
-        for buf, (zt, zs) in zip(out[name], pairs):
+    out = {name: [np.empty((len(kinds), len(zs))) for *_, zs in entries]
+           for name, entries in features.items()}
+    for name, entries in features.items():
+        for buf, (*_, zt, zs) in zip(out[name], entries):
             models = fit_learners(kinds, Dataset(x=zt, a=train.a, y=train.y), spec, split_seed)
             for row, kind in zip(buf, kinds):
                 row[:] = models[kind].predict(zs)
@@ -172,29 +175,85 @@ def stage(name: str, seed: int):
         raise
 
 
+# the fitted reducers of a feature set (Encoders, one per run) from an
+# ExperimentConfig and the training covariates
+_REDUCERS = {
+    "ebm": lambda cfg, x: train_ebms(x, cfg, cfg.init_seeds()),
+    "pca": lambda cfg, x: [pca_fit(x, cfg.k)],
+    "ae": lambda cfg, x: ae_fit(x, cfg, cfg.init_seeds()),
+}
+FEATURE_SETS = ("raw", *_REDUCERS, "u")
+
+
+def _latent(train: Dataset, test: Dataset) -> tuple:
+    """Both splits' stored latent u, standardized with the training rows' mean
+    and population std (by an Encoder whose net is the identity)."""
+    if train.u is None or test.u is None:
+        raise ConfigError("feature set 'u' needs the latent u in both splits")
+    width = as_matrix(train.u, "u").shape[1]
+    scaler = Encoder(Mlp([width, width]))
+    np.fill_diagonal(scaler.net.params[0], 1.0)
+    scaler.standardize_on(train.u)
+    return scaler.represent(train.u), scaler.represent(test.u)
+
+
+def feature_sets(cfg, train: Dataset, test: Dataset, names) -> dict:
+    """{name: [(reducer, z_train, z_test), ...]} of a config.ExperimentConfig,
+    in names order, each name one of FEATURE_SETS, none twice: raw (the
+    covariates), ebm (train_ebms), pca (pca_fit at cfg.k) and ae (ae_fit),
+    each run's reducer beside its representations, and u (the stored latent,
+    standardized with the training statistics); raw and u have no reducer.
+    The runs of ebm and ae start from cfg.init_seeds(). Each fit runs under
+    stage "fit-<name>", each representation under "transform"; writes no
+    files."""
+    names = tuple(names)
+    unknown = [name for name in names if name not in FEATURE_SETS]
+    if unknown:
+        raise ConfigError(f"unknown feature set {unknown[0]!r}; valid names: "
+                          f"{', '.join(FEATURE_SETS)}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"feature sets repeat a name: {','.join(names)}")
+    out = {}
+    for name in names:
+        if name == "raw":
+            out[name] = [(None, train.x, test.x)]
+        elif name == "u":
+            out[name] = [(None, *_latent(train, test))]
+        else:
+            with stage(f"fit-{name}", cfg.seed):
+                reducers = _REDUCERS[name](cfg, train.x)
+            with stage("transform", cfg.seed):
+                out[name] = [(r, r.represent(train.x), r.represent(test.x)) for r in reducers]
+    return out
+
+
 PEHE_COLUMNS = ["learner", "features", "pehe_sq_mean", "pehe_sq_std", "pehe_root_mean"]
 
 
+def pehe_rows(preds: dict, test: Dataset, kinds) -> list:
+    """Per learner in kinds, then per feature set of preds (effect_predictions'
+    output), PEHE_COLUMNS: PEHE's mean and std over the feature set's runs
+    against test.tau, and the mean of its square root."""
+    if test.tau is None:
+        raise ConfigError("PEHE needs the true effects tau of the test split")
+    rows = []
+    for kind in kinds:
+        for name, runs in preds.items():
+            vals = np.array([pehe(run[kind], test.tau) for run in runs])
+            rows.append([kind, name, float(vals.mean()), float(vals.std()),
+                         float(np.mean(np.sqrt(vals)))])
+    return rows
+
+
 def run_experiment(cfg, train: Dataset, test: Dataset) -> tuple:
-    """(models, reps, rows) of one config.ExperimentConfig; writes no files.
-    models: cfg.runs EbmModels sharing the B of cfg.b_seed, run r from init seed
-    cfg.init_seeds()[r]; reps: each model's (z_train, z_test); rows: per
-    learner and feature set (raw, ebm), PEHE_COLUMNS: PEHE's mean and std over
-    the feature set's runs, and the mean of its square root."""
-    with stage("fit-ebm", cfg.seed):
-        models = train_ebms(train.x, cfg, cfg.init_seeds())
-    with stage("transform", cfg.seed):
-        reps = [(m.represent(train.x), m.represent(test.x)) for m in models]
+    """(features, rows) of one config.ExperimentConfig; writes no files.
+    features: feature_sets of raw and ebm, whose cfg.runs EbmModels share the
+    B of cfg.b_seed; rows: pehe_rows of every learner on them."""
+    features = feature_sets(cfg, train, test, ("raw", "ebm"))
     with stage("fit-cate", cfg.seed):
-        preds = effect_predictions({"raw": [(train.x, test.x)], "ebm": reps}, train,
-                                   cfg.learners, cfg.base_spec(), split_seed=cfg.seed)
-        rows = []
-        for kind in cfg.learners:
-            for name, runs in preds.items():
-                vals = np.array([pehe(run[kind], test.tau) for run in runs])
-                rows.append([kind, name, float(vals.mean()), float(vals.std()),
-                             float(np.mean(np.sqrt(vals)))])
-    return models, reps, rows
+        preds = effect_predictions(features, train, cfg.learners, cfg.base_spec(),
+                                   split_seed=cfg.seed)
+        return features, pehe_rows(preds, test, cfg.learners)
 
 
 def write_table(path, header, rows) -> None:

@@ -15,12 +15,13 @@ import numpy as np
 from .errors import ConfigError, DimensionError, TrainingDivergedError
 
 
-def check_int(value, name: str, least: int) -> int:
+def check_int(value, name: str, least: int | None) -> int:
     """value as an int, once it is a Python or numpy integer (a bool is not
-    one) >= least; ConfigError otherwise."""
+    one) >= least; ConfigError otherwise. With least None the caller checks
+    its range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
@@ -84,6 +85,7 @@ def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     matrix of the symmetric part. Eigenvectors of a real symmetric matrix
     are real and orthonormal, so B @ B.T == I up to round-off.
     """
+    k = check_int(k, "k", None)
     if k < 1:
         raise DimensionError(f"orthogonal matrix dimension must be >= 1, got {k}")
     b0 = rng.standard_normal((k, k))

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IllConditionedError, TooFewSamplesError
-from .numerics import as_matrix, sq_dists
+from .errors import IllConditionedError, TooFewSamplesError
+from .numerics import as_matrix, check_int, sq_dists
 
 
 @dataclass
@@ -63,8 +63,7 @@ def kmeans_fit(x, k, rng) -> PartitionModel:
     """
     x = as_matrix(x)
     n = x.shape[0]
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = check_int(k, "k", 1)
     if n < k:
         raise TooFewSamplesError(f"n={n} < k={k}")
     max_iter, tol = 100, 1e-8

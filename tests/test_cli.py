@@ -372,7 +372,10 @@ class TestCommands:
         assert set(tmp_path.rglob("*")) == before
         assert not os.path.exists(cells[0].out_dir)
 
-        for i, (cfg, (models, reps, rows)) in enumerate(zip(cells, results)):
+        for i, (cfg, (features, rows)) in enumerate(zip(cells, results)):
+            assert list(features) == ["raw", "ebm"]
+            models = [model for model, _, _ in features["ebm"]]
+            reps = [(z_train, z_test) for _, z_train, z_test in features["ebm"]]
             assert cli.cmd_pipeline(cfg, with_mcc=True) == 0
             exp_dir = tmp_path / "results" / f"exp-{cfg.fingerprint()}"
             mine = tmp_path / f"mine{i}"

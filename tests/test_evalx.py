@@ -4,23 +4,29 @@ import pytest
 from cate_ebm import (
     BaseSpec,
     Dataset,
+    EbmModel,
+    Encoder,
+    ExperimentConfig,
     TrainConfig,
     ae_fit,
     effect_predictions,
+    evalx,
+    feature_sets,
     fit_learner,
     gen_dgp,
     make_rng,
     mcc,
     pca_fit,
     pehe,
+    pehe_rows,
     random_orthogonal,
     sample,
     train_ebm,
     train_ebms,
     write_table,
 )
-from cate_ebm.errors import (DegenerateColumnError, DimensionError, IllConditionedError,
-                             TooFewSamplesError)
+from cate_ebm.errors import (ConfigError, DegenerateColumnError, DimensionError,
+                             IllConditionedError, TooFewSamplesError)
 
 
 class TestPehe:
@@ -147,6 +153,78 @@ class TestEffectPredictions:
                     want = fit_learner(kind, Dataset(x=zt, a=train.a, y=train.y), spec,
                                        split_seed=5)
                     assert np.array_equal(run[kind], want.predict(zs))
+
+
+class TestFeatureSets:
+    """The feature-set map, reduced through effect_predictions to pehe_rows."""
+
+    CFG = ExperimentConfig(d=6, n=80, test_size=40, seed=3, k=2, b=2, hidden=(8,), epochs=4,
+                           runs=2, learners=("t", "r"), base_kind="ridge", base_cv=False)
+    NAMES = ("u", "pca", "raw", "ae", "ebm")
+
+    @pytest.fixture(scope="class")
+    def mapped(self):
+        train, test = self.CFG.datasets()
+        return train, test, feature_sets(self.CFG, train, test, self.NAMES)
+
+    def test_every_set_reaches_the_pehe_table(self, mapped):
+        train, test, features = mapped
+        kinds = self.CFG.learners
+        preds = effect_predictions(features, train, kinds, self.CFG.base_spec(),
+                                   split_seed=self.CFG.seed)
+        rows = pehe_rows(preds, test, kinds)
+        assert [row[:2] for row in rows] == [[kind, name] for kind in kinds
+                                            for name in self.NAMES]
+        for kind, name, mean, std, root in rows:
+            vals = [pehe(run[kind], test.tau) for run in preds[name]]
+            assert (mean, std, root) == (np.mean(vals), np.std(vals), np.mean(np.sqrt(vals)))
+
+    def test_entries_in_names_order_with_their_reducers(self, mapped):
+        train, test, features = mapped
+        assert list(features) == list(self.NAMES)
+        assert [len(entries) for entries in features.values()] == [1, 1, 1, 2, 2]
+        for name, entries in features.items():
+            for reducer, z_train, z_test in entries:
+                if name in ("raw", "u"):
+                    assert reducer is None
+                else:
+                    assert isinstance(reducer, EbmModel if name == "ebm" else Encoder)
+                    assert np.array_equal(z_train, reducer.represent(train.x))
+                    assert np.array_equal(z_test, reducer.represent(test.x))
+        [(_, raw_train, raw_test)] = features["raw"]
+        assert raw_train is train.x and raw_test is test.x
+        pca = pca_fit(train.x, self.CFG.k)
+        assert np.array_equal(features["pca"][0][2], pca.represent(test.x))
+
+    def test_u_is_the_latent_standardized_on_training_rows(self, mapped):
+        train, test, features = mapped
+        [(_, z_train, z_test)] = features["u"]
+        mean, std = train.u.mean(axis=0), train.u.std(axis=0)
+        assert np.array_equal(z_train, (train.u - mean) / std)
+        assert np.array_equal(z_test, (test.u - mean) / std)
+
+    @pytest.mark.parametrize("names, match", [
+        (("raw", "u"), "feature set 'u' needs the latent u in both splits"),
+        (("ebm", "bogus"), "unknown feature set 'bogus'; valid names: raw, ebm, pca, ae, u"),
+        (("ebm", "pca", "ebm"), "feature sets repeat a name: ebm,pca,ebm"),
+    ], ids=["split-without-u", "unknown-name", "repeated-name"])
+    def test_rejected_before_any_fit(self, monkeypatch, names, match):
+        train, test = self.CFG.datasets()
+        monkeypatch.setattr(evalx, "train_ebms", lambda *a: pytest.fail("trained"))
+        without_u = Dataset(x=test.x, a=test.a, y=test.y, tau=test.tau)
+        with pytest.raises(ConfigError, match=f"^{match}$"):
+            feature_sets(self.CFG, train, without_u, names)
+
+    def test_pehe_needs_the_true_effects(self):
+        test = Dataset(x=np.zeros((3, 2)), a=[0, 1, 0], y=np.zeros(3))
+        with pytest.raises(ConfigError, match="^PEHE needs the true effects tau of the test"):
+            pehe_rows({"raw": [{"t": np.zeros(3)}]}, test, ("t",))
+
+    def test_fit_failure_names_its_stage(self):
+        cfg = ExperimentConfig(d=6, n=80, test_size=40, seed=3, k=7)
+        with pytest.raises(DimensionError,
+                           match=r"^pipeline stage 'fit-pca' failed \(seed 3\): k=7 > d=6$"):
+            feature_sets(cfg, *cfg.datasets(), ("raw", "pca"))
 
 
 def _cross_run_std(train, test, encoders, learner, spec):

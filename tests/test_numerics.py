@@ -253,6 +253,47 @@ def test_non_numeric_input_rejected(call, what):
     assert exc.value.exit_code == 2
 
 
+_DGP5 = gen_dgp(0, 5)
+_DR_DATA = Dataset(x=_X20, a=_A20, y=_X20[:, 0])
+
+
+# each used to end in a builtin TypeError, or (a bool, a float d) to run on
+@pytest.mark.parametrize("call, name", [
+    (lambda: gen_dgp("0", 5), "seed"),
+    (lambda: gen_dgp(True, 5), "seed"),
+    (lambda: gen_dgp(0, 5.0), "d"),
+    (lambda: gen_dgp(0, True), "d"),
+    (lambda: sample(_DGP5, 40, "1"), "seed"),
+    (lambda: sample(_DGP5, 40, True), "seed"),
+    (lambda: sample(_DGP5, 40.0, 1), "n"),
+    (lambda: cate.fit_learners(("dr",), _DR_DATA, BaseSpec(), split_seed="0"), "split_seed"),
+    (lambda: cate.fit_learners(("dr",), _DR_DATA, BaseSpec(), split_seed=True), "split_seed"),
+    (lambda: pca_fit(_X20, 2.0), "k"),
+    (lambda: pca_fit(_X20, True), "k"),
+    (lambda: kmeans_fit(_X20, 2.0, make_rng(0)), "k"),
+    (lambda: random_orthogonal(2.0, make_rng(0)), "k"),
+], ids=["gen_dgp-str-seed", "gen_dgp-bool-seed", "gen_dgp-float-d", "gen_dgp-bool-d",
+        "sample-str-seed", "sample-bool-seed", "sample-float-n", "fit_learners-str-split_seed",
+        "fit_learners-bool-split_seed", "pca_fit-float-k", "pca_fit-bool-k",
+        "kmeans_fit-float-k", "random_orthogonal-float-k"])
+def test_integer_argument_of_another_type_rejected(call, name):
+    with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got "):
+        call()
+
+
+def test_integer_arguments_stored_as_int():
+    # numpy integers are integers: the same numbers, and d and seed stored as int
+    i = np.int64
+    dgp = gen_dgp(i(3), i(6))
+    assert type(dgp.d) is int and type(dgp.seed) is int
+    assert np.array_equal(sample(dgp, i(40), i(4)).x, sample(gen_dgp(3, 6), 40, 4).x)
+    assert np.array_equal(pca_fit(_X20, i(2)).represent(_X20), pca_fit(_X20, 2).represent(_X20))
+    assert np.array_equal(kmeans_fit(_X20, i(2), make_rng(0)).labels,
+                          kmeans_fit(_X20, 2, make_rng(0)).labels)
+    assert np.array_equal(random_orthogonal(i(3), make_rng(1)), random_orthogonal(3, make_rng(1)))
+    assert numerics.check_int(-3, "d", None) == -3  # the caller checks the range
+
+
 @pytest.fixture(scope="module")
 def fitted_on_3():
     """One fitted object of each kind that takes x, all on 3 covariates."""
