@@ -14,8 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .dgp import Dataset, as_treatment
-from .errors import (ConfigError, DimensionError, IllConditionedError, TooFewSamplesError,
-                     UntrainedModelError)
+from .errors import ConfigError, IllConditionedError, TooFewSamplesError, UntrainedModelError
 from .numerics import as_matrix, as_vector, check_int, check_positive, make_rng, sq_dists
 
 
@@ -245,16 +244,14 @@ def _score_basis(s, v, y, lams, members):
 
 
 class KernelRows:
-    """Kernel-CV state of one set of training rows.
-
-    Holds what fit_base derives from the rows alone: the median-heuristic
-    width, the gamma grid, the fold members and, with keep_bases, each
-    gamma's eigendecomposition once built. A caller that fits several targets
-    on the same rows creates one and passes it to every fit_base call on
-    them, so the later targets cost no median_gamma and no eigh. Without
-    keep_bases each gamma's eigenvectors are freed once scored, before the
-    next kernel is built. Everything is computed on first use, so a ridge
-    base never pays for the kernel width.
+    """One set of training rows, x, and what fit_base derives from them alone:
+    the median-heuristic width, the gamma grid, the fold members and, with
+    keep_bases, each gamma's eigendecomposition once built. fit_base fits on
+    it; a caller that fits several targets on the same rows passes one to
+    every fit_base call on them, so the later targets cost no median_gamma
+    and no eigh. Without keep_bases each gamma's eigenvectors are freed once
+    scored, before the next kernel is built. Everything is computed on first
+    use, so a ridge base never pays for the kernel width.
     """
 
     def __init__(self, x, keep_bases: bool = True):
@@ -300,21 +297,17 @@ def _kernel_cv(rows: KernelRows, y):
     return sse, alphas
 
 
-def fit_base(x, y, spec: BaseSpec, rows: KernelRows | None = None):
-    """Fit one base regressor, cross-validating hyperparameters if asked.
+def fit_base(rows: KernelRows, y, spec: BaseSpec):
+    """Fit one base regressor to y on rows.x, cross-validating hyperparameters if asked.
 
     Kernel CV reads every fold's held-out error off one eigendecomposition
     per gamma (see _kernel_cv) and returns the winner's full-data fit; ridge
-    CV refits per fold; both read rows' folds. rows, when given, must have
-    been built from this x; its kernel width, folds and eigendecompositions
-    are reused. Non-finite inputs raise IllConditionedError.
+    CV refits per fold; both read rows' folds, and rows keeps its kernel
+    width and, with keep_bases, its eigendecompositions for the next target.
+    Non-finite inputs raise IllConditionedError.
     """
-    x = as_matrix(x)
+    x = rows.x
     y = as_vector(y, "y", x.shape[0])
-    if rows is None:
-        rows = KernelRows(x, keep_bases=False)
-    elif rows.x is not x:
-        raise DimensionError("rows were built from another x")
     if x.shape[0] < 1:
         raise TooFewSamplesError("empty training set")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -404,7 +397,7 @@ def _fit_arms(x, a, y, spec: BaseSpec, keep_bases: bool):
     arms = []
     for arm in (a == 1, a == 0):
         rows = KernelRows(x[arm], keep_bases)
-        arms.append((rows, fit_base(rows.x, y[arm], spec, rows)))
+        arms.append((rows, fit_base(rows, y[arm], spec)))
     return tuple(arms)
 
 
@@ -419,8 +412,8 @@ def _fit_t_x(kinds, ds: Dataset, spec: BaseSpec, prop) -> dict:
         t = ds.a == 1
         d1 = ds.y[t] - mu0.predict(rows1.x)
         d0 = mu1.predict(rows0.x) - ds.y[~t]
-        tau1 = fit_base(rows1.x, d1, spec, rows1)
-        tau0 = fit_base(rows0.x, d0, spec, rows0)
+        tau1 = fit_base(rows1, d1, spec)
+        tau0 = fit_base(rows0, d0, spec)
 
         def predict(x):
             g = prop.predict_proba(x)
@@ -449,7 +442,7 @@ def _fit_dr(ds: Dataset, spec: BaseSpec, split_seed: int) -> CateModel:
     x3 = ds.x[d3]
     phi = dr_pseudo_outcome(ds.a[d3], ds.y[d3], mu0.predict(x3), mu1.predict(x3),
                             prop.predict_proba(x3))
-    final = fit_base(x3, phi, spec)
+    final = fit_base(KernelRows(x3, keep_bases=False), phi, spec)
     return CateModel("dr", final.predict, ds.d)
 
 
@@ -466,7 +459,7 @@ def dr_pseudo_outcome(a, y, mu0, mu1, pi) -> np.ndarray:
 def _fit_r(ds: Dataset, spec: BaseSpec, prop) -> CateModel:
     """Residual-on-residual (Nie & Wager), a_res from prop: m_hat's family at
     m_hat's hyperparameters, fitted to y_res / a_res with weights a_res^2."""
-    m_hat = fit_base(ds.x, ds.y, spec)
+    m_hat = fit_base(KernelRows(ds.x, keep_bases=False), ds.y, spec)
     y_res = ds.y - m_hat.predict(ds.x)
     a_res = ds.a.astype(float) - prop.predict_proba(ds.x)  # |a_res| >= the clip, 0.01
     tau = Ridge(m_hat.lam) if spec.kind == "ridge" else KernelRidge(m_hat.lam, m_hat.gamma)

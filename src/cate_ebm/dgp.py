@@ -72,6 +72,12 @@ class Dataset:
         self.x = as_matrix(self.x)
         self.a = as_treatment(self.a, self.n)
         self.y = as_vector(self.y, "y", self.n)
+        for name in _ORACLE:  # a float array is kept as it is, uncopied
+            if getattr(self, name) is not None:
+                setattr(self, name, as_vector(getattr(self, name), name, self.n))
+        self.u = None if self.u is None else as_matrix(self.u, "u")
+        if self.u is not None and len(self.u) != self.n:
+            raise DimensionError(f"u of shape {self.u.shape} does not have n={self.n} rows")
 
     @property
     def n(self) -> int:

@@ -230,12 +230,13 @@ def feature_sets(cfg, train: Dataset, test: Dataset, names) -> dict:
 PEHE_COLUMNS = ["learner", "features", "pehe_sq_mean", "pehe_sq_std", "pehe_root_mean"]
 
 
-def pehe_rows(preds: dict, test: Dataset, kinds) -> list:
-    """Per learner in kinds, then per feature set of preds (effect_predictions'
-    output), PEHE_COLUMNS: PEHE's mean and std over the feature set's runs
-    against test.tau, and the mean of its square root."""
+def pehe_rows(preds: dict, test: Dataset) -> list:
+    """Per learner of preds (effect_predictions' output), in the order it
+    stored them, then per feature set, PEHE_COLUMNS: PEHE's mean and std over
+    the feature set's runs against test.tau, and the mean of its square root."""
     if test.tau is None:
         raise ConfigError("PEHE needs the true effects tau of the test split")
+    kinds = next((run for runs in preds.values() for run in runs), {})
     rows = []
     for kind in kinds:
         for name, runs in preds.items():
@@ -253,7 +254,7 @@ def run_experiment(cfg, train: Dataset, test: Dataset) -> tuple:
     with stage("fit-cate", cfg.seed):
         preds = effect_predictions(features, train, cfg.learners, cfg.base_spec(),
                                    split_seed=cfg.seed)
-        return features, pehe_rows(preds, test, cfg.learners)
+        return features, pehe_rows(preds, test)
 
 
 def write_table(path, header, rows) -> None:

@@ -186,8 +186,8 @@ def _stratified_batches(labels, batch_size, rng):
 
 
 class _Run:
-    """One init seed's encoder, its nets, their optimizers and its
-    early-stopping state."""
+    """One init seed's encoder, which holds its training record, its nets,
+    their optimizers and its best snapshot."""
 
     def __init__(self, seed, encoder, nets, loss, lr):
         self.seed = seed
@@ -196,29 +196,27 @@ class _Run:
         self.loss = loss
         self.opts = [Adam(net.flat, lr=lr) for net in nets]
         self.best = [net.flat.copy() for net in nets]
-        self.best_val = np.inf
-        self.best_epoch = -1
-        self.history = []
+        encoder.history, encoder.best_epoch, encoder.best_val_loss = [], -1, np.inf
         self.epoch_loss = 0.0
 
     def step(self, batch) -> None:
         loss, *grads = self.loss(batch, True)
         if not np.isfinite(loss):
             raise TrainingDivergedError("training loss became non-finite")
-        for net, opt, grad in zip(self.nets, self.opts, grads):
-            opt.step(net.flat, grad)
+        for opt, grad in zip(self.opts, grads):
+            opt.step(grad)
         self.epoch_loss += loss * len(batch)
 
     def end_epoch(self, epoch, val_batch, n_train, patience) -> bool:
         """Score val_batch and keep the best snapshot; False once patience runs out."""
         val_loss = self.loss(val_batch, False)
-        self.history.append((epoch, self.epoch_loss / n_train, val_loss))
+        self.encoder.history.append((epoch, self.epoch_loss / n_train, val_loss))
         self.epoch_loss = 0.0
-        if val_loss < self.best_val:
-            self.best_val = val_loss
+        if val_loss < self.encoder.best_val_loss:
+            self.encoder.best_val_loss = val_loss
             self.best = [net.flat.copy() for net in self.nets]
-            self.best_epoch = epoch
-        return epoch - self.best_epoch < patience
+            self.encoder.best_epoch = epoch
+        return epoch - self.encoder.best_epoch < patience
 
 
 # an overflow is reported by the finiteness checks of the losses, not warned of
@@ -268,9 +266,7 @@ def train_runs(config: TrainConfig, seeds, make_run, x, labels, draw, split_rng,
     for run in runs:
         for net, best in zip(run.nets, run.best):
             net.flat[:] = best
-        enc = run.encoder
-        enc.history, enc.best_epoch, enc.best_val_loss = run.history, run.best_epoch, run.best_val
-        enc.standardize_on(x)
+        run.encoder.standardize_on(x)
     return [run.encoder for run in runs]
 
 

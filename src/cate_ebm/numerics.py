@@ -217,16 +217,17 @@ class Mlp:
 
 
 class Adam:
-    """Adam with bias correction over one parameter vector, at the usual
-    beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+    """Adam with bias correction over the one vector theta it keeps, at the
+    usual beta1 = 0.9, beta2 = 0.999 and eps = 1e-8; step updates theta in place."""
 
     def __init__(self, theta, lr):
+        self.theta = theta
         self.lr = lr
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
         self.t = 0
 
-    def step(self, theta, grad):
+    def step(self, grad):
         """One update of theta in place from its gradient grad."""
         if not np.all(np.isfinite(grad)):
             raise TrainingDivergedError("non-finite gradient in Adam step")
@@ -238,7 +239,7 @@ class Adam:
         self.m += (1.0 - b1) * grad
         self.v *= b2
         self.v += (1.0 - b2) * grad * grad
-        theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + 1e-8)
+        self.theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + 1e-8)
 
 
 def grad_check(loss_fn, theta, h=1e-5, max_entries=10_000, seed=0):

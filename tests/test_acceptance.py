@@ -35,7 +35,7 @@ from cate_ebm import (
     train_ebm,
     train_ebms,
 )
-from cate_ebm.cate import fit_base
+from cate_ebm.cate import KernelRows, fit_base
 from cate_ebm.cli import main as cli_main
 
 pytestmark = pytest.mark.acceptance
@@ -254,7 +254,7 @@ def test_criterion_09_dr_consistency():
             test_tau = test_x @ (np.array([0.5, 0.5, -0.5, 1.0, 0.0])
                                  - np.array([1.0, -1.0, 0.5, 0.0, 0.25])) + 1.0
             phi = dr_pseudo_outcome(ds.a, ds.y, mu0, mu1, pi)
-            final = fit_base(ds.x, phi, spec)
+            final = fit_base(KernelRows(ds.x), phi, spec)
             vals.append(pehe(final.predict(test_x), test_tau))
         risks[n] = float(np.mean(vals))
     _report(9, f"doubly robust risk shrinks with n "

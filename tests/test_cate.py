@@ -463,7 +463,7 @@ class TestMetaLearners:
 
 def _r_stage_one(ds, spec):
     """m_hat and the R-learner's outcome and treatment residuals."""
-    m_hat = cate.fit_base(ds.x, ds.y, spec)
+    m_hat = cate.fit_base(cate.KernelRows(ds.x), ds.y, spec)
     prop = propensity_fit(ds.x, ds.a)
     return m_hat, ds.y - m_hat.predict(ds.x), ds.a.astype(float) - prop.predict_proba(ds.x)
 
@@ -527,15 +527,15 @@ class TestCvSelection:
         x = rng.standard_normal((150, 2))
         y = x @ np.array([1.0, -1.0]) + rng.standard_normal(150)
         monkeypatch.setattr(cate, "LAM_GRID", (1e-8, 1e-2, 1.0))
-        model = fit_base(x, y, BaseSpec(kind="ridge", cv=True))
+        model = fit_base(cate.KernelRows(x), y, BaseSpec(kind="ridge", cv=True))
         assert model.lam > 1e-8  # the interpolating choice loses under noise
 
     def test_cv_deterministic(self):
         from cate_ebm.cate import fit_base
         x, y = _sine_data()
         spec = BaseSpec(kind="kernel", cv=True)
-        m1 = fit_base(x, y, spec)
-        m2 = fit_base(x, y, spec)
+        m1 = fit_base(cate.KernelRows(x), y, spec)
+        m2 = fit_base(cate.KernelRows(x), y, spec)
         assert m1.lam == m2.lam and m1.gamma == m2.gamma
         assert np.array_equal(m1.alpha, m2.alpha)
 
@@ -548,7 +548,8 @@ class TestCvSelection:
         monkeypatch.setattr(cate, "median_gamma", forbidden)
         rng = make_rng(10)
         x = rng.standard_normal((60, 2))
-        model = cate.fit_base(x, x @ np.array([1.0, 2.0]), BaseSpec(kind="ridge", cv=cv))
+        model = cate.fit_base(cate.KernelRows(x), x @ np.array([1.0, 2.0]),
+                              BaseSpec(kind="ridge", cv=cv))
         assert isinstance(model, Ridge)
 
     @pytest.mark.parametrize("kind, cv_step, calls_at_ten", [
@@ -557,8 +558,8 @@ class TestCvSelection:
                                                           calls_at_ten):
         calls = _count_calls(monkeypatch, cate, cv_step)
         x, y = _sine_data(n=2 * cate.CV_FOLDS - 1)
-        direct = cate.fit_base(x, y, BaseSpec(kind=kind, cv=False))
-        model = cate.fit_base(x, y, BaseSpec(kind=kind, cv=True))
+        direct = cate.fit_base(cate.KernelRows(x), y, BaseSpec(kind=kind, cv=False))
+        model = cate.fit_base(cate.KernelRows(x), y, BaseSpec(kind=kind, cv=True))
         assert calls == [] and model.lam == 0.01
         if kind == "ridge":
             assert np.array_equal(model.w, direct.w)
@@ -566,7 +567,7 @@ class TestCvSelection:
             assert model.gamma == direct.gamma == median_gamma(x)
             assert np.array_equal(model.alpha, direct.alpha)
         x, y = _sine_data(n=2 * cate.CV_FOLDS)
-        cate.fit_base(x, y, BaseSpec(kind=kind, cv=True))
+        cate.fit_base(cate.KernelRows(x), y, BaseSpec(kind=kind, cv=True))
         assert len(calls) == calls_at_ten
 
     @pytest.mark.parametrize("kind", ["ridge", "kernel"])
@@ -576,7 +577,7 @@ class TestCvSelection:
         y = x @ np.array([1.0, 2.0])
         y[7] = np.nan
         with pytest.raises(IllConditionedError):
-            fit_base(x, y, BaseSpec(kind=kind, cv=True))
+            fit_base(cate.KernelRows(x), y, BaseSpec(kind=kind, cv=True))
 
     @pytest.mark.parametrize("kind", ["ridge", "kernel"])
     @pytest.mark.parametrize("cv, n", [(False, 60), (True, 6)])
@@ -592,7 +593,7 @@ class TestCvSelection:
         else:
             y[3] = np.nan
         with pytest.raises(IllConditionedError):
-            fit_base(x, y, BaseSpec(kind=kind, cv=cv))
+            fit_base(cate.KernelRows(x), y, BaseSpec(kind=kind, cv=cv))
 
 
 def _sine_data(n=80, seed=9):
@@ -634,7 +635,7 @@ class TestClosedFormKernelCv:
         assert np.all(np.abs(sse - refit) <= 1e-8 * refit)
 
         i, j = np.unravel_index(np.argmin(refit), refit.shape)
-        model = cate.fit_base(x, y, spec)
+        model = cate.fit_base(cate.KernelRows(x), y, spec)
         assert (model.lam, model.gamma) == (cate.LAM_GRID[i], gammas[j])
         direct = KernelRidge(model.lam, model.gamma).fit(x, y).predict(x)
         assert np.abs(model.predict(x) - direct).max() <= 1e-8 * np.abs(direct).max()
@@ -649,7 +650,7 @@ class TestClosedFormKernelCv:
         sse, _ = cate._kernel_cv(cate.KernelRows(x), y)
         assert np.isfinite(sse).all()
         spec = BaseSpec(kind="kernel", cv=True)
-        assert np.isfinite(cate.fit_base(x, y, spec).predict(x)).all()
+        assert np.isfinite(cate.fit_base(cate.KernelRows(x), y, spec).predict(x)).all()
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -671,8 +672,8 @@ class TestSharedKernelRows:
         fit_base = cate.fit_base
         fits = []
 
-        def recorded(x, y, spec_, rows=None):
-            fits.append((x, y, fit_base(x, y, spec_, rows)))
+        def recorded(rows, y, spec_):
+            fits.append((rows.x, y, fit_base(rows, y, spec_)))
             return fits[-1][2]
 
         monkeypatch.setattr(cate, "fit_base", recorded)
@@ -683,7 +684,7 @@ class TestSharedKernelRows:
 
         # mu1, mu0, tau1, tau0 equal independent fits on the same inputs
         for x, y, model in fits:
-            alone = fit_base(x, y, spec)
+            alone = fit_base(cate.KernelRows(x), y, spec)
             assert (model.lam, model.gamma) == (alone.lam, alone.gamma)
             assert np.array_equal(model.alpha, alone.alpha)
 
@@ -692,11 +693,6 @@ class TestSharedKernelRows:
         eighs = _count_calls(monkeypatch, np.linalg, "eigh")
         fit_learner("r", ds, BaseSpec(kind="kernel", cv=True))
         assert len(eighs) == 3
-
-    def test_rows_from_other_inputs_rejected(self):
-        x, y = _sine_data()
-        with pytest.raises(ValueError):
-            cate.fit_base(x.copy(), y, BaseSpec(kind="kernel", cv=True), cate.KernelRows(x))
 
 
 class TestFitLearners:

@@ -685,6 +685,36 @@ class TestExitCodes:
         assert main([command, *argv, "--data", str(narrow)]) == 2
         assert capsys.readouterr().err == "error: model expects d=3, data has d=1\n"
 
+    @pytest.mark.parametrize("case", ["feature-rows", "one-model", "covariate-gap",
+                                      "no-covariates"])
+    def test_refused_inputs(self, tmp_path, capsys, case):
+        x = make_rng(0).standard_normal((60, 3))
+        a = np.arange(60) % 2
+        data = tmp_path / "d.csv"
+        save_csv(Dataset(x=x, a=a, y=x[:, 0] + a), data)
+        out = str(tmp_path / "out")
+        if case == "feature-rows":
+            feats = tmp_path / "z.csv"
+            write_csv(feats, ["z0", "z1"], [x[:40, :2]])
+            argv = ["fit-cate", "--data", str(data), "--features", str(feats), "--out", out]
+            want = "feature rows (40) != dataset rows (60)"
+        elif case == "one-model":
+            model = tmp_path / "m.preb"
+            save_model(train_ebm(x, TrainConfig(k=2, b=2, hidden=(4,), epochs=1)), model)
+            argv = ["mcc", "--models", str(model), "--data", str(data)]
+            want = "mcc needs at least 2 models"
+        else:
+            header, cols = {"covariate-gap": (["x0", "x2", "a", "y"], [x[:, :2], a, x[:, 0]]),
+                            "no-covariates": (["a", "y"], [a, x[:, 0]])}[case]
+            data = tmp_path / "narrow.csv"
+            write_csv(data, header, cols)
+            argv = ["fit-ebm", "--train", str(data), "--out", out]
+            want = {"covariate-gap": f"{data}: missing covariate column x1",
+                    "no-covariates": f"{data}: no covariate columns x0.."}[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not os.path.exists(out) or not os.listdir(out)  # nothing written
+
     def test_fit_ebm_needs_k_covariates(self, tmp_path, capsys):
         # desk's k = 3 subsets of 2 covariates: no 3-dimensional representation
         narrow = tmp_path / "narrow.csv"

@@ -125,6 +125,26 @@ class TestDatasetValidation:
         with pytest.raises(DimensionError, match=want):
             Dataset(x=x, a=a, y=y)
 
+    @pytest.mark.parametrize("column, value, want", [
+        ("tau", np.zeros(5), r"^tau of shape \(5,\) is not an \(n,\) vector with n=60$"),
+        ("mu0", np.zeros(61), r"^mu0 of shape \(61,\) is not an \(n,\) vector with n=60$"),
+        ("mu1", np.zeros((60, 1)), r"^mu1 of shape \(60, 1\) is not an \(n,\) vector"),
+        ("pi", np.zeros(0), r"^pi of shape \(0,\) is not an \(n,\) vector with n=60$"),
+        ("u", np.zeros((10, 5)), r"^u of shape \(10, 5\) does not have n=60 rows$"),
+        ("u", np.zeros(60), r"^u of shape \(60,\) is not an \(n, d\) matrix"),
+    ], ids=["tau", "mu0", "mu1", "pi", "u-rows", "u-vector"])
+    def test_oracle_column_of_another_shape(self, column, value, want):
+        # a 10-row u beside 60 rows of x used to be stored, and failed later
+        # in a fit that named another column
+        with pytest.raises(DimensionError, match=want):
+            Dataset(x=np.zeros((60, 2)), a=np.arange(60) % 2, y=np.zeros(60), **{column: value})
+
+    def test_float_oracle_columns_are_kept_uncopied(self):
+        ds = sample(gen_dgp(0, d=3), 50, 1)
+        names = ("x", "y", "tau", "mu0", "mu1", "pi", "u")
+        again = Dataset(a=ds.a, **{name: getattr(ds, name) for name in names})
+        assert all(getattr(again, name) is getattr(ds, name) for name in names)
+
 
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):

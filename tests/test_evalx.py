@@ -172,7 +172,7 @@ class TestFeatureSets:
         kinds = self.CFG.learners
         preds = effect_predictions(features, train, kinds, self.CFG.base_spec(),
                                    split_seed=self.CFG.seed)
-        rows = pehe_rows(preds, test, kinds)
+        rows = pehe_rows(preds, test)
         assert [row[:2] for row in rows] == [[kind, name] for kind in kinds
                                             for name in self.NAMES]
         for kind, name, mean, std, root in rows:
@@ -218,7 +218,14 @@ class TestFeatureSets:
     def test_pehe_needs_the_true_effects(self):
         test = Dataset(x=np.zeros((3, 2)), a=[0, 1, 0], y=np.zeros(3))
         with pytest.raises(ConfigError, match="^PEHE needs the true effects tau of the test"):
-            pehe_rows({"raw": [{"t": np.zeros(3)}]}, test, ("t",))
+            pehe_rows({"raw": [{"t": np.zeros(3)}]}, test)
+
+    def test_learners_are_read_from_the_predictions_in_their_order(self):
+        test = Dataset(x=np.zeros((3, 2)), a=[0, 1, 0], y=np.zeros(3), tau=np.ones(3))
+        preds = {"raw": [{"r": np.zeros(3), "t": np.ones(3)}],
+                 "ebm": [{"r": np.ones(3), "t": np.full(3, 3.0)}]}
+        assert [row[:3] for row in pehe_rows(preds, test)] == [
+            ["r", "raw", 1.0], ["r", "ebm", 0.0], ["t", "raw", 0.0], ["t", "ebm", 4.0]]
 
     def test_fit_failure_names_its_stage(self):
         cfg = ExperimentConfig(d=6, n=80, test_size=40, seed=3, k=7)

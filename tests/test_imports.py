@@ -2,9 +2,10 @@
 
 The package needs numpy alone: every module imports only numpy, __future__,
 the standard library and its own modules, so a stray third-party import fails
-here and not first in a numpy-only install. And every error the package
+here and not first in a numpy-only install. Every error the package
 raises is a CateEbmError, which carries its exit code: no module raises a
-builtin exception class."""
+builtin exception class. And the count of settable values does not grow
+unnoticed."""
 
 import ast
 import builtins
@@ -46,3 +47,27 @@ def test_no_module_raises_a_builtin_exception():
                     and _builtin_exception(node.exc)):
                 builtin.append(f"{path.name}:{node.lineno}: raise {ast.unparse(node.exc)}")
     assert not builtin, f"builtin exceptions raised instead of a CateEbmError: {builtin}"
+
+
+# keyword defaults plus dataclass fields in src/cate_ebm; a change that adds
+# a justified option raises this bound and says why
+MAX_SETTABLE_VALUES = 78
+
+
+def _is_dataclass(node) -> bool:
+    decs = [dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list]
+    return any(isinstance(dec, ast.Name) and dec.id == "dataclass" for dec in decs)
+
+
+def test_settable_values_do_not_grow():
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    assert count <= MAX_SETTABLE_VALUES, (
+        f"{count} settable values (keyword defaults plus dataclass fields), "
+        f"above the bound of {MAX_SETTABLE_VALUES}")

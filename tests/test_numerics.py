@@ -11,9 +11,12 @@ from cate_ebm import (
     KernelRidge,
     Mlp,
     Ridge,
+    TrainConfig,
+    ae_fit,
     build_candidates,
     dr_pseudo_outcome,
     fit_learner,
+    fit_learners,
     gen_dgp,
     grad_check,
     kmeans_fit,
@@ -28,7 +31,8 @@ from cate_ebm import (
 )
 from cate_ebm import cate, numerics
 from cate_ebm.errors import (CateEbmError, ConfigError, DegenerateColumnError, DimensionError,
-                             TooFewSamplesError, TrainingDivergedError, UntrainedModelError)
+                             IllConditionedError, TooFewSamplesError, TrainingDivergedError,
+                             UntrainedModelError)
 
 
 def _one_line_sq_dists(xa, xb):
@@ -206,11 +210,10 @@ _FLAT = np.zeros(6)  # 1-D: no column axis at all
     lambda: propensity_fit(_FLAT, np.arange(6) % 2),
     lambda: median_gamma(_FLAT),
     lambda: cate.KernelRows(_FLAT),
-    lambda: cate.fit_base(_FLAT, _FLAT, BaseSpec()),
     lambda: build_candidates(_FLAT, np.zeros(6), 0.5, 2, make_rng(0)),
 ], ids=["as_matrix", "mcc", "pca_fit", "Dataset", "kmeans_fit", "Encoder.standardize_on",
         "Ridge.fit", "KernelRidge.fit", "PropensityModel.fit", "median_gamma", "KernelRows",
-        "fit_base", "build_candidates"])
+        "build_candidates"])
 def test_matrix_without_columns_rejected(call):
     with pytest.raises(DimensionError, match=r"\(n, d\) matrix, d >= 1"):
         call()
@@ -225,8 +228,8 @@ _SHORT = np.zeros(19)  # one entry short of x's 20 rows
     lambda: Dataset(x=_X20, a=_SHORT, y=_Y20),
     lambda: Dataset(x=_X20, a=_A20, y=_SHORT),
     lambda: propensity_fit(_X20, _SHORT),
-    lambda: cate.fit_base(_X20, _SHORT, BaseSpec(kind="kernel")),
-    lambda: cate.fit_base(_X20, _SHORT, BaseSpec(kind="ridge")),
+    lambda: cate.fit_base(cate.KernelRows(_X20), _SHORT, BaseSpec(kind="kernel")),
+    lambda: cate.fit_base(cate.KernelRows(_X20), _SHORT, BaseSpec(kind="ridge")),
     lambda: Ridge(0.1).fit(_X20, _SHORT),
     lambda: Ridge(0.1).fit(_X20, _Y20, weights=_SHORT),
     lambda: KernelRidge(0.1, 1.0).fit(_X20, _SHORT),
@@ -352,15 +355,40 @@ def _ebm(**kwargs):
     (lambda: sample(gen_dgp(8, d=2), 1, 0), TooFewSamplesError),
     (lambda: nce_loss(_ebm(), CandidateSet(np.zeros((0, 2, 2)), np.zeros(0, dtype=int))),
      TooFewSamplesError),
-    (lambda: cate.fit_base(_X20.copy(), _Y20, BaseSpec(), cate.KernelRows(_X20)), DimensionError),
 ], ids=["kmeans_fit-k0", "grad_check-h0", "EbmModel-repr_std", "EbmModel-repr_std-nan",
         "EbmModel-repr_mean-inf", "EbmModel-repr_mean-1", "EbmModel-repr_std-1", "sample-n1",
-        "nce_loss-empty", "fit_base-other-rows"])
+        "nce_loss-empty"])
 def test_input_errors_are_package_errors(call, error):
     # a caller that catches CateEbmError (as cli.main does) must catch these too
     with pytest.raises(error) as exc:
         call()
     assert isinstance(exc.value, CateEbmError) and exc.value.exit_code == 2
+
+
+def _thirty_rows_one_treated():
+    x = make_rng(0).standard_normal((30, 2))
+    a = np.zeros(30, dtype=int)
+    a[4] = 1
+    return Dataset(x=x, a=a, y=x[:, 0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ae_fit(np.zeros((10, 2)), TrainConfig(k=3), [0]), DimensionError, "k=3 > d=2"),
+    (lambda: EbmModel(net=Mlp([2, 3]), b_matrix=np.zeros((3, 2))), DimensionError,
+     "B must be square"),
+    (lambda: Mlp([3]), DimensionError, "need at least input and output widths"),
+    (lambda: cate.fit_base(cate.KernelRows(np.zeros((0, 2))), np.zeros(0), BaseSpec()),
+     TooFewSamplesError, "empty training set"),
+    (lambda: cate._chol_solve(-np.eye(3), np.ones(3)), IllConditionedError,
+     "system stayed non-SPD after jitter"),
+    (lambda: fit_learners(("dr",), _thirty_rows_one_treated(), BaseSpec()), TooFewSamplesError,
+     "could not find a split with both arms present"),
+], ids=["ae_fit-k-above-d", "EbmModel-B-not-square", "Mlp-one-width", "fit_base-no-rows",
+        "chol_solve-negative-definite", "dr-no-split-with-both-arms"])
+def test_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error, match=f"^{message}$") as exc:
+        call()
+    assert exc.value.exit_code == (3 if error is IllConditionedError else 2)
 
 
 class TestMlpBackward:
@@ -447,20 +475,20 @@ class TestAdam:
     def test_zero_gradients_leave_params(self):
         p = np.array([1.0, 2.0])
         opt = Adam(p, lr=0.1)
-        opt.step(p, np.zeros(2))
+        opt.step(np.zeros(2))
         assert np.array_equal(p, np.array([1.0, 2.0]))
 
     def test_descends_on_quadratic(self):
         p = np.array([1.0])
         opt = Adam(p, lr=0.1)
-        opt.step(p, 2.0 * p)
+        opt.step(2.0 * p)
         assert p[0] < 1.0
 
     def test_matches_reference_recurrence(self):
         p = np.array([0.0])
         opt = Adam(p, lr=0.3)
         for _ in range(10):
-            opt.step(p, 2.0 * (p - 3.0))
+            opt.step(2.0 * (p - 3.0))
         ref = _reference_adam_scalar(0.0, lambda w: 2.0 * (w - 3.0), lr=0.3, steps=10)
         assert abs(p[0] - ref) < 1e-12
         assert abs(p[0] - 3.0) < abs(0.0 - 3.0)
@@ -469,7 +497,7 @@ class TestAdam:
         p = np.array([1.0])
         opt = Adam(p, lr=0.1)
         with pytest.raises(TrainingDivergedError):
-            opt.step(p, np.array([np.nan]))
+            opt.step(np.array([np.nan]))
 
 
 class _PerArrayAdam:
@@ -511,7 +539,7 @@ class TestFlatAdamMatchesPerArray:
         ref = [p.copy() for p in net.params]
         flat_opt, ref_opt = Adam(net.flat, lr=1e-3), _PerArrayAdam(ref, lr=1e-3)
         for grads in self._gradients([p.shape for p in ref], seed=1):
-            flat_opt.step(net.flat, np.concatenate([g.ravel() for g in grads]))
+            flat_opt.step(np.concatenate([g.ravel() for g in grads]))
             ref_opt.step(ref, grads)
         assert flat_opt.t == ref_opt.t == self.STEPS
         assert all(np.array_equal(p, r) for p, r in zip(net.params, ref))
@@ -525,8 +553,8 @@ class TestFlatAdamMatchesPerArray:
         ref_opt = _PerArrayAdam(ref, lr=3e-3)
         n_enc = len(enc.params)
         for grads in self._gradients([p.shape for p in ref], seed=4):
-            enc_opt.step(enc.flat, np.concatenate([g.ravel() for g in grads[:n_enc]]))
-            dec_opt.step(dec.flat, np.concatenate([g.ravel() for g in grads[n_enc:]]))
+            enc_opt.step(np.concatenate([g.ravel() for g in grads[:n_enc]]))
+            dec_opt.step(np.concatenate([g.ravel() for g in grads[n_enc:]]))
             ref_opt.step(ref, grads)
         assert all(np.array_equal(p, r) for p, r in zip(enc.params + dec.params, ref))
 

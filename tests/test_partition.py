@@ -82,6 +82,17 @@ def test_refit_same_seed_bit_identical():
     assert m1.inertia == m2.inertia
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_fewer_distinct_rows_than_k(seed):
+    # two distinct rows for k = 3: once both are centroids the k-means++ draw
+    # has no distance left to weight by, and Lloyd's pass empties a cluster
+    # that is then re-seeded
+    x = np.array([[0.0, 0.0]] * 6 + [[1.0, 1.0]])
+    model = kmeans_fit(x, 3, make_rng(seed))
+    assert model.labels.tolist() == [0] * 6 + [1]
+    assert model.inertia == 0.0
+
+
 def test_too_few_samples():
     with pytest.raises(TooFewSamplesError):
         kmeans_fit(np.zeros((2, 2)), 3, make_rng(0))
